@@ -4,7 +4,7 @@ GO ?= go
 # lifetime-engine microbenchmarks.
 BENCH_PKGS = . ./internal/cache
 
-.PHONY: all build vet test race rootcause-diff check bench bench-compare bench-smoke cache-smoke serve-smoke chaos-smoke cluster-smoke docs-check
+.PHONY: all build vet test race rootcause-diff fuzz-smoke check bench bench-compare bench-smoke profile cache-smoke serve-smoke chaos-smoke cluster-smoke docs-check
 
 all: check
 
@@ -34,6 +34,14 @@ rootcause-diff:
 	$(GO) test ./internal/inject -run 'TestRootCause' -count=2
 	$(GO) test ./internal/rootcause -count=2
 
+# fuzz-smoke runs each decoder fuzz target for a short time beyond its
+# committed seed corpus: the injection slice-table codec and the CRC
+# frame every disk and wire entry goes through.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime $(FUZZTIME)
+
 check: vet build test
 
 # bench runs the whole benchmark suite once and records a machine-readable
@@ -58,6 +66,21 @@ bench-smoke:
 # used for before/after comparisons (feed the two files to benchstat).
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkTableI_BaselineSim|BenchmarkFig5_GASearchBaseline' -benchmem -count 5 .
+
+# profile prints the CPU profile (go tool pprof -top) of two paths a
+# user waits on: the reference-knob experiment suite (avfbench -ref) and
+# a default 1000-trial avfinject campaign, both cold and memory-only.
+PROFILE_DIR ?= $(CURDIR)/.profile
+profile:
+	rm -rf $(PROFILE_DIR)
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/avfbench ./cmd/avfbench
+	$(GO) build -o $(PROFILE_DIR)/avfinject ./cmd/avfinject
+	$(PROFILE_DIR)/avfbench -ref -quiet -cpuprofile $(PROFILE_DIR)/avfbench.prof > /dev/null
+	$(PROFILE_DIR)/avfinject -cpuprofile $(PROFILE_DIR)/avfinject.prof > /dev/null
+	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/avfbench $(PROFILE_DIR)/avfbench.prof
+	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/avfinject $(PROFILE_DIR)/avfinject.prof
+	rm -rf $(PROFILE_DIR)
 
 # cache-smoke proves the simcache determinism contract end-to-end: the
 # full experiment suite must render byte-identically with the cache

@@ -11,18 +11,19 @@
 //	avfinject [-config baseline|configA] [-rates uniform|rhc|edr]
 //	          [-trials 1000] [-scale 32] [-seed 1] [-mode reference|search]
 //	          [-checkpoint-interval N] [-prune-static N] [-root-cause]
-//	          [-cache-dir DIR] [-v]
+//	          [-cache-dir DIR] [-cpuprofile f] [-v]
 //
 // avfinject is a thin client of the same scenario path avfstressd
 // serves: the flags build a declarative scenario.Spec whose parametric
 // faultinject scenario runs through the registry and scheduler, so the
-// campaign shares the suite's stressmark search, per-trial memoisation
+// campaign shares the suite's stressmark search, per-slice memoisation
 // and cancellation semantics with the daemon (POST /v1/jobs with
 // {"scenarios": ["faultinject"], ...} runs the identical study).
 // -root-cause appends the rootcause view of the same study — per-
 // instruction and per-class attribution tables built from each SDC/DUE
 // trial's first divergent commit (DESIGN.md §14) — at no extra replay
-// cost. Ctrl-C cancels between replays.
+// cost. -cpuprofile writes a pprof CPU profile of the run, as on
+// avfbench. Ctrl-C cancels between replays.
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 
 	"avfstress/internal/experiments"
@@ -49,10 +51,34 @@ func main() {
 		ckptIval  = flag.Int64("checkpoint-interval", 0, "golden-run checkpoint interval in cycles for fork-replay: 0 = auto, <0 = disabled (replay speed only; reports are byte-identical)")
 		pruneSt   = flag.Int("prune-static", 0, "static liveness pruning of the injection space: 0 or >0 = enabled, <0 = disabled (pruned targets classify as masked analytically, freeing their replays for the live subspace)")
 		rootCause = flag.Bool("root-cause", false, "also report root-cause attribution tables: the instructions whose values SDC/DUE trials corrupted, ranked (shares the campaign's replays)")
-		cacheDir  = flag.String("cache-dir", "", "persist simulations and per-trial outcomes under this directory (shared across runs; results are bit-identical)")
+		cacheDir  = flag.String("cache-dir", "", "persist simulations and per-slice outcome tables under this directory (shared across runs; results are bit-identical)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		verbose   = flag.Bool("v", false, "stream per-campaign progress")
 	)
 	flag.Parse()
+
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "avfinject: -cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "avfinject: start cpu profile: %v\n", err)
+			os.Exit(1)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	// fail flushes the CPU profile before exiting (os.Exit skips defers),
+	// so a profile of a failing run is still readable.
+	fail := func(format string, args ...interface{}) {
+		if *cpuprof != "" {
+			pprof.StopCPUProfile()
+		}
+		fmt.Fprintf(os.Stderr, format, args...)
+		os.Exit(1)
+	}
 
 	scenarios := []string{"faultinject"}
 	if *rootCause {
@@ -79,8 +105,7 @@ func main() {
 	}
 	ctx, names, err := experiments.NewSpecContext(spec, base)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "avfinject:", err)
-		os.Exit(1)
+		fail("avfinject: %v\n", err)
 	}
 
 	cctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -96,11 +121,9 @@ func main() {
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "avfinject: interrupted")
-		} else {
-			fmt.Fprintln(os.Stderr, "avfinject:", err)
+			fail("avfinject: interrupted\n")
 		}
-		os.Exit(1)
+		fail("avfinject: %v\n", err)
 	}
 	if *cacheDir != "" {
 		fmt.Fprintf(os.Stderr, "# cache: %s\n", ctx.CacheStats())

@@ -247,12 +247,11 @@ func (h *Hierarchy) Restore(st *HierarchyState) error {
 // cycle F only when C+lead ≤ F, which guarantees every lifetime
 // transition whose interval could contain F executes wall-after C and is
 // therefore observed by watches armed at restore time.
-func (h *Hierarchy) TimestampLead() int64 {
-	lead := int64(h.cfg.DTLB.WalkLatency)
-	if h.memLat > h.l2Hit {
-		lead += h.memLat
-	} else {
-		lead += h.l2Hit
-	}
-	return lead + h.dl1Hit
+func (h *Hierarchy) TimestampLead() int64 { return h.cfg.TimestampLead() }
+
+// TimestampLead is Hierarchy.TimestampLead computed from the
+// configuration alone, for callers that plan around checkpoint validity
+// without building a memory system.
+func (c HierarchyConfig) TimestampLead() int64 {
+	return int64(c.DTLB.WalkLatency) + int64(max(c.MemLatency, c.L2.HitLatency)) + int64(c.DL1.HitLatency)
 }

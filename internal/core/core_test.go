@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -308,5 +309,43 @@ func TestSearchCacheDoesNotAlterTrajectory(t *testing.T) {
 		t.Errorf("cache changed the search outcome:\nplain  %+v f=%v evals=%d\nstored %+v f=%v evals=%d",
 			plain.Knobs, plain.Fitness, plain.Evaluations,
 			stored.Knobs, stored.Fitness, stored.Evaluations)
+	}
+}
+
+// TestSearchEvaluationsExactAcrossParallelism: identical candidates
+// evaluated concurrently share one memo entry, so Evaluations counts
+// distinct candidates exactly and the rendered search summary is
+// byte-identical at any GA parallelism.
+func TestSearchEvaluationsExactAcrossParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GA searches in -short mode")
+	}
+	summary := func(r *SearchResult) string {
+		return fmt.Sprintf("%d evaluations, %d cataclysms, %d failed candidates, fitness %.6f\n%s\n%+v",
+			r.Evaluations, r.Cataclysms, r.FailedEvals, r.Fitness, r.Knobs, r.History)
+	}
+	eval := pipe.RunConfig{MaxInstructions: 20_000, WarmupInstructions: 10_000}
+	for _, seed := range []int64{3, 4, 9} {
+		var want string
+		var wantEvals int64
+		for _, par := range []int{1, 8} {
+			res, err := Search(context.Background(), SearchSpec{
+				Config: testCfg(), Eval: eval, Final: eval,
+				GA: ga.Config{PopSize: 12, Generations: 3, Seed: seed, Parallelism: par},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par == 1 {
+				want, wantEvals = summary(res), res.Evaluations
+				continue
+			}
+			if res.Evaluations != wantEvals {
+				t.Errorf("seed %d: %d evaluations at parallelism %d, %d serially", seed, res.Evaluations, par, wantEvals)
+			}
+			if got := summary(res); got != want {
+				t.Errorf("seed %d: summary at parallelism %d differs:\n%s\nserial:\n%s", seed, par, got, want)
+			}
+		}
 	}
 }

@@ -101,8 +101,9 @@ func (c *Context) injectBudget() pipe.RunConfig {
 // for the named configuration and rate set: a campaign of trials
 // replays per panel workload and for the stressmark. The stressmark
 // search is the suite's shared memoised search (declare it as a job
-// dependency); campaigns fan their trials out through internal/sched
-// and memoise per-trial outcomes in the shared simulation store.
+// dependency); campaigns fan their replay slices out through
+// internal/sched and memoise each slice's outcomes in the shared
+// simulation store.
 func (c *Context) FaultInjection(ctx context.Context, configName, ratesName string, trials int) (*InjectionStudy, error) {
 	cfg, err := ResolveConfig(configName, c.Opts.Scale)
 	if err != nil {

@@ -3,11 +3,11 @@ package inject
 // Checkpoint plumbing for the campaign engine: persistence of the
 // golden run's replay facts (GoldenInfo), the checkpoint manifest
 // (capture cycles + validity lead) and the per-index checkpoint blobs
-// in the simcache blob tier, plus the lazy checkpoint source bucket
-// jobs pull from. Checkpoints are pure replay accelerators: every code
-// path here degrades to a from-cycle-zero replay on any miss or decode
+// in the simcache blob tier, plus the lazy checkpoint source slice jobs
+// fork from. Checkpoints are pure replay accelerators: every code path
+// here degrades to a from-cycle-zero replay on any miss or decode
 // failure, never to a wrong outcome — which is why none of these keys
-// participate in trial-outcome addressing or in the report.
+// participate in slice addressing or in the report.
 
 import (
 	"fmt"
@@ -16,19 +16,14 @@ import (
 	"sync"
 
 	"avfstress/internal/pipe"
-	"avfstress/internal/prog"
 	"avfstress/internal/simcache"
 )
 
-// encodeGoldenInfo serialises the golden run's replay facts (a small
-// versioned text blob; the report only uses fields replays also need,
-// so caching this beside the result spares warm campaigns the golden
-// re-run entirely). v2 appends the recorded register-file dead
-// intervals, which the target pruner needs; v1 blobs from older runs
-// fail decode and ride the existing discard-and-rebuild path. The
-// intervals are always recorded and always encoded — blob content is
-// independent of the producing campaign's PruneStatic setting, so warm
-// and cold campaigns see identical prune inputs.
+// encodeGoldenInfo serialises the golden run's replay facts as a small
+// versioned text blob, so warm campaigns skip the golden re-run. v2
+// appends the register-file dead intervals the pruner needs (v1 blobs
+// fail decode: discard and rebuild); they are always encoded, whatever
+// PruneStatic says, so warm and cold campaigns prune identically.
 func encodeGoldenInfo(gi pipe.GoldenInfo) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "goldeninfo v2 %d %d %d %d", gi.WindowStart, gi.Cycles, gi.Digest, len(gi.RFDead))
@@ -39,50 +34,25 @@ func encodeGoldenInfo(gi pipe.GoldenInfo) []byte {
 }
 
 func decodeGoldenInfo(b []byte) (pipe.GoldenInfo, error) {
-	var gi pipe.GoldenInfo
-	fields := strings.Fields(string(b))
-	if len(fields) < 6 || fields[0] != "goldeninfo" || fields[1] != "v2" {
-		return pipe.GoldenInfo{}, fmt.Errorf("inject: bad golden-info blob")
+	vals, err := parseInts(b, "goldeninfo v2", 4)
+	if err != nil {
+		return pipe.GoldenInfo{}, err
 	}
-	vals := make([]int64, 0, len(fields)-2)
-	for _, f := range fields[2:] {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			// Digest is unsigned and may exceed int64.
-			u, uerr := strconv.ParseUint(f, 10, 64)
-			if uerr != nil {
-				return pipe.GoldenInfo{}, fmt.Errorf("inject: bad golden-info blob: %w", err)
-			}
-			v = int64(u)
-		}
-		vals = append(vals, v)
-	}
-	gi.WindowStart, gi.Cycles, gi.Digest = vals[0], vals[1], uint64(vals[2])
+	gi := pipe.GoldenInfo{WindowStart: vals[0], Cycles: vals[1], Digest: uint64(vals[2])}
 	n := vals[3]
 	if n < 0 || int64(len(vals)-4) != 3*n {
 		return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info interval count mismatch")
 	}
-	if n > 0 {
-		gi.RFDead = make([]pipe.RFDeadInterval, n)
-		for i := int64(0); i < n; i++ {
-			gi.RFDead[i] = pipe.RFDeadInterval{
-				Slot:  int16(vals[4+3*i]),
-				Start: vals[4+3*i+1],
-				End:   vals[4+3*i+2],
-			}
-		}
+	for i := int64(0); i < n; i++ {
+		gi.RFDead = append(gi.RFDead, pipe.RFDeadInterval{
+			Slot: int16(vals[4+3*i]), Start: vals[4+3*i+1], End: vals[4+3*i+2],
+		})
 	}
 	return gi, nil
 }
 
-// ckptManifest is the decoded checkpoint manifest: enough to bucket
-// faults by nearest valid checkpoint without loading any checkpoint.
-type ckptManifest struct {
-	interval int64
-	lead     int64
-	cycles   []int64
-}
-
+// encodeManifest records a set's capture cycles and validity lead:
+// enough to pick fork points without loading any checkpoint.
 func encodeManifest(cs *pipe.CheckpointSet) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ckptmanifest v1 %d %d %d", cs.Interval, cs.Lead, len(cs.Checkpoints))
@@ -92,64 +62,116 @@ func encodeManifest(cs *pipe.CheckpointSet) []byte {
 	return []byte(b.String())
 }
 
-func decodeManifest(b []byte) (ckptManifest, error) {
-	var m ckptManifest
-	fields := strings.Fields(string(b))
-	if len(fields) < 5 || fields[0] != "ckptmanifest" || fields[1] != "v1" {
-		return m, fmt.Errorf("inject: bad checkpoint manifest")
+func decodeManifest(b []byte) (cycles []int64, lead int64, err error) {
+	vals, err := parseInts(b, "ckptmanifest v1", 3)
+	if err != nil {
+		return nil, 0, err
 	}
-	vals := make([]int64, 0, len(fields)-2)
-	for _, f := range fields[2:] {
+	if n := vals[2]; n < 0 || int64(len(vals)-3) != n {
+		return nil, 0, fmt.Errorf("inject: checkpoint manifest count mismatch")
+	}
+	return vals[3:], vals[1], nil
+}
+
+// parseInts splits a "<name> <version> <int>..." text blob into at
+// least min integers. Values past int64 (the unsigned golden digest)
+// parse as uint64 and wrap.
+func parseInts(b []byte, header string, min int) ([]int64, error) {
+	fields := strings.Fields(string(b))
+	if len(fields) < 2+min || fields[0]+" "+fields[1] != header {
+		return nil, fmt.Errorf("inject: bad %s blob", header)
+	}
+	vals := make([]int64, len(fields)-2)
+	for i, f := range fields[2:] {
 		v, err := strconv.ParseInt(f, 10, 64)
 		if err != nil {
-			return m, fmt.Errorf("inject: bad checkpoint manifest: %w", err)
+			u, uerr := strconv.ParseUint(f, 10, 64)
+			if uerr != nil {
+				return nil, fmt.Errorf("inject: bad %s blob: %w", header, err)
+			}
+			v = int64(u)
 		}
-		vals = append(vals, v)
+		vals[i] = v
 	}
-	m.interval, m.lead = vals[0], vals[1]
-	n := vals[2]
-	if n < 0 || int64(len(vals)-3) != n {
-		return m, fmt.Errorf("inject: checkpoint manifest count mismatch")
-	}
-	m.cycles = vals[3:]
-	return m, nil
+	return vals, nil
 }
 
-// ckptSource hands out replay checkpoints by manifest index: from the
-// fresh golden run's in-memory set when this process just captured it,
-// otherwise lazily decoded from the blob tier (each index at most once,
-// shared across buckets). A missing or corrupt blob yields nil and the
-// bucket replays from cycle zero — slower, never wrong.
+// ckptKey addresses the checkpoint manifest of the campaign's interval
+// (i < 0) or one of its checkpoints: a different interval is a
+// different set, not a different answer.
+func (c *campaign) ckptKey(i int) simcache.Key {
+	if i < 0 {
+		return c.key(fmt.Sprintf("ckpts:%d", c.o.CheckpointInterval))
+	}
+	return c.key(fmt.Sprintf("ckpts:%d:%d", c.o.CheckpointInterval, i))
+}
+
+// publishCheckpoints pushes a freshly captured checkpoint set to the
+// blob tier: the manifest plus one blob per checkpoint.
+func (c *campaign) publishCheckpoints(set *pipe.CheckpointSet) {
+	if set == nil || c.o.Cache == nil {
+		return
+	}
+	c.o.Cache.PutBlob(c.ckptKey(-1), encodeManifest(set))
+	for i, ck := range set.Checkpoints {
+		if b, err := ck.MarshalBinary(); err == nil {
+			c.o.Cache.PutBlob(c.ckptKey(i), b)
+		}
+	}
+}
+
+// ckptSource hands slice replays their fork points: the fresh golden
+// run's in-memory set when this process just captured it, otherwise
+// the manifest's from the blob tier, each checkpoint decoded at most
+// once and shared across slices. A missing or corrupt entry yields nil
+// and the slice replays from cycle zero — slower, never wrong.
 type ckptSource struct {
-	set   *pipe.CheckpointSet
-	cache *simcache.Store
-	prog  *prog.Program
-	keys  []simcache.Key
+	c      *campaign
+	cycles []int64
+	lead   int64
 
-	mu      sync.Mutex
-	decoded map[int]*pipe.Checkpoint
+	mu  sync.Mutex
+	cks map[int]*pipe.Checkpoint // loaded so far; nil = failed to load
 }
 
-func (cs *ckptSource) checkpoint(i int) *pipe.Checkpoint {
-	if cs == nil || i < 0 {
+func (c *campaign) ckptSource(set *pipe.CheckpointSet) *ckptSource {
+	src := &ckptSource{c: c, cks: map[int]*pipe.Checkpoint{}}
+	if set != nil {
+		src.cycles, src.lead = set.Cycles(), set.Lead
+		for i, ck := range set.Checkpoints {
+			src.cks[i] = ck
+		}
+		return src
+	}
+	key := c.ckptKey(-1)
+	if b, ok := c.o.Cache.GetBlob(key); ok {
+		var err error
+		if src.cycles, src.lead, err = decodeManifest(b); err != nil {
+			c.o.Cache.DiscardBlob(key)
+		}
+	}
+	return src
+}
+
+// checkpointFor returns the latest checkpoint valid for a fault at the
+// given cycle, or nil for a replay from cycle zero. Safe on a nil
+// source (checkpointing disabled).
+func (cs *ckptSource) checkpointFor(cycle int64) *pipe.Checkpoint {
+	if cs == nil {
 		return nil
 	}
-	if cs.set != nil {
-		return cs.set.Checkpoints[i]
+	i := pipe.NearestCheckpoint(cs.cycles, cs.lead, cycle)
+	if i < 0 {
+		return nil
 	}
 	cs.mu.Lock()
-	ck, ok := cs.decoded[i]
-	cs.mu.Unlock()
-	if ok {
-		return ck
-	}
-	if b, found := cs.cache.GetBlob(cs.keys[i]); found {
-		if dec, err := pipe.UnmarshalCheckpoint(b, cs.prog); err == nil {
-			ck = dec
+	defer cs.mu.Unlock()
+	ck, ok := cs.cks[i]
+	if !ok {
+		if b, found := cs.c.o.Cache.GetBlob(cs.c.ckptKey(i)); found {
+			ck, _ = pipe.UnmarshalCheckpoint(b, cs.c.o.Program)
 		}
+		cs.cks[i] = ck
 	}
-	cs.mu.Lock()
-	cs.decoded[i] = ck // nil is cached too: one failed load per index
-	cs.mu.Unlock()
 	return ck
 }

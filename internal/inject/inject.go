@@ -12,21 +12,20 @@
 // splitmix64 stream seeded by (Seed, structure, trial index), replays
 // are pure functions of (config, program, budget, fault), and the
 // rendered report is byte-identical across runs, worker counts and
-// cache states. Trials memoise their outcomes in internal/simcache
-// keyed by (golden fingerprint, target), so overlapping campaigns and
-// warm re-runs replay only the marginal trials; the marginal trials
-// themselves are bucketed by the nearest golden-run checkpoint
-// preceding their injection cycle and fan out as one fork-replay job
-// per bucket through internal/sched, so most replays resume mid-run
-// instead of re-simulating from cycle zero (DESIGN.md §10).
+// cache states. Unique targets group into replay slices — cells of a
+// fixed grid over the golden window (slice.go) — and each slice is one
+// job on internal/sched: one fork-replay of all its faults, resumed
+// mid-run from a golden-run checkpoint, whose outcome table is
+// memoised in internal/simcache keyed by (golden fingerprint, the
+// slice's fault set), so warm re-runs replay nothing (DESIGN.md §10).
 package inject
 
 import (
+	"cmp"
 	"context"
-	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/liveness"
@@ -69,14 +68,14 @@ type Options struct {
 	Structures []uarch.Structure
 	// Parallelism bounds concurrent trial replays (0 = GOMAXPROCS).
 	Parallelism int
-	// Cache, when set, memoises per-trial outcomes content-addressed by
-	// (golden fingerprint, target); nil replays every trial.
+	// Cache, when set, memoises the golden run and one outcome table per
+	// replay slice; nil replays every slice.
 	Cache *simcache.Store
 	// CheckpointInterval controls golden-run checkpoint capture for
 	// fork-replay: 0 (the default) picks the interval automatically, a
 	// positive value checkpoints every that many measured cycles, and a
-	// negative value disables checkpointing so every replay starts from
-	// cycle zero. Checkpoints only accelerate replays — outcomes, trial
+	// negative value disables checkpointing so every slice replays from
+	// cycle zero. Checkpoints only accelerate replays — outcomes, slice
 	// cache keys and the rendered report are byte-identical at any
 	// setting.
 	CheckpointInterval int64
@@ -93,13 +92,13 @@ type Options struct {
 	// replay, never any replay's outcome; with it disabled the campaign
 	// is byte-identical to the legacy sampler.
 	PruneStatic int
-	// Retry bounds scheduler retries of transiently failing trial jobs
+	// Retry bounds scheduler retries of transiently failing slice jobs
 	// (zero value: no retries). Retries change wall-clock only, never
-	// outcomes — trials are deterministic and memoised.
+	// outcomes — replays are deterministic and memoised.
 	Retry sched.RetryPolicy
-	// Executor, when set, arbitrates bucket and trial jobs across
-	// campaign-fabric nodes (DESIGN.md §13): every node derives the
-	// same buckets, exactly one runs each cold, the rest assemble from
+	// Executor, when set, arbitrates slice jobs across campaign-fabric
+	// nodes (DESIGN.md §13): every node derives the same slices,
+	// exactly one runs each cold, the rest assemble from
 	// the shared store. Nil runs the whole campaign locally. Sharding
 	// changes wall-clock only — sampling is up-front and outcomes are
 	// content-addressed, so reports stay byte-identical.
@@ -110,7 +109,7 @@ type Options struct {
 	// per-instruction and per-class vulnerability tables to the result.
 	// Attribution reuses the first-divergent-commit records every trial
 	// replay already produces, so enabling it adds zero replays and
-	// trial cache blobs stay shared with non-attributing campaigns.
+	// slice blobs stay shared with non-attributing campaigns.
 	RootCause bool
 }
 
@@ -293,9 +292,9 @@ func allocate(total, min int, weights []float64) []int {
 	return n
 }
 
-// Run executes the campaign: one golden simulation, then Trials fault
-// replays fanned out as deduplicated jobs on internal/sched. The
-// context cancels between replays.
+// Run executes the campaign: one golden simulation, up-front sampling
+// of every trial target, then one fork-replay job per replay slice
+// fanned out on internal/sched. The context cancels between slices.
 func Run(ctx context.Context, o Options) (*Result, error) {
 	o = o.withDefaults()
 	if err := o.Config.Validate(); err != nil {
@@ -311,149 +310,148 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The static liveness pass runs unconditionally: its dead-definition
-	// set drives the golden run's interval recording, and the recorded
-	// facts are cached — blob content must not depend on the producing
-	// campaign's PruneStatic setting.
-	live := liveness.Analyze(o.Program, o.Config.Core)
-	cfgFP := o.Config.Fingerprint()
-	progFP := "prog:" + o.Program.Fingerprint()
-	rcFP := o.Run.Fingerprint()
+	c := &campaign{
+		o:    o,
+		pool: pool,
+		// Unconditional, whatever PruneStatic says: its dead definitions
+		// drive the golden run's (cached) interval recording.
+		live:   liveness.Analyze(o.Program, o.Config.Core),
+		cfgFP:  o.Config.Fingerprint(),
+		progFP: "prog:" + o.Program.Fingerprint(),
+		rcFP:   o.Run.Fingerprint(),
+	}
+	golden, info, src, err := c.goldenRun()
+	if err != nil {
+		return nil, err
+	}
+	// Sampling is up-front and single-threaded and the pruner's inputs
+	// are static or cached with the golden result, so pruned campaigns
+	// stay byte-deterministic across runs, worker counts and caches.
+	pr := newPruner(o.PruneStatic >= 0, o.Config, c.live, info)
+	s, err := sample(o, info, pr)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.replay(ctx, info, src, s); err != nil {
+		return nil, err
+	}
+	return aggregateResult(o, golden, info, pr, s), nil
+}
 
-	// Golden run: checkpoint-capturing and cache-aware. The result key
-	// deliberately matches the workload-simulation key internal/
-	// experiments uses, so campaigns and experiments share one golden
-	// run per (config, program, budget); the replay facts (GoldenInfo)
-	// live in a sibling blob so a warm campaign skips the golden re-run
-	// entirely.
+// campaign carries one Run's options, simulator pool and content
+// addresses through its steps.
+type campaign struct {
+	o                   Options
+	pool                *pipe.Pool
+	live                *liveness.Summary
+	cfgFP, progFP, rcFP string
+}
+
+// key addresses one of the campaign's blobs: golden info, checkpoint
+// manifests and checkpoints, slice tables.
+func (c *campaign) key(part string) simcache.Key {
+	return c.o.Cache.Key(c.cfgFP, c.progFP, c.rcFP, part)
+}
+
+// goldenRun returns the fault-free reference run, its replay facts and
+// the checkpoint source slices fork from (nil when checkpointing is
+// disabled). The result key matches internal/experiments' workload key,
+// so both share one golden run; the replay facts live in a sibling blob
+// so a warm campaign skips the golden re-run entirely.
+func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error) {
+	o := c.o
 	var (
 		info     pipe.GoldenInfo
 		haveInfo bool
 		cks      *pipe.CheckpointSet
 	)
-	infoKey := o.Cache.Key(cfgFP, progFP, rcFP, "goldeninfo")
-	// publishCheckpoints pushes a freshly captured checkpoint set to the
-	// blob tier: the manifest plus one blob per checkpoint, keyed by the
-	// interval (a different interval is a different set, not a different
-	// answer). Called inside the golden compute — before any fabric
-	// claim on the golden result resolves — so a node that waited on a
-	// peer's golden run finds the checkpoints already published.
-	publishCheckpoints := func(set *pipe.CheckpointSet) {
-		if o.CheckpointInterval < 0 || set == nil || o.Cache == nil {
-			return
-		}
-		manifestKey := o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d", o.CheckpointInterval))
-		o.Cache.PutBlob(manifestKey, encodeManifest(set))
-		for i, ck := range set.Checkpoints {
-			key := o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d:%d", o.CheckpointInterval, i))
-			if b, merr := ck.MarshalBinary(); merr == nil {
-				o.Cache.PutBlob(key, b)
+	infoKey := c.key("goldeninfo")
+	loadInfo := func() {
+		if b, ok := o.Cache.GetBlob(infoKey); ok {
+			if gi, err := decodeGoldenInfo(b); err == nil {
+				info, haveInfo = gi, true
+			} else {
+				o.Cache.DiscardBlob(infoKey) // so the rebuild writes a clean entry
 			}
 		}
 	}
-	if b, ok := o.Cache.GetBlob(infoKey); ok {
-		if gi, derr := decodeGoldenInfo(b); derr == nil {
-			info, haveInfo = gi, true
-		} else {
-			// The frame validated but the decoder rejects it: discard so
-			// the rebuild below writes a clean entry.
-			o.Cache.DiscardBlob(infoKey)
-		}
-	}
-	golden, err := o.Cache.Do(o.Cache.Key(cfgFP, progFP, rcFP), func() (*avf.Result, error) {
-		res, gi, set, gerr := pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, live.DeadDefs)
-		if gerr != nil {
-			return nil, gerr
+	// simulate publishes info and checkpoints inside the golden compute,
+	// before any fabric claim on the result resolves, so a node that
+	// waited on a peer's golden run finds them already published.
+	simulate := func() (*avf.Result, error) {
+		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, c.live.DeadDefs)
+		if err != nil {
+			return nil, err
 		}
 		info, haveInfo, cks = gi, true, set
 		o.Cache.PutBlob(infoKey, encodeGoldenInfo(gi))
-		publishCheckpoints(set)
+		c.publishCheckpoints(set)
 		return res, nil
-	})
+	}
+	loadInfo()
+	golden, err := o.Cache.Do(o.Cache.Key(c.cfgFP, c.progFP, c.rcFP), simulate)
 	if err != nil {
-		return nil, fmt.Errorf("inject: golden run: %w", err)
+		return nil, info, nil, fmt.Errorf("inject: golden run: %w", err)
 	}
 	if !haveInfo {
-		// A fabric peer may have run the golden while we waited on its
-		// claim: it publishes the info blob before the claim resolves,
-		// so one re-probe avoids a duplicate golden re-run.
-		if b, ok := o.Cache.GetBlob(infoKey); ok {
-			if gi, derr := decodeGoldenInfo(b); derr == nil {
-				info, haveInfo = gi, true
-			}
-		}
+		loadInfo() // a concurrent campaign or fabric peer ran the golden
 	}
 	if !haveInfo {
-		// The result tier was warm but the info blob is gone (e.g. a
-		// partially swept cache directory): one golden re-run rebuilds
-		// both it and the checkpoint set.
-		_, gi, set, gerr := pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, live.DeadDefs)
-		if gerr != nil {
-			return nil, fmt.Errorf("inject: golden run: %w", gerr)
+		// Warm result, lost info blob (a partially swept cache
+		// directory): one golden re-run rebuilds it and the checkpoints.
+		if _, err := simulate(); err != nil {
+			return nil, info, nil, fmt.Errorf("inject: golden run: %w", err)
 		}
-		info, cks = gi, set
-		o.Cache.PutBlob(infoKey, encodeGoldenInfo(gi))
-		publishCheckpoints(set)
 	}
 	if info.Cycles <= 0 {
-		return nil, fmt.Errorf("inject: golden run measured no cycles")
+		return nil, info, nil, fmt.Errorf("inject: golden run measured no cycles")
 	}
-
-	// Recover the checkpoint set (fresh sets were already published by
-	// publishCheckpoints inside the golden compute): on a warm golden
-	// the manifest alone tells us where checkpoints lie, and each one
-	// is decoded lazily only if a bucket needs it.
-	var (
-		src        *ckptSource
-		ckptCycles []int64
-		ckptLead   int64
-	)
-	if o.CheckpointInterval >= 0 {
-		manifestKey := o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d", o.CheckpointInterval))
-		switch {
-		case cks != nil:
-			ckptCycles, ckptLead = cks.Cycles(), cks.Lead
-			src = &ckptSource{set: cks}
-		default:
-			if b, ok := o.Cache.GetBlob(manifestKey); ok {
-				if m, derr := decodeManifest(b); derr == nil {
-					ckptCycles, ckptLead = m.cycles, m.lead
-					keys := make([]simcache.Key, len(m.cycles))
-					for i := range keys {
-						keys[i] = o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d:%d", o.CheckpointInterval, i))
-					}
-					src = &ckptSource{cache: o.Cache, prog: o.Program, keys: keys, decoded: map[int]*pipe.Checkpoint{}}
-				} else {
-					// Undecodable manifest: discard it and run this
-					// campaign without checkpoints (replays from cycle
-					// zero — slower, never wrong).
-					o.Cache.DiscardBlob(manifestKey)
-				}
-			}
-		}
+	if o.CheckpointInterval < 0 {
+		return golden, info, nil, nil
 	}
+	return golden, info, c.ckptSource(cks), nil
+}
 
-	// Build the static target filter from the liveness summary and the
-	// golden run's recorded dead intervals. All sampling below is
-	// up-front and single-threaded, and the pruner's inputs are static
-	// (or cached alongside the golden result), so pruned campaigns stay
-	// byte-deterministic across runs, worker counts and cache states.
-	pr := newPruner(o.PruneStatic >= 0, o.Config, live, info)
+// sampled is a campaign's trial plan, per stratum: replayed targets in
+// draw order (the first phase1[i] as an unpruned campaign draws them),
+// the pruned count, and the outcome slots the slice jobs fill.
+type sampled struct {
+	bits     []uint64
+	pruned   []int
+	phase1   []int
+	faults   [][]pipe.Fault
+	outcomes [][]pipe.FaultTrial
+}
 
-	weights := make([]float64, len(o.Structures))
+// sample draws every stratum's targets: the baseline allocation first,
+// then (with pruning) the freed budget re-allocated over the live
+// subspace.
+func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
+	n := len(o.Structures)
+	s := &sampled{
+		bits: make([]uint64, n), pruned: make([]int, n), phase1: make([]int, n),
+		faults: make([][]pipe.Fault, n), outcomes: make([][]pipe.FaultTrial, n),
+	}
 	var totalBits float64
-	bits := make([]uint64, len(o.Structures))
-	for i, s := range o.Structures {
-		bits[i] = uarch.Bits(o.Config, s)
-		totalBits += float64(bits[i])
+	for i, st := range o.Structures {
+		s.bits[i] = uarch.Bits(o.Config, st)
+		totalBits += float64(s.bits[i])
 	}
 	if totalBits == 0 {
 		return nil, fmt.Errorf("inject: campaign structures have no bits")
 	}
+	weights := make([]float64, n)
 	for i := range weights {
-		weights[i] = float64(bits[i]) / totalBits
+		weights[i] = float64(s.bits[i]) / totalBits
 	}
 	alloc := allocate(o.Trials, o.MinPerStructure, weights)
+	draw := func(r *rng, i int) pipe.Fault {
+		return pipe.Fault{
+			Structure: o.Structures[i],
+			Bit:       r.next() % s.bits[i],
+			Cycle:     info.WindowStart + int64(r.next()%uint64(info.Cycles)),
+		}
+	}
 
 	// Phase 1: draw every stratum's baseline allocation from its
 	// deterministic stream. Statically pruned draws are classified
@@ -461,30 +459,20 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	// replay list in draw order. With pruning disabled this phase is
 	// the legacy sampler verbatim — same streams, same targets, same
 	// order.
-	prunedCnt := make([]int, len(o.Structures))
-	faultsPer := make([][]pipe.Fault, len(o.Structures))
-	rngs := make([]rng, len(o.Structures))
+	rngs := make([]rng, n)
 	freed := 0
-	for i, s := range o.Structures {
-		r := stratumRNG(o.Seed, s)
+	for i, st := range o.Structures {
+		rngs[i] = stratumRNG(o.Seed, st)
 		for t := 0; t < alloc[i]; t++ {
-			f := pipe.Fault{
-				Structure: s,
-				Bit:       r.next() % bits[i],
-				Cycle:     info.WindowStart + int64(r.next()%uint64(info.Cycles)),
-			}
+			f := draw(&rngs[i], i)
 			if pr.pruned(f) {
-				prunedCnt[i]++
+				s.pruned[i]++
 				freed++
 				continue
 			}
-			faultsPer[i] = append(faultsPer[i], f)
+			s.faults[i] = append(s.faults[i], f)
 		}
-		rngs[i] = r
-	}
-	phase1 := make([]int, len(o.Structures))
-	for i := range faultsPer {
-		phase1[i] = len(faultsPer[i])
+		s.phase1[i] = len(s.faults[i])
 	}
 
 	// Phase 2: re-allocate the freed budget across strata in proportion
@@ -493,192 +481,121 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	// topped-up trials concentrate where uncertainty remains. The
 	// attempt bound only guards a pathological all-dead stratum; budget
 	// not placeable within it is dropped, deterministically.
-	if pr.enabled && freed > 0 {
-		w2 := make([]float64, len(o.Structures))
-		var tw float64
-		for i, s := range o.Structures {
-			w2[i] = float64(bits[i]) * (1 - pr.staticFrac[s])
-			tw += w2[i]
-		}
-		if tw > 0 {
-			for i := range w2 {
-				w2[i] /= tw
-			}
-			alloc2 := allocate(freed, 0, w2)
-			for i, s := range o.Structures {
-				r := rngs[i]
-				drawn := 0
-				for att := 0; drawn < alloc2[i] && att < 64*alloc2[i]+64; att++ {
-					f := pipe.Fault{
-						Structure: s,
-						Bit:       r.next() % bits[i],
-						Cycle:     info.WindowStart + int64(r.next()%uint64(info.Cycles)),
-					}
-					if pr.pruned(f) {
-						continue
-					}
-					faultsPer[i] = append(faultsPer[i], f)
-					drawn++
-				}
+	if !pr.enabled || freed == 0 {
+		return s, nil
+	}
+	w2 := make([]float64, n)
+	var tw float64
+	for i, st := range o.Structures {
+		w2[i] = float64(s.bits[i]) * (1 - pr.staticFrac[st])
+		tw += w2[i]
+	}
+	if tw == 0 {
+		return s, nil
+	}
+	for i := range w2 {
+		w2[i] /= tw
+	}
+	alloc2 := allocate(freed, 0, w2)
+	for i := range o.Structures {
+		for drawn, att := 0, 0; drawn < alloc2[i] && att < 64*alloc2[i]+64; att++ {
+			if f := draw(&rngs[i], i); !pr.pruned(f) {
+				s.faults[i] = append(s.faults[i], f)
+				drawn++
 			}
 		}
 	}
+	return s, nil
+}
 
-	// Deduplicate repeated targets into one replay feeding every trial
-	// slot.
+// replay fills every outcome slot. Repeated targets collapse into one;
+// the unique targets, sorted by (cycle, structure, bit), split at slice
+// boundaries, and each slice becomes one job (sliceOutcomes), so a
+// thousand-trial campaign pays for a handful of partial replays and
+// blobs instead of a thousand of each.
+func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSource, s *sampled) error {
 	type slot struct{ stratum, idx int }
-	outcomes := make([][]pipe.FaultTrial, len(o.Structures)) // per replayed trial
 	targets := map[pipe.Fault][]slot{}
-	var order []pipe.Fault // deterministic job order
-	for i := range o.Structures {
-		outcomes[i] = make([]pipe.FaultTrial, len(faultsPer[i]))
-		for t, f := range faultsPer[i] {
+	var unique []pipe.Fault
+	for i, fs := range s.faults {
+		s.outcomes[i] = make([]pipe.FaultTrial, len(fs))
+		for t, f := range fs {
 			if _, ok := targets[f]; !ok {
-				order = append(order, f)
+				unique = append(unique, f)
 			}
 			targets[f] = append(targets[f], slot{i, t})
 		}
 	}
+	slices.SortFunc(unique, func(a, b pipe.Fault) int {
+		return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Structure, b.Structure), cmp.Compare(a.Bit, b.Bit))
+	})
 
-	// Bucket the unique faults by the nearest checkpoint that is still
-	// valid for their injection cycle (a checkpoint at C can serve a
-	// fault at F only if C + lead ≤ F, the lead covering in-flight
-	// memory timestamps). Each bucket becomes one job: a single restore
-	// (or one cold replay for bucket -1) carries every uncached fault in
-	// it as an independent armed watch, so a thousand-trial campaign
-	// pays for a handful of partial replays instead of a thousand full
-	// ones.
-	buckets := map[int][]pipe.Fault{}
-	var bucketOrder []int // deterministic: first-seen over `order`
-	for _, f := range order {
-		n := pipe.NearestCheckpoint(ckptCycles, ckptLead, f.Cycle)
-		if _, ok := buckets[n]; !ok {
-			bucketOrder = append(bucketOrder, n)
+	grid := newSliceGrid(c.o.Config, info)
+	var jobs []scenario.Job
+	for lo := 0; lo < len(unique); {
+		hi, cell := lo+1, grid.cell(unique[lo].Cycle)
+		for hi < len(unique) && grid.cell(unique[hi].Cycle) == cell {
+			hi++
 		}
-		buckets[n] = append(buckets[n], f)
-	}
-
-	trialKey := func(f pipe.Fault) simcache.Key {
-		return o.Cache.Key(cfgFP, progFP, rcFP, "injtrial:"+f.Fingerprint())
-	}
-	var mu sync.Mutex
-	if o.CheckpointInterval < 0 {
-		// Checkpointing disabled: the pre-fork-replay path, one job per
-		// unique fault, each replaying the whole run from cycle zero.
-		// Kept both as the safety fallback and as the baseline
-		// BenchmarkInjectCampaign measures fork-replay against.
-		jobs := make([]scenario.Job, 0, len(order))
-		for _, f := range order {
-			f, slots := f, targets[f]
-			jobs = append(jobs, scenario.Job{
-				Key:   "injtrial\x00" + cfgFP + "\x00" + progFP + "\x00" + rcFP + "\x00" + f.Fingerprint(),
-				Lease: true,
-				Run: func(ctx context.Context) error {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					b, err := o.Cache.DoBlob(trialKey(f), func() ([]byte, error) {
-						trial, err := pool.SimulateFaultDetail(o.Program, o.Run, f)
-						if err != nil {
-							return nil, fmt.Errorf("inject: trial %s: %w", f.Fingerprint(), err)
-						}
-						return encodeTrial(trial), nil
-					})
-					if err != nil {
-						return err
-					}
-					trial, derr := decodeTrial(b)
-					if derr != nil {
-						// Undecodable (a legacy v1 outcome byte, or a
-						// malformed entry): discard and fail transiently —
-						// the retry recomputes through a now-clean miss.
-						o.Cache.DiscardBlob(trialKey(f))
-						return sched.Transient(fmt.Errorf("inject: trial %s: %w", f.Fingerprint(), derr))
-					}
-					mu.Lock()
-					for _, sl := range slots {
-						outcomes[sl.stratum][sl.idx] = trial
-					}
-					mu.Unlock()
-					return nil
-				},
-			})
-		}
-		if err := sched.Run(ctx, jobs, sched.Options{Workers: o.Parallelism, Retry: o.Retry, Executor: o.Executor}); err != nil {
-			return nil, err
-		}
-		return aggregateResult(o, golden, info, bits, pr, prunedCnt, phase1, faultsPer, outcomes), nil
-	}
-
-	jobs := make([]scenario.Job, 0, len(bucketOrder))
-	for _, bi := range bucketOrder {
-		bi, faults := bi, buckets[bi]
-		// The job key content-addresses the bucket's fault set, not its
-		// index: two campaigns sharing a scheduler dedup only when they
-		// would replay exactly the same faults from the same fork point.
-		h := sha256.New()
-		for _, f := range faults {
-			fmt.Fprintf(h, "%s\x00", f.Fingerprint())
-		}
+		faults := unique[lo:hi]
+		lo = hi
+		// Keyed by fault set, not cell or fork point: campaigns share a
+		// slice exactly when they would replay the same faults.
+		hash := faultSetHash(faults)
+		key := c.key("injslice:" + hash)
 		jobs = append(jobs, scenario.Job{
-			Key:   fmt.Sprintf("injbucket\x00%s\x00%s\x00%s\x00%d\x00%x", cfgFP, progFP, rcFP, bi, h.Sum(nil)),
+			Key:   "injslice\x00" + c.cfgFP + "\x00" + c.progFP + "\x00" + c.rcFP + "\x00" + hash,
 			Lease: true,
-			Run: func(ctx context.Context) error {
-				if err := ctx.Err(); err != nil {
+			Run: func(context.Context) error {
+				trials, err := c.sliceOutcomes(key, src, faults)
+				if err != nil {
 					return err
 				}
-				trials := make([]pipe.FaultTrial, len(faults))
-				var missing []int
-				for i, f := range faults {
-					if b, ok := o.Cache.GetBlob(trialKey(f)); ok {
-						if t, derr := decodeTrial(b); derr == nil {
-							trials[i] = t
-							continue
-						}
-						// Present but undecodable (legacy v1 outcome byte,
-						// or malformed): quarantine so the replay below
-						// overwrites a clean entry.
-						o.Cache.DiscardBlob(trialKey(f))
-					}
-					missing = append(missing, i)
-				}
-				if len(missing) > 0 {
-					replay := make([]pipe.Fault, len(missing))
-					for j, i := range missing {
-						replay[j] = faults[i]
-					}
-					out, rerr := pool.SimulateFaultsDetailFrom(o.Program, o.Run, src.checkpoint(bi), replay)
-					if rerr != nil {
-						return fmt.Errorf("inject: bucket %d replay: %w", bi, rerr)
-					}
-					for j, i := range missing {
-						trials[i] = out[j]
-						o.Cache.PutBlob(trialKey(faults[i]), encodeTrial(out[j]))
-					}
-				}
-				mu.Lock()
+				// Slices partition the targets: jobs write disjoint slots.
 				for i, f := range faults {
 					for _, sl := range targets[f] {
-						outcomes[sl.stratum][sl.idx] = trials[i]
+						s.outcomes[sl.stratum][sl.idx] = trials[i]
 					}
 				}
-				mu.Unlock()
 				return nil
 			},
 		})
 	}
-	if err := sched.Run(ctx, jobs, sched.Options{Workers: o.Parallelism, Retry: o.Retry, Executor: o.Executor}); err != nil {
-		return nil, err
+	return sched.Run(ctx, jobs, sched.Options{Workers: c.o.Parallelism, Retry: c.o.Retry, Executor: c.o.Executor})
+}
+
+// sliceOutcomes returns one slice's trial records: its memoised table,
+// or (through DoBlob, so it counts in Stats.Simulated) one replay
+// carrying all its faults as independent watches, forked from the
+// latest checkpoint valid for the earliest. A table the decoder rejects
+// — a legacy or foreign entry — is discarded and replayed once.
+func (c *campaign) sliceOutcomes(key simcache.Key, src *ckptSource, faults []pipe.Fault) ([]pipe.FaultTrial, error) {
+	compute := func() ([]byte, error) {
+		out, err := c.pool.SimulateFaultsDetailFrom(c.o.Program, c.o.Run, src.checkpointFor(faults[0].Cycle), faults)
+		if err != nil {
+			return nil, fmt.Errorf("inject: slice replay from cycle %d: %w", faults[0].Cycle, err)
+		}
+		return encodeSlice(out), nil
 	}
-	return aggregateResult(o, golden, info, bits, pr, prunedCnt, phase1, faultsPer, outcomes), nil
+	for discarded := false; ; discarded = true {
+		b, err := c.o.Cache.DoBlob(key, compute)
+		if err != nil {
+			return nil, err
+		}
+		trials, err := decodeSlice(b, len(faults))
+		if err == nil || discarded {
+			return trials, err
+		}
+		c.o.Cache.DiscardBlob(key)
+	}
 }
 
 // aggregateResult folds the per-trial outcomes into the campaign result:
 // per-stratum counts, Wilson intervals, the bit-weighted and
 // rate-derated aggregates, and (when requested) the root-cause
-// attribution tables. Pure, so both replay paths share it and the
-// report cannot depend on which one ran.
-func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, bits []uint64, pr *pruner, pruned, phase1 []int, faultsPer [][]pipe.Fault, outcomes [][]pipe.FaultTrial) *Result {
+// attribution tables. Pure, so the report depends only on the outcomes,
+// never on how they were computed or served.
+func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, pr *pruner, s *sampled) *Result {
 	res := &Result{
 		Config:       golden.Config,
 		Workload:     golden.Workload,
@@ -693,42 +610,35 @@ func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, bits [
 		rcTrials  []rootcause.Trial
 		rcSampled = map[uarch.Structure]int{}
 	)
-	for i, s := range o.Structures {
-		replayed := len(outcomes[i])
+	for i, st := range o.Structures {
+		replayed := len(s.outcomes[i])
 		sr := StructureResult{
-			Structure: s, Bits: bits[i],
-			Trials: replayed + pruned[i], Pruned: pruned[i],
-			PruneFrac: pr.frac(s), StaticBound: pr.bound(s),
-			ACE: golden.AVF[s],
+			Structure: st, Bits: s.bits[i],
+			Trials: replayed + s.pruned[i], Pruned: s.pruned[i],
+			PruneFrac: pr.frac(st), StaticBound: pr.bound(st),
+			ACE: golden.AVF[st],
 		}
-		protected := o.Rates[s] == 0
-		for t, trial := range outcomes[i] {
-			p1 := t < phase1[i]
+		protected := o.Rates[st] == 0
+		for t, trial := range s.outcomes[i] {
+			n, p1 := &sr.Masked, &sr.Phase1Masked
 			switch {
-			case !trial.Corrupted:
-				sr.Masked++
-				if p1 {
-					sr.Phase1Masked++
-				}
-			case protected:
-				sr.Detected++
-				if p1 {
-					sr.Phase1Detected++
-				}
-			default:
-				sr.SDC++
-				if p1 {
-					sr.Phase1SDC++
-				}
+			case trial.Corrupted && protected:
+				n, p1 = &sr.Detected, &sr.Phase1Detected
+			case trial.Corrupted:
+				n, p1 = &sr.SDC, &sr.Phase1SDC
+			}
+			*n++
+			if t < s.phase1[i] {
+				*p1++
 			}
 			if trial.Corrupted && o.RootCause {
 				rcTrials = append(rcTrials, rootcause.Trial{
-					Fault: faultsPer[i][t], Diverge: trial.Diverge, DUE: protected,
+					Fault: s.faults[i][t], Diverge: trial.Diverge, DUE: protected,
 				})
 			}
 		}
 		if o.RootCause {
-			rcSampled[s] = len(outcomes[i])
+			rcSampled[st] = len(s.outcomes[i])
 		}
 		// The estimator samples the live subspace only, so the raw
 		// corrupted fraction and its Wilson interval scale by the live
@@ -756,11 +666,7 @@ func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, bits [
 	res.DeratedAVF, res.DeratedCI, res.DeratedACE = res.aggregate(func(sr StructureResult) float64 {
 		return o.Rates[sr.Structure] * float64(sr.Bits)
 	})
-	var totalW float64
-	for _, sr := range res.Structures {
-		totalW += float64(sr.Bits)
-	}
-	if totalW > 0 {
+	if totalW := float64(res.TotalBits()); totalW > 0 {
 		for _, sr := range res.Structures {
 			res.StaticBound += float64(sr.Bits) / totalW * sr.StaticBound
 		}

@@ -2,6 +2,8 @@ package inject
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"avfstress/internal/codegen"
@@ -198,9 +200,10 @@ func TestCampaignCheckpointIntervalInvariance(t *testing.T) {
 }
 
 // TestCampaignWarmNoGoldenRerun: a warm cache serves the golden result,
-// its replay facts and every trial outcome from the blob tier — the
-// second campaign simulates nothing, even when it asks for a checkpoint
-// interval the cold run never captured.
+// its replay facts and every slice's outcome table from the blob tier —
+// the second campaign simulates nothing (slice replays count in
+// Stats.Simulated), even when it asks for a checkpoint interval the cold
+// run never captured: the slice grid does not depend on the interval.
 func TestCampaignWarmNoGoldenRerun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -216,7 +219,7 @@ func TestCampaignWarmNoGoldenRerun(t *testing.T) {
 		t.Fatal("cold campaign simulated nothing")
 	}
 
-	for _, interval := range []int64{0, 16384, -1} {
+	for _, interval := range []int64{0, 1024, 16384, -1} {
 		o.Cache = simcache.New(simcache.Options{Dir: dir})
 		o.CheckpointInterval = interval
 		warm, err := Run(bg, o)
@@ -274,5 +277,78 @@ func TestWilson(t *testing.T) {
 	}
 	if iv := wilson(0, 0); iv != (Interval{}) {
 		t.Errorf("wilson(0,0) = %+v", iv)
+	}
+}
+
+// TestCampaignDiskFootprintPerSlice: a cold campaign with a disk tier
+// writes one blob per replay slice plus the checkpoint set, the golden
+// info and the checkpoint manifest — O(slices), not O(trials).
+func TestCampaignDiskFootprintPerSlice(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign in -short mode")
+	}
+	dir := t.TempDir()
+	o := testOptions(t, 200)
+	o.Cache = simcache.New(simcache.Options{Dir: dir})
+	res, err := Run(bg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := pipe.NewPool(o.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, info, set, err := pool.SimulateGoldenRecorded(o.Program, o.Run, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices := newSliceGrid(o.Config, info).cell(info.WindowStart+info.Cycles-1) + 2 // cells -1..last
+	ents, err := os.ReadDir(filepath.Join(dir, simcache.EngineVersion))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := 0
+	for _, e := range ents {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".bin" {
+			bins++
+		}
+	}
+	t.Logf("%d trials: %d blob files, %d slices, %d checkpoints", res.Trials, bins, slices, len(set.Checkpoints))
+	if limit := int(slices) + len(set.Checkpoints) + 2; bins > limit {
+		t.Errorf("%d blob files on disk, want at most %d (%d slices + %d checkpoints + 2)",
+			bins, limit, slices, len(set.Checkpoints))
+	}
+	if bins*4 > res.Trials {
+		t.Errorf("%d blob files for %d trials: the disk tier is not slice-granular", bins, res.Trials)
+	}
+	if sims := o.Cache.Stats().Simulated; sims > slices+1 {
+		t.Errorf("cold campaign ran %d simulations, want at most %d slices + 1 golden", sims, slices)
+	}
+}
+
+// TestSliceGridMatchesAutoCheckpoints: the slice grid mirrors the
+// automatic checkpoint capture — same spacing after thinning, same
+// validity lead — on a short window and on one long enough to thin.
+func TestSliceGridMatchesAutoCheckpoints(t *testing.T) {
+	o := testOptions(t, 1)
+	pool, err := pipe.NewPool(o.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range []pipe.RunConfig{o.Run, {MaxInstructions: 60_000, WarmupInstructions: 2_000}} {
+		_, info, set, err := pool.SimulateGoldenRecorded(o.Program, rc, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newSliceGrid(o.Config, info)
+		t.Logf("%d-cycle window: grid %+v, %d checkpoints", info.Cycles, g, len(set.Checkpoints))
+		if g.width != set.Interval || g.lead != set.Lead || g.start != info.WindowStart {
+			t.Errorf("%d-cycle window: grid %+v, checkpoint set interval %d lead %d",
+				info.Cycles, g, set.Interval, set.Lead)
+		}
+		if g.cell(info.WindowStart) != -1 || g.cell(info.WindowStart+g.lead) != 0 ||
+			g.cell(info.WindowStart+g.lead+g.width) != 1 || g.cell(info.WindowStart+info.Cycles-1) >= maxSlices {
+			t.Errorf("%d-cycle window: cell boundaries off for grid %+v", info.Cycles, g)
+		}
 	}
 }

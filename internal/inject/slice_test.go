@@ -1,8 +1,10 @@
 package inject
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"avfstress/internal/isa"
@@ -22,71 +24,110 @@ func sampleTrials() []pipe.FaultTrial {
 	}
 }
 
+// TestTrialBlobRoundTrip: a slice blob carries its trial records
+// losslessly, in order, for every table size including the empty one.
 func TestTrialBlobRoundTrip(t *testing.T) {
-	for _, want := range sampleTrials() {
-		b := encodeTrial(want)
-		got, err := decodeTrial(b)
+	all := sampleTrials()
+	for n := 0; n <= len(all); n++ {
+		want := all[:n]
+		b := encodeSlice(want)
+		got, err := decodeSlice(b, n)
 		if err != nil {
-			t.Fatalf("decode(%q): %v", b, err)
+			t.Fatalf("decode %d records: %v", n, err)
 		}
-		// The codec does not carry the replay digest.
-		want.Digest = 0
-		if got != want {
-			t.Errorf("round trip %q: got %+v, want %+v", b, got, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("round trip of %d records: got %+v, want %+v", n, got, want)
 		}
+	}
+	// The codec does not carry the replay digest.
+	withDigest := []pipe.FaultTrial{{Corrupted: true, Digest: 0xdead, Diverge: pipe.Diverge{Seq: -1, SrcSlot: -1}}}
+	got, err := decodeSlice(encodeSlice(withDigest), 1)
+	if err != nil || got[0].Digest != 0 || !got[0].Corrupted {
+		t.Errorf("digest round trip: %+v, %v", got, err)
 	}
 }
 
-// TestLegacyTrialBlobFailsDecode: v1 trial blobs were a single outcome
-// byte; they must fail the v2 decode so the engine takes the
-// discard-and-rebuild path rather than misreading them.
+// TestLegacyTrialBlobFailsDecode: per-trial blobs from earlier engines —
+// v1 a single outcome byte, v2 one "injtrial" text line — must fail the
+// slice decode so a campaign discards and replays them rather than
+// misreading them. So must every truncation, extension, count mismatch
+// and out-of-range field of a valid table.
 func TestLegacyTrialBlobFailsDecode(t *testing.T) {
-	for _, b := range [][]byte{{0}, {1}, {}, []byte("injtrial v2"), []byte("injtrial v1 1 0 0 0 0")} {
-		if tr, err := decodeTrial(b); err == nil {
-			t.Errorf("decode(%v) accepted a non-v2 blob: %+v", b, tr)
+	for _, b := range [][]byte{{0}, {1}, {}, []byte("injtrial v2"), []byte("injtrial v2 1 -1 0 0 -1"),
+		[]byte("injtrial v2 1 12345 10004 3 1"), []byte("injtrial v1 1 0 0 0 0")} {
+		for _, n := range []int{0, 1, len(b)} {
+			if tr, err := decodeSlice(b, n); err == nil {
+				t.Errorf("decode(%q, %d) accepted a legacy blob: %+v", b, n, tr)
+			}
 		}
 	}
-	// Trailing garbage and non-canonical spellings are rejected too —
-	// only the exact canonical encoding decodes.
-	good := string(encodeTrial(pipe.FaultTrial{Corrupted: true, Diverge: pipe.Diverge{Seq: 3, PC: 0x10004, Op: isa.OpAdd, SrcSlot: 0}}))
-	for _, s := range []string{good + " ", good + "x", " " + good, "injtrial v2 1 03 10004 1 0", "injtrial v2 2 3 10004 1 0", "injtrial v2 1 3 10004 9 0"} {
-		if tr, err := decodeTrial([]byte(s)); err == nil {
-			t.Errorf("decode(%q) accepted a non-canonical blob: %+v", s, tr)
+	good := encodeSlice(sampleTrials())
+	n := len(sampleTrials())
+	if _, err := decodeSlice(good, n); err != nil {
+		t.Fatalf("valid table rejected: %v", err)
+	}
+	reject := func(what string, b []byte, n int) {
+		t.Helper()
+		if tr, err := decodeSlice(b, n); err == nil {
+			t.Errorf("%s: accepted %+v", what, tr)
 		}
 	}
+	reject("count mismatch low", good, n-1)
+	reject("count mismatch high", good, n+1)
+	reject("negative count", good, -1)
+	reject("truncated", good[:len(good)-1], n)
+	reject("trailing byte", append(append([]byte(nil), good...), 0), n)
+	reject("header only", good[:sliceHeader], n)
+	mut := func(off int, v byte) []byte {
+		b := append([]byte(nil), good...)
+		b[off] = v
+		return b
+	}
+	rec := sliceHeader + 3*sliceRecord // the RF-consumer record
+	reject("bad magic", mut(0, 'X'), n)
+	reject("header count", mut(len(sliceMagic), byte(n+1)), n)
+	reject("flags out of range", mut(rec, 2), n)
+	reject("op out of range", mut(rec+17, byte(isa.OpBranch)+1), n)
+	reject("src slot below -1", mut(rec+18, 0xfe), n)
+	reject("seq below -1", mut(rec+8, 0x80), n)
 }
 
-// FuzzDecodeTrial: the decoder never panics, and anything it accepts
-// re-encodes to the identical bytes (canonical form), so two distinct
-// blobs can never alias one trial record.
-func FuzzDecodeTrial(f *testing.F) {
-	for _, tr := range sampleTrials() {
-		f.Add(encodeTrial(tr))
+// FuzzDecodeSlice: the decoder never panics, accepts only tables of
+// exactly the requested size, and anything it accepts re-encodes to the
+// identical bytes (canonical form), so two distinct blobs can never
+// alias one slice's outcomes. The committed corpus under testdata/fuzz
+// adds the legacy per-trial encodings.
+func FuzzDecodeSlice(f *testing.F) {
+	all := sampleTrials()
+	for n := range all {
+		f.Add(encodeSlice(all[n:]), len(all)-n)
 	}
-	f.Add([]byte{1})
-	f.Add([]byte("injtrial v2 1 -1 0 0 -1"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		tr, err := decodeTrial(b)
+	f.Add([]byte{1}, 1)
+	f.Add([]byte("injtrial v2 1 -1 0 0 -1"), 1)
+	f.Fuzz(func(t *testing.T, b []byte, n int) {
+		tr, err := decodeSlice(b, n)
 		if err != nil {
 			return
 		}
-		if got := encodeTrial(tr); string(got) != string(b) {
-			t.Fatalf("accepted non-canonical blob %q (canonical %q)", b, got)
+		if len(tr) != n {
+			t.Fatalf("accepted %d records for a %d-record slice", len(tr), n)
+		}
+		if got := encodeSlice(tr); !bytes.Equal(got, b) {
+			t.Fatalf("accepted non-canonical blob %x (canonical %x)", b, got)
 		}
 	})
 }
 
-// TestTrialBlobBitFlipQuarantinesEveryOffset: v2 trial blobs are longer
-// than the one-byte v1 outcome and carry numeric fields a flipped digit
-// could silently alter — the CRC frame must turn every single-bit
+// TestTrialBlobBitFlipQuarantinesEveryOffset: a slice blob is a binary
+// table whose every byte carries an outcome or a root-cause field a
+// flip could silently alter — the CRC frame must turn every single-bit
 // corruption of the on-disk entry into a quarantined miss before the
-// codec ever sees it.
+// decoder ever sees it.
 func TestTrialBlobBitFlipQuarantinesEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	s := simcache.New(simcache.Options{Dir: dir})
-	key := s.Key("trialblob-corrupt")
-	s.PutBlob(key, encodeTrial(pipe.FaultTrial{Corrupted: true,
-		Diverge: pipe.Diverge{Seq: 12345, PC: 0x10004, Op: isa.OpMul, SrcSlot: 1}}))
+	key := s.Key("sliceblob-corrupt")
+	s.PutBlob(key, encodeSlice(sampleTrials()))
 	versionDir := filepath.Join(dir, simcache.EngineVersion)
 	var path string
 	ents, err := os.ReadDir(versionDir)
@@ -114,7 +155,7 @@ func TestTrialBlobBitFlipQuarantinesEveryOffset(t *testing.T) {
 			}
 			cold := simcache.New(simcache.Options{Dir: dir})
 			if v, ok := cold.GetBlob(key); ok {
-				t.Fatalf("offset %d bit %d: corrupt trial blob served as a hit (%q)", off, bit, v)
+				t.Fatalf("offset %d bit %d: corrupt slice blob served as a hit (%q)", off, bit, v)
 			}
 			if st := cold.Stats(); st.Quarantined != 1 {
 				t.Fatalf("offset %d bit %d: stats %+v, want Quarantined=1", off, bit, st)

@@ -6,7 +6,7 @@ package service
 // each joined runner — derives the same job DAG from the same spec and
 // runs it. What the coordinator arbitrates is *claims*: exactly one
 // live node wins the right to execute each leased sched job (fault
-// buckets, trials) and each simcache compute (golden runs, workload
+// replay slices) and each simcache compute (golden runs, workload
 // simulations, GA evaluations), publishes the outcome through the
 // coordinator's content-addressed store, and releases the claim; the
 // losers wait and then proceed warm. Work stealing falls out of

@@ -69,7 +69,7 @@ type Options struct {
 	// Version overrides EngineVersion (tests only).
 	Version string
 	// BlobCapBytes caps the in-memory blob tier (checkpoints can be
-	// hundreds of KB each, unlike the small trial-outcome blobs). Past
+	// hundreds of KB each, unlike the small slice outcome tables). Past
 	// the cap, least-recently-used blobs are evicted from memory —
 	// counted in Stats.Evicted — while their disk entries remain, so an
 	// eviction degrades a future hit from memory to disk, never to a
@@ -114,8 +114,8 @@ type state struct {
 	flight map[Key]*call
 
 	// The blob tier memoises opaque byte values under the same versioned
-	// content addressing — fault-injection trial outcomes and replay
-	// checkpoints, keyed by (golden fingerprint, target). It shares the
+	// content addressing — fault-injection slice outcome tables and
+	// replay checkpoints, keyed by golden fingerprint. It shares the
 	// store's counters, dedup semantics and disk directory (".bin"
 	// entries). The memory side is LRU-bounded by blobCap (0 =
 	// unlimited): blobLRU holds a last-touch tick per resident key and
@@ -303,9 +303,9 @@ func (s *Store) Do(key Key, simulate func() (*avf.Result, error)) (*avf.Result, 
 // (".bin" entries beside the ".json" results on disk) and returns it.
 // Callers must treat returned slices as immutable — like results, blobs
 // are shared across all waiters and future hits. The fault-injection
-// campaign engine memoises per-trial outcomes this way, keyed by
-// (golden-run fingerprint, fault target), so overlapping campaigns — and
-// warm re-runs — replay only the marginal trials.
+// campaign engine memoises one outcome table per replay slice this way,
+// keyed by (golden-run fingerprint, the slice's fault set), so warm
+// re-runs replay nothing.
 func (s *Store) DoBlob(key Key, compute func() ([]byte, error)) ([]byte, error) {
 	if s == nil {
 		return compute()
