@@ -37,10 +37,9 @@ rootcause-diff:
 # fuzz-smoke runs each decoder fuzz target for a short time beyond its
 # committed seed corpus: the injection slice-table codec and the CRC
 # frame every disk and wire entry goes through.
-FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime 10s
 
 check: vet build test
 

@@ -513,7 +513,10 @@ func BenchmarkPowerContrast(b *testing.B) {
 
 // benchClusterSpec mirrors the service-layer cluster tests:
 // fault-injection campaigns are the only scenario family with leased
-// (shardable) jobs, and per-trial granularity maximises them.
+// (shardable) jobs, one per replay slice. The slice count does not
+// depend on the checkpoint interval (DESIGN.md §10); checkpoint_interval
+// -1 makes every slice job a full replay from cycle zero, so the
+// sharded work stays large against the fabric's per-job overhead.
 const benchClusterSpec = `{"scenarios":["faultinject:baseline:uniform:120","faultinject:baseline:rhc:120"],"mode":"reference","scale":32,"seed":1,"workload_instr":30000,"workload_warmup":8000,"checkpoint_interval":-1}`
 
 // clusterJob submits spec to the daemon at base, waits for it, and

@@ -123,24 +123,30 @@ func (c *campaign) publishCheckpoints(set *pipe.CheckpointSet) {
 // ckptSource hands slice replays their fork points: the fresh golden
 // run's in-memory set when this process just captured it, otherwise
 // the manifest's from the blob tier, each checkpoint decoded at most
-// once and shared across slices. A missing or corrupt entry yields nil
-// and the slice replays from cycle zero — slower, never wrong.
+// once and shared across slices. Loads of different checkpoints run in
+// parallel; only slices wanting the same one wait for its decode. A
+// missing or corrupt entry yields nil and the slice replays from cycle
+// zero — slower, never wrong.
 type ckptSource struct {
 	c      *campaign
 	cycles []int64
 	lead   int64
+	set    *pipe.CheckpointSet // fresh in-memory set, or nil
 
-	mu  sync.Mutex
-	cks map[int]*pipe.Checkpoint // loaded so far; nil = failed to load
+	mu    sync.Mutex
+	loads map[int]*ckptLoad
+}
+
+// ckptLoad is one checkpoint's lazy load from the blob tier.
+type ckptLoad struct {
+	once sync.Once
+	ck   *pipe.Checkpoint // nil = failed to load
 }
 
 func (c *campaign) ckptSource(set *pipe.CheckpointSet) *ckptSource {
-	src := &ckptSource{c: c, cks: map[int]*pipe.Checkpoint{}}
+	src := &ckptSource{c: c, set: set, loads: map[int]*ckptLoad{}}
 	if set != nil {
 		src.cycles, src.lead = set.Cycles(), set.Lead
-		for i, ck := range set.Checkpoints {
-			src.cks[i] = ck
-		}
 		return src
 	}
 	key := c.ckptKey(-1)
@@ -164,14 +170,20 @@ func (cs *ckptSource) checkpointFor(cycle int64) *pipe.Checkpoint {
 	if i < 0 {
 		return nil
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ck, ok := cs.cks[i]
-	if !ok {
-		if b, found := cs.c.o.Cache.GetBlob(cs.c.ckptKey(i)); found {
-			ck, _ = pipe.UnmarshalCheckpoint(b, cs.c.o.Program)
-		}
-		cs.cks[i] = ck
+	if cs.set != nil {
+		return cs.set.Checkpoints[i]
 	}
-	return ck
+	cs.mu.Lock()
+	l := cs.loads[i]
+	if l == nil {
+		l = &ckptLoad{}
+		cs.loads[i] = l
+	}
+	cs.mu.Unlock()
+	l.once.Do(func() {
+		if b, found := cs.c.o.Cache.GetBlob(cs.c.ckptKey(i)); found {
+			l.ck, _ = pipe.UnmarshalCheckpoint(b, cs.c.o.Program)
+		}
+	})
+	return l.ck
 }

@@ -326,19 +326,25 @@ func TestCampaignDiskFootprintPerSlice(t *testing.T) {
 	}
 }
 
-// TestSliceGridMatchesAutoCheckpoints: the slice grid mirrors the
-// automatic checkpoint capture — same spacing after thinning, same
-// validity lead — on a short window and on one long enough to thin.
+// TestSliceGridMatchesAutoCheckpoints: the slice grid coincides with
+// the automatic checkpoint capture — same spacing after thinning, same
+// validity lead, one capture per grid cell — on a short window, on one
+// just past 64·1024 cycles (where the first thinning kicks in) and on
+// one long enough to thin twice.
 func TestSliceGridMatchesAutoCheckpoints(t *testing.T) {
 	o := testOptions(t, 1)
 	pool, err := pipe.NewPool(o.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rc := range []pipe.RunConfig{o.Run, {MaxInstructions: 60_000, WarmupInstructions: 2_000}} {
+	for _, mi := range []int64{o.Run.MaxInstructions, 27_500, 60_000} {
+		rc := pipe.RunConfig{MaxInstructions: mi, WarmupInstructions: o.Run.WarmupInstructions}
 		_, info, set, err := pool.SimulateGoldenRecorded(o.Program, rc, 0, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mi == 27_500 && (info.Cycles <= 64*1024 || info.Cycles > 65*1024) {
+			t.Fatalf("%d-instruction window is %d cycles, not just past 64·1024", mi, info.Cycles)
 		}
 		g := newSliceGrid(o.Config, info)
 		t.Logf("%d-cycle window: grid %+v, %d checkpoints", info.Cycles, g, len(set.Checkpoints))
@@ -347,8 +353,16 @@ func TestSliceGridMatchesAutoCheckpoints(t *testing.T) {
 				info.Cycles, g, set.Interval, set.Lead)
 		}
 		if g.cell(info.WindowStart) != -1 || g.cell(info.WindowStart+g.lead) != 0 ||
-			g.cell(info.WindowStart+g.lead+g.width) != 1 || g.cell(info.WindowStart+info.Cycles-1) >= maxSlices {
+			g.cell(info.WindowStart+g.lead+g.width) != 1 || (info.Cycles-1)/g.width >= 64 {
 			t.Errorf("%d-cycle window: cell boundaries off for grid %+v", info.Cycles, g)
+		}
+		prev := int64(-1)
+		for _, c := range set.Cycles() {
+			k := g.cell(c + g.lead)
+			if k <= prev {
+				t.Errorf("%d-cycle window: capture at %d in cell %d after cell %d", info.Cycles, c, k, prev)
+			}
+			prev = k
 		}
 	}
 }

@@ -18,14 +18,6 @@ import (
 	"avfstress/internal/uarch"
 )
 
-const (
-	// sliceWidth and maxSlices mirror internal/pipe's automatic
-	// checkpoint spacing and its thinning bound, so at the default
-	// interval each slice starts where one checkpoint becomes valid.
-	sliceWidth = 1024
-	maxSlices  = 64
-)
-
 // sliceGrid partitions a measurement window into replay slices. Cell -1
 // is the head [start, start+lead) no checkpoint can serve; cell k ≥ 0
 // covers [start+lead+k·width, start+lead+(k+1)·width).
@@ -33,15 +25,12 @@ type sliceGrid struct {
 	start, lead, width int64
 }
 
-// newSliceGrid lays the grid over a golden run's window: sliceWidth,
-// doubled until at most maxSlices cells cover it, offset by the
-// checkpoint validity lead.
+// newSliceGrid lays the grid over a golden run's window: the automatic
+// checkpoint spacing for its length, offset by the checkpoint validity
+// lead, so at the default interval each cell starts where one captured
+// checkpoint becomes valid.
 func newSliceGrid(cfg uarch.Config, info pipe.GoldenInfo) sliceGrid {
-	w := int64(sliceWidth)
-	for (info.Cycles+w-1)/w > maxSlices {
-		w *= 2
-	}
-	return sliceGrid{start: info.WindowStart, lead: cfg.Mem.TimestampLead(), width: w}
+	return sliceGrid{start: info.WindowStart, lead: cfg.Mem.TimestampLead(), width: pipe.AutoCheckpointSpacing(info.Cycles)}
 }
 
 // cell returns the slice index of an injection cycle.

@@ -332,15 +332,35 @@ const (
 	// autoCheckpointInterval is the initial capture spacing when the
 	// caller requests automatic interval selection (interval 0).
 	autoCheckpointInterval = 1024
-	// maxCheckpoints bounds a recorder's retained set: past it, every
-	// other checkpoint is dropped and the interval doubles, so memory is
-	// O(maxCheckpoints) regardless of run length while spacing degrades
-	// gracefully (geometric thinning, like reservoir halving).
+	// maxCheckpoints bounds a recorder's capture grid: reaching cell
+	// maxCheckpoints halves the retained set and doubles the interval,
+	// so memory is O(maxCheckpoints) regardless of run length while
+	// spacing degrades gracefully (geometric thinning, like reservoir
+	// halving).
 	maxCheckpoints = 64
 )
 
+// AutoCheckpointSpacing is the capture interval an automatic-interval
+// checkpointed golden run (interval 0) settles on for a measurement
+// window of the given length: autoCheckpointInterval, doubled while the
+// window reaches past maxCheckpoints grid cells. Callers that lay their
+// own grid over the window (internal/inject's replay slices) use it to
+// coincide with the captured checkpoints.
+func AutoCheckpointSpacing(cycles int64) int64 {
+	w := int64(autoCheckpointInterval)
+	for cycles > maxCheckpoints*w {
+		w *= 2
+	}
+	return w
+}
+
 // ckptRecorder captures checkpoints during a golden run at the top of
-// the cycle loop (runCycles), starting at the measurement-window start.
+// the cycle loop (runCycles), on a grid anchored at the measurement-
+// window start: one capture at the first loop cycle inside each cell
+// [start+k·interval, start+(k+1)·interval). Anchoring the grid (rather
+// than spacing each capture from the previous one) keeps fast-forwarded
+// cycles from drifting captures later, so the final interval is a
+// function of the window length alone (AutoCheckpointSpacing).
 type ckptRecorder struct {
 	interval int64
 	nextAt   int64 // zero-valued recorder fires at the first measured cycle
@@ -348,20 +368,27 @@ type ckptRecorder struct {
 }
 
 func (rec *ckptRecorder) take(pl *Pipeline) {
-	rec.cks = append(rec.cks, pl.Snapshot())
-	if len(rec.cks) > maxCheckpoints {
-		kept := 0
-		for i := 0; i < len(rec.cks); i += 2 {
-			rec.cks[kept] = rec.cks[i]
-			kept++
-		}
-		for i := kept; i < len(rec.cks); i++ {
-			rec.cks[i] = nil
-		}
-		rec.cks = rec.cks[:kept]
+	start := pl.acct.windowStart
+	for pl.now-start >= maxCheckpoints*rec.interval {
 		rec.interval *= 2
+		rec.thin(start)
 	}
-	rec.nextAt = pl.now + rec.interval
+	rec.cks = append(rec.cks, pl.Snapshot())
+	rec.nextAt = start + ((pl.now-start)/rec.interval+1)*rec.interval
+}
+
+// thin keeps the first capture of each cell of the (just doubled) grid.
+func (rec *ckptRecorder) thin(start int64) {
+	kept, last := 0, int64(-1)
+	for _, ck := range rec.cks {
+		if cell := (ck.cycle - start) / rec.interval; cell != last {
+			rec.cks[kept] = ck
+			kept++
+			last = cell
+		}
+	}
+	clear(rec.cks[kept:])
+	rec.cks = rec.cks[:kept]
 }
 
 // CheckpointSet is the ordered (by cycle) checkpoint collection of one

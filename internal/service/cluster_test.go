@@ -32,7 +32,10 @@ func specOf(t *testing.T, s string) scenario.Spec {
 // and tiny windows. Identical on every node by construction. The
 // rootcause view rides along sharing the uniform campaign's memoised
 // study — zero extra replays — which puts the attribution tables under
-// the fabric's byte-identity contract too.
+// the fabric's byte-identity contract too. checkpoint_interval -1
+// forks every slice from cycle zero: the slice count (one leased job
+// per slice) is the same at every interval, but each job runs longer,
+// so a runner can be lost while it still holds a lease.
 const clusterSpec = `{"scenarios":["faultinject:baseline:uniform:120","faultinject:baseline:rhc:120","rootcause:baseline:uniform:120"],"mode":"reference","scale":32,"seed":1,"workload_instr":30000,"workload_warmup":8000,"checkpoint_interval":-1}`
 
 // clusterProcs widens GOMAXPROCS for the duration of a test. The

@@ -30,9 +30,11 @@
 // Monte Carlo fault-injection validation, sized by the spec's
 // inject_trials field; DESIGN.md §9) and rootcause (the same study's
 // per-instruction attribution view; DESIGN.md §14). Fault-injection
-// trials memoise in the shared store like every other result, so
-// repeated campaigns across jobs replay only the marginal trials, and
-// faultinject/rootcause with equal parameters share one study.
+// outcomes memoise per replay slice in the shared store like every
+// other result, so a repeated campaign (same program, trials and seed)
+// replays nothing, and faultinject/rootcause with equal parameters
+// share one study. Campaigns that sample different faults share no
+// slices (DESIGN.md §10).
 package service
 
 import (

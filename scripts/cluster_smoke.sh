@@ -12,6 +12,10 @@
 # On a multi-core host (nproc >= 4) the sharded run must also be no
 # slower than the solo run; on smaller machines the three processes
 # timeslice one core, so only correctness is asserted.
+#
+# checkpoint_interval -1 forks every replay slice from cycle zero: the
+# number of leased slice jobs is the same at every interval, but each
+# runs longer, so the SIGKILL reliably lands while leases are held.
 set -eu
 
 DIR=${CLUSTER_SMOKE_DIR:-$PWD/.cluster-smoke}
