@@ -4,7 +4,7 @@ GO ?= go
 # lifetime-engine microbenchmarks.
 BENCH_PKGS = . ./internal/cache
 
-.PHONY: all build vet test race rootcause-diff fuzz-smoke check bench bench-compare bench-smoke profile cache-smoke serve-smoke chaos-smoke cluster-smoke docs-check
+.PHONY: all build vet test race rootcause-diff fuzz-smoke check bench bench-compare bench-smoke profile cache-smoke serve-smoke chaos-smoke docs-check
 
 all: check
 
@@ -35,11 +35,12 @@ rootcause-diff:
 	$(GO) test ./internal/rootcause -count=2
 
 # fuzz-smoke runs each decoder fuzz target for a short time beyond its
-# committed seed corpus: the injection slice-table codec and the CRC
-# frame every disk and wire entry goes through.
+# committed seed corpus: the injection slice-table codec, the CRC frame
+# every disk entry goes through, and the job-journal line decoder.
 fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeJournalLine$$' -fuzztime 10s
 
 check: vet build test
 
@@ -113,15 +114,6 @@ serve-smoke:
 # quarantined and re-simulated, never a crash or a changed report.
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
-
-# cluster-smoke proves the campaign-fabric contract over real
-# processes: a coordinator plus two runner daemons shard one campaign,
-# one runner is SIGKILLed while holding job leases, and the final
-# report must still match a solo daemon's byte-for-byte, with the dead
-# runner's leases stolen. Speedup is asserted only on hosts with
-# enough cores to shard across (see DESIGN.md §13).
-cluster-smoke:
-	sh scripts/cluster_smoke.sh
 
 # docs-check keeps the documentation honest: gofmt, vet, every example
 # builds, and no README/DESIGN reference points at a repo path that no

@@ -9,14 +9,6 @@ package avfstress_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,7 +19,6 @@ import (
 	"avfstress/internal/ga"
 	"avfstress/internal/inject"
 	"avfstress/internal/pipe"
-	"avfstress/internal/service"
 	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
 	"avfstress/internal/workloads"
@@ -509,147 +500,4 @@ func BenchmarkPowerContrast(b *testing.B) {
 	}
 	b.ReportMetric(powerKingSER, "powerking-ser")
 	b.ReportMetric(stressmarkSER, "stressmark-ser")
-}
-
-// benchClusterSpec mirrors the service-layer cluster tests:
-// fault-injection campaigns are the only scenario family with leased
-// (shardable) jobs, one per replay slice. The slice count does not
-// depend on the checkpoint interval (DESIGN.md §10); checkpoint_interval
-// -1 makes every slice job a full replay from cycle zero, so the
-// sharded work stays large against the fabric's per-job overhead.
-const benchClusterSpec = `{"scenarios":["faultinject:baseline:uniform:120","faultinject:baseline:rhc:120"],"mode":"reference","scale":32,"seed":1,"workload_instr":30000,"workload_warmup":8000,"checkpoint_interval":-1}`
-
-// clusterJob submits spec to the daemon at base, waits for it, and
-// returns its text report.
-func clusterJob(b *testing.B, base, spec string) string {
-	b.Helper()
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var st struct {
-		ID string `json:"id"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil || st.ID == "" {
-		b.Fatalf("submit: id %q, err %v", st.ID, err)
-	}
-	deadline := time.Now().Add(5 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			b.Fatalf("job %s never finished", st.ID)
-		}
-		r, err := http.Get(base + "/v1/jobs/" + st.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var js struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		err = json.NewDecoder(r.Body).Decode(&js)
-		r.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		switch js.Status {
-		case "done":
-			r, err = http.Get(base + "/v1/results/" + st.ID + "?format=text")
-			if err != nil {
-				b.Fatal(err)
-			}
-			body, _ := io.ReadAll(r.Body)
-			r.Body.Close()
-			if r.StatusCode != http.StatusOK {
-				b.Fatalf("results: %s: %s", r.Status, body)
-			}
-			return string(body)
-		case "failed", "canceled":
-			b.Fatalf("job %s ended %s: %s", st.ID, js.Status, js.Error)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// BenchmarkClusterCampaign measures the campaign fabric end to end
-// (DESIGN.md §13): each timed iteration boots a cold coordinator plus
-// three in-process runners and runs a two-scenario fault-injection
-// campaign sharded across them; the untimed reference is the same
-// campaign on a cold solo daemon. The sharded report must match the
-// solo report byte-for-byte. x-speedup is reported, not asserted:
-// in-process runners only parallelise where GOMAXPROCS grants real
-// cores (the CI container has one).
-func BenchmarkClusterCampaign(b *testing.B) {
-	// At GOMAXPROCS=1 the campaign compute starves the in-process HTTP
-	// handlers — a starvation real multi-process deployments never see
-	// (the OS preempts fairly). Widen for the comparison; both the solo
-	// reference and the cluster run share the setting.
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		procs = 4
-	}
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
-
-	solo, err := service.New(service.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hsolo := httptest.NewServer(solo)
-	start := time.Now()
-	want := clusterJob(b, hsolo.URL, benchClusterSpec)
-	soloDur := time.Since(start)
-	hsolo.Close()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv, err := service.New(service.Options{MaxJobs: 1, Parallelism: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		hs := httptest.NewServer(srv)
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for r := 1; r <= 3; r++ {
-			rn := service.NewRunner(service.RunnerOptions{
-				Coordinator: hs.URL, Name: fmt.Sprintf("bench-r%d", r), Workers: 2,
-			})
-			wg.Add(1)
-			go func() { defer wg.Done(); rn.Run(ctx) }()
-		}
-		joined := time.Now().Add(10 * time.Second)
-		for {
-			r, err := http.Get(hs.URL + "/v1/healthz")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var h struct {
-				Cluster struct {
-					ConnectedRunners int `json:"connected_runners"`
-				} `json:"cluster"`
-			}
-			err = json.NewDecoder(r.Body).Decode(&h)
-			r.Body.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if h.Cluster.ConnectedRunners >= 3 {
-				break
-			}
-			if time.Now().After(joined) {
-				b.Fatal("runners never joined the coordinator")
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		got := clusterJob(b, hs.URL, benchClusterSpec)
-		cancel()
-		wg.Wait()
-		hs.Close()
-		if got != want {
-			b.Fatal("sharded campaign report differs from the solo daemon report")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(soloDur.Seconds()/(b.Elapsed().Seconds()/float64(b.N)), "x-speedup")
 }

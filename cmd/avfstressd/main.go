@@ -10,9 +10,7 @@
 //	           [-parallelism N] [-max-jobs N] [-max-queue N]
 //	           [-retries N] [-job-timeout D] [-drain-timeout D]
 //	           [-read-timeout D] [-write-timeout D] [-idle-timeout D]
-//	           [-heartbeat D] [-lease-ttl D] [-quiet]
-//	avfstressd -join URL [-runners N] [-runner-name NAME]
-//	           [-cache-dir DIR] [-parallelism N] [-quiet]
+//	           [-quiet]
 //
 // API:
 //
@@ -38,16 +36,6 @@
 // (DESIGN.md §11). On SIGINT/SIGTERM the daemon drains gracefully:
 // new submissions are refused, running jobs get -drain-timeout to
 // finish, and whatever is still running resumes after restart.
-//
-// With -join URL the process runs as a campaign-fabric *runner*
-// instead (DESIGN.md §13): no HTTP listener, no job API — it joins the
-// coordinator daemon at URL, heartbeats, and executes the announced
-// runs, racing the coordinator and its sibling runners claim-by-claim
-// for leased jobs and individual simulations. Results flow through the
-// coordinator's content-addressed store (CRC-framed, validated on
-// receipt), so the coordinator's reports stay byte-identical however
-// many runners share the work — runners add throughput, never bytes.
-// -runners N hosts N independent runner loops in one process.
 package main
 
 import (
@@ -58,8 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
@@ -83,19 +69,8 @@ func main() {
 		writeTO  = flag.Duration("write-timeout", 10*time.Minute, "HTTP write timeout; bounds streamed progress too (0 = none)")
 		idleTO   = flag.Duration("idle-timeout", 2*time.Minute, "HTTP idle connection timeout (0 = none)")
 		quiet    = flag.Bool("quiet", false, "suppress server logging")
-
-		join       = flag.String("join", "", "run as a fabric runner joined to the coordinator daemon at this URL (no listener)")
-		runners    = flag.Int("runners", 1, "with -join: independent runner loops hosted by this process")
-		runnerName = flag.String("runner-name", "", "with -join: runner label in coordinator logs (default: the hostname)")
-		heartbeat  = flag.Duration("heartbeat", 0, "fabric runner heartbeat period (0 = 500ms)")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "silence after which a runner's claims are freed for stealing (0 = 5s)")
 	)
 	flag.Parse()
-
-	if *join != "" {
-		runRunners(*join, *runners, *runnerName, *cacheDir, *par, *quiet)
-		return
-	}
 
 	opts := service.Options{
 		CacheDir:    *cacheDir,
@@ -105,9 +80,6 @@ func main() {
 		MaxJobs:     *maxJobs,
 		MaxQueue:    *maxQueue,
 		JobTimeout:  *jobTO,
-
-		HeartbeatInterval: *heartbeat,
-		LeaseTTL:          *leaseTTL,
 	}
 	if *retries > 0 {
 		opts.Retry = sched.RetryPolicy{MaxAttempts: *retries}
@@ -158,59 +130,4 @@ func main() {
 	hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer hcancel()
 	hs.Shutdown(hctx)
-}
-
-// runRunners hosts n fabric runner loops joined to the coordinator at
-// url, until SIGINT/SIGTERM. Each loop gets its own local store (a
-// per-runner subdirectory when -cache-dir is set — runners must not
-// share tiers; the shared tier is the coordinator's store over HTTP).
-func runRunners(url string, n int, name, cacheDir string, parallelism int, quiet bool) {
-	if n < 1 {
-		n = 1
-	}
-	if name == "" {
-		name, _ = os.Hostname()
-		if name == "" {
-			name = "runner"
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		fmt.Fprintf(os.Stderr, "avfstressd: %v — stopping runners\n", s)
-		cancel()
-	}()
-
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		label := name
-		dir := cacheDir
-		if n > 1 {
-			label = fmt.Sprintf("%s-%d", name, i)
-		}
-		if dir != "" {
-			dir = filepath.Join(dir, fmt.Sprintf("runner-%d", i))
-		}
-		opts := service.RunnerOptions{
-			Coordinator: url,
-			Name:        label,
-			Workers:     parallelism,
-			CacheDir:    dir,
-		}
-		if !quiet {
-			opts.Logf = func(f string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, "avfstressd["+label+"]: "+f+"\n", args...)
-			}
-		}
-		r := service.NewRunner(opts)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Run(ctx)
-		}()
-	}
-	fmt.Fprintf(os.Stderr, "avfstressd: %d runner(s) joining %s\n", n, url)
-	wg.Wait()
 }

@@ -14,7 +14,9 @@
 // into the header; with multiple packages on stdin each result is tagged
 // with its package. With -check, results are compared by name against
 // the baseline snapshot and the exit status is non-zero if any benchmark
-// regressed by more than -tolerance (ns/op).
+// regressed by more than -tolerance (ns/op), or if any baseline
+// benchmark is missing from the run (a deleted or renamed benchmark must
+// leave the snapshot too, never drop out of the gate silently).
 package main
 
 import (
@@ -49,7 +51,7 @@ type Report struct {
 
 func main() {
 	var (
-		check     = flag.String("check", "", "baseline BENCH_*.json: fail if any benchmark regresses past the tolerance")
+		check     = flag.String("check", "", "baseline BENCH_*.json: fail if any benchmark regresses past the tolerance or is missing from the run")
 		tolerance = flag.Float64("tolerance", 0.20, "allowed fractional ns/op regression vs the baseline (with -check)")
 		minNs     = flag.Float64("min-ns", 1e6, "skip baselines faster than this in -check (single-iteration sub-ms timings are noise)")
 	)
@@ -97,8 +99,9 @@ func main() {
 	}
 }
 
-// compare reports whether every benchmark present in both the run and
-// the baseline is within the allowed ns/op regression.
+// compare reports whether the run produced every baseline benchmark
+// and every benchmark present in both is within the allowed ns/op
+// regression.
 func compare(rep Report, baselinePath string, tolerance, minNs float64) bool {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -110,14 +113,23 @@ func compare(rep Report, baselinePath string, tolerance, minNs float64) bool {
 		fmt.Fprintf(os.Stderr, "benchjson: parsing baseline: %v\n", err)
 		return false
 	}
+	ok := true
+	ran := make(map[string]bool, len(rep.Results))
+	for _, r := range rep.Results {
+		ran[benchKey(r)] = true
+	}
 	baseBy := make(map[string]float64, len(base.Results))
 	for _, r := range base.Results {
-		baseBy[r.Pkg+"|"+stripProcs(r.Name)] = r.NsPerOp
+		baseBy[benchKey(r)] = r.NsPerOp
+		if !ran[benchKey(r)] {
+			fmt.Fprintf(os.Stderr, "benchjson: MISSING %s: in the baseline but not produced by this run (drop it from %s if it was removed)\n",
+				r.Name, baselinePath)
+			ok = false
+		}
 	}
-	ok := true
 	checked := 0
 	for _, r := range rep.Results {
-		want, have := baseBy[r.Pkg+"|"+stripProcs(r.Name)]
+		want, have := baseBy[benchKey(r)]
 		if !have || want < minNs {
 			continue // new benchmark, or too fast to time reliably at 1x
 		}
@@ -136,6 +148,10 @@ func compare(rep Report, baselinePath string, tolerance, minNs float64) bool {
 	}
 	return ok
 }
+
+// benchKey identifies a benchmark across runs: its package plus its
+// name without the GOMAXPROCS suffix.
+func benchKey(r Result) string { return r.Pkg + "|" + stripProcs(r.Name) }
 
 // stripProcs removes the "-N" GOMAXPROCS suffix go test appends on
 // multi-core machines, so -check matches snapshots across core counts.

@@ -71,11 +71,6 @@ type Options struct {
 	OnRetry func(key string, attempt int, err error, backoff time.Duration)
 	// JobTimeout deadlines each scheduled job attempt (0 = none).
 	JobTimeout time.Duration
-	// Executor, when set, arbitrates leased jobs across campaign-fabric
-	// nodes (DESIGN.md §13). It is threaded into every scheduler run
-	// this context starts, including fault-injection campaign fan-outs.
-	// Nil (the default) runs everything locally.
-	Executor sched.Executor
 
 	// Cache supplies the content-addressed simulation store shared by
 	// every experiment (nil: the context builds its own, with a disk

@@ -137,7 +137,6 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 				PruneStatic:        c.Opts.PruneStatic,
 				RootCause:          true,
 				Retry:              c.Opts.Retry,
-				Executor:           c.Opts.Executor,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: injection campaign %s: %w", name, err)
@@ -159,7 +158,6 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 			PruneStatic:        c.Opts.PruneStatic,
 			RootCause:          true,
 			Retry:              c.Opts.Retry,
-			Executor:           c.Opts.Executor,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: injection campaign stressmark: %w", err)

@@ -300,7 +300,6 @@ func (c *Context) runDefs(ctx context.Context, defs []scenario.Definition) ([]st
 		Retry:      c.Opts.Retry,
 		OnRetry:    c.Opts.OnRetry,
 		JobTimeout: c.Opts.JobTimeout,
-		Executor:   c.Opts.Executor,
 	}); err != nil {
 		return nil, err
 	}

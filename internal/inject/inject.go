@@ -96,13 +96,6 @@ type Options struct {
 	// (zero value: no retries). Retries change wall-clock only, never
 	// outcomes — replays are deterministic and memoised.
 	Retry sched.RetryPolicy
-	// Executor, when set, arbitrates slice jobs across campaign-fabric
-	// nodes (DESIGN.md §13): every node derives the same slices,
-	// exactly one runs each cold, the rest assemble from
-	// the shared store. Nil runs the whole campaign locally. Sharding
-	// changes wall-clock only — sampling is up-front and outcomes are
-	// content-addressed, so reports stay byte-identical.
-	Executor sched.Executor
 	// RootCause, when set, attributes every corrupting trial to the
 	// program instruction whose value the flipped bit held
 	// (internal/rootcause, DESIGN.md §14) and attaches the
@@ -376,8 +369,8 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error
 		}
 	}
 	// simulate publishes info and checkpoints inside the golden compute,
-	// before any fabric claim on the result resolves, so a node that
-	// waited on a peer's golden run finds them already published.
+	// before the result's singleflight resolves, so a concurrent
+	// campaign that waited on the same golden run finds them published.
 	simulate := func() (*avf.Result, error) {
 		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, c.live.DeadDefs)
 		if err != nil {
@@ -394,7 +387,7 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error
 		return nil, info, nil, fmt.Errorf("inject: golden run: %w", err)
 	}
 	if !haveInfo {
-		loadInfo() // a concurrent campaign or fabric peer ran the golden
+		loadInfo() // a concurrent campaign ran the golden
 	}
 	if !haveInfo {
 		// Warm result, lost info blob (a partially swept cache
@@ -544,8 +537,7 @@ func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSo
 		hash := faultSetHash(faults)
 		key := c.key("injslice:" + hash)
 		jobs = append(jobs, scenario.Job{
-			Key:   "injslice\x00" + c.cfgFP + "\x00" + c.progFP + "\x00" + c.rcFP + "\x00" + hash,
-			Lease: true,
+			Key: "injslice\x00" + c.cfgFP + "\x00" + c.progFP + "\x00" + c.rcFP + "\x00" + hash,
 			Run: func(context.Context) error {
 				trials, err := c.sliceOutcomes(key, src, faults)
 				if err != nil {
@@ -561,7 +553,7 @@ func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSo
 			},
 		})
 	}
-	return sched.Run(ctx, jobs, sched.Options{Workers: c.o.Parallelism, Retry: c.o.Retry, Executor: c.o.Executor})
+	return sched.Run(ctx, jobs, sched.Options{Workers: c.o.Parallelism, Retry: c.o.Retry})
 }
 
 // sliceOutcomes returns one slice's trial records: its memoised table,

@@ -30,14 +30,6 @@ type Job struct {
 	Key  string
 	Deps []string
 	Run  func(ctx context.Context) error
-	// Lease marks the job as shardable across campaign-fabric nodes:
-	// under a sched.Executor exactly one node runs it cold while the
-	// others wait for its completion and then run the closure against
-	// the (now warm) shared store. Only jobs whose entire effect is
-	// published through the content-addressed cache may set it —
-	// fault-injection buckets and trials do; container jobs (whose
-	// inner simulations shard individually) and renders must not.
-	Lease bool
 }
 
 // Definition declares one scenario: its identity, the jobs it needs and

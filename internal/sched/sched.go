@@ -91,18 +91,12 @@ type Options struct {
 	// Retry, then failing only that job, never masquerading as a
 	// cancellation of the whole run.
 	JobTimeout time.Duration
-	// Executor, when set, arbitrates jobs declared with Lease across
-	// campaign-fabric nodes (DESIGN.md §13): exactly one node runs each
-	// leased job cold, the rest wait and then run it warm against the
-	// shared store. Nil (the default) runs everything locally.
-	Executor Executor
 }
 
 // node is one deduplicated job in the DAG.
 type node struct {
 	key        string
 	run        func(context.Context) error
-	lease      bool // arbitrate through Options.Executor when set
 	dependents []*node
 	pending    int // remaining dependencies (guarded by Run's mutex)
 }
@@ -148,7 +142,7 @@ func Run(ctx context.Context, jobs []scenario.Job, opts Options) error {
 		defer wg.Done()
 		sem <- struct{}{}
 		start := time.Now()
-		err := claimAndRun(cctx, n, opts, sem)
+		err := runAttempts(cctx, n, opts)
 		<-sem
 		if err != nil {
 			// Job errors are propagated as-is: keys are dedup
@@ -270,7 +264,7 @@ func build(jobs []scenario.Job) ([]*node, error) {
 		if _, ok := byKey[j.Key]; ok {
 			continue // purity contract: identical key ⇒ identical work
 		}
-		n := &node{key: j.Key, run: j.Run, lease: j.Lease}
+		n := &node{key: j.Key, run: j.Run}
 		byKey[j.Key] = n
 		deps[j.Key] = j.Deps
 		nodes = append(nodes, n)

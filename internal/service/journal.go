@@ -37,15 +37,15 @@ import (
 const (
 	journalOpSubmit = "submit" // a job was accepted
 	journalOpEnd    = "end"    // a job reached a terminal state
-	journalOpLease  = "lease"  // a fabric job claim was granted to a runner
-	journalOpSteal  = "steal"  // a dead runner's job claims were freed
+	// Earlier daemons also journalled job-claim grants and steals of a
+	// multi-process campaign mode since removed (DESIGN.md §13). Their
+	// journals still decode: the two ops are known records that replay
+	// ignores, and startup compaction drops them.
+	journalOpLegacyLease = "lease"
+	journalOpLegacySteal = "steal"
 )
 
-// journalRecord is one journal line. Lease/steal records carry the
-// runner id in ID and the (hashed) claim key in Key; only job-level
-// claims are journalled — cache-compute claims resolve far too often
-// to fsync each one, and their outcomes are already durable in the
-// content-addressed store.
+// journalRecord is one journal line.
 type journalRecord struct {
 	Op string `json:"op"`
 	ID string `json:"id"`
@@ -55,8 +55,6 @@ type journalRecord struct {
 	// End fields.
 	Status Status `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Lease/steal fields.
-	Key string `json:"key,omitempty"`
 
 	Time time.Time `json:"time"`
 }
@@ -94,7 +92,7 @@ func decodeJournalLine(line string) (journalRecord, error) {
 		return rec, fmt.Errorf("service: journal decode: %w", err)
 	}
 	switch rec.Op {
-	case journalOpSubmit, journalOpEnd, journalOpLease, journalOpSteal:
+	case journalOpSubmit, journalOpEnd, journalOpLegacyLease, journalOpLegacySteal:
 	default:
 		return rec, fmt.Errorf("service: journal op %q unknown", rec.Op)
 	}

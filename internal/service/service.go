@@ -88,12 +88,6 @@ type Options struct {
 	// retried under Retry, and exhaustion fails the job rather than
 	// cancelling it (0 = no per-job deadline).
 	JobTimeout time.Duration
-	// HeartbeatInterval is the fabric runner heartbeat period
-	// (0 = 500ms) and LeaseTTL how long a silent runner keeps its
-	// claims before they are freed for stealing (0 = 5s, floored at
-	// twice the heartbeat).
-	HeartbeatInterval time.Duration
-	LeaseTTL          time.Duration
 	// Logf, when set, receives server-side log lines.
 	Logf func(format string, args ...interface{})
 }
@@ -105,7 +99,6 @@ type Server struct {
 	slots   chan struct{}
 	mux     *http.ServeMux
 	journal *journal
-	fabric  *fabric
 	started time.Time
 
 	mu        sync.Mutex
@@ -223,18 +216,7 @@ func New(opts Options) (*Server, error) {
 		idem:    map[string]string{},
 		started: time.Now(),
 	}
-	s.fabric = newFabric(opts.HeartbeatInterval, opts.LeaseTTL, opts.Logf)
-	// The journal field is nil until recover(); the closure reads it at
-	// call time, and append is nil-safe.
-	s.fabric.journalAppend = func(rec journalRecord) {
-		if err := s.journal.append(rec); err != nil {
-			s.logf("journal: %v", err)
-		}
-	}
-	// The coordinator's store is the fabric's authoritative cache tier:
-	// its remote adapter carries only claim arbitration (runners push
-	// and pull entries over /v1/cache).
-	s.store = simcache.New(simcache.Options{Dir: opts.CacheDir, Remote: coordRemote{s.fabric}})
+	s.store = simcache.New(simcache.Options{Dir: opts.CacheDir})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -245,12 +227,6 @@ func New(opts Options) (*Server, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/results/{id}", s.handleResults)
-	mux.HandleFunc("POST /v1/fabric/join", s.handleFabricJoin)
-	mux.HandleFunc("POST /v1/fabric/heartbeat", s.handleFabricHeartbeat)
-	mux.HandleFunc("POST /v1/fabric/claim", s.handleFabricClaim)
-	mux.HandleFunc("POST /v1/fabric/release", s.handleFabricRelease)
-	mux.HandleFunc("GET /v1/cache/{kind}/{key}", s.handleCacheGet)
-	mux.HandleFunc("PUT /v1/cache/{kind}/{key}", s.handleCachePut)
 	s.mux = mux
 	if opts.JournalPath != "" {
 		if err := s.recover(); err != nil {
@@ -282,15 +258,7 @@ func (s *Server) recover() error {
 	var order []string
 	state := map[string]*replay{}
 	for _, rec := range recs {
-		switch rec.Op {
-		case journalOpLease:
-			// A lease grant from a previous process life: its outcome is
-			// unknown, but the resubmitted jobs re-arbitrate the work and
-			// anything the runner published survives in the cache.
-			s.fabric.priorLeases++
-			continue
-		case journalOpSteal:
-			continue
+		switch rec.Op { // legacy lease/steal records match no case
 		case journalOpSubmit:
 			if rec.Spec == nil {
 				continue
@@ -647,12 +615,6 @@ func (s *Server) run(ctx context.Context, j *job) {
 	j.started = time.Now()
 	j.mu.Unlock()
 
-	// Announce the run to joined runners for the duration of its
-	// execution: every runner derives the same DAG from the same spec
-	// and races this daemon claim-by-claim for its leased jobs.
-	s.fabric.announce(j.id, j.spec)
-	defer s.fabric.withdraw(j.id)
-
 	view := s.store.View()
 	base := experiments.Options{
 		Scale:       s.opts.Scale,
@@ -661,7 +623,6 @@ func (s *Server) run(ctx context.Context, j *job) {
 		Logf:        j.logf,
 		Retry:       s.opts.Retry,
 		JobTimeout:  s.opts.JobTimeout,
-		Executor:    coordExecutor{s.fabric},
 		OnRetry: func(key string, attempt int, err error, backoff time.Duration) {
 			j.mu.Lock()
 			j.retries++
@@ -759,10 +720,6 @@ type Health struct {
 	Queue     QueueHealth    `json:"queue"`
 	Journal   *JournalHealth `json:"journal,omitempty"`
 	Cache     simcache.Stats `json:"cache"`
-	// Cluster reports the campaign fabric: connected runners, leased
-	// and stolen job counts, remote cache traffic. Cluster events never
-	// degrade Status — a lost runner is re-arbitrated, not a fault.
-	Cluster *ClusterHealth `json:"cluster,omitempty"`
 }
 
 // QueueHealth reports admission-bound occupancy.
@@ -815,7 +772,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	h.Cache = s.store.Stats()
-	h.Cluster = s.fabric.clusterHealth()
 	writeJSON(w, http.StatusOK, h)
 }
 

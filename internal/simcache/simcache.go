@@ -75,13 +75,6 @@ type Options struct {
 	// eviction degrades a future hit from memory to disk, never to a
 	// re-simulation. 0 selects the default (1 GiB); negative = unlimited.
 	BlobCapBytes int64
-	// Remote attaches a campaign-fabric tier behind the local ones
-	// (DESIGN.md §13): on a local miss the store consults it before
-	// simulating, and claims the compute right through it so each key
-	// is simulated once across the whole cluster. Entries received from
-	// it get the same frame-on-receipt validation as disk entries. Nil
-	// (the default) keeps the store purely local.
-	Remote RemoteTier
 }
 
 // defaultBlobCapBytes bounds the in-memory blob tier when the caller
@@ -107,7 +100,6 @@ type Store struct {
 type state struct {
 	version string
 	dir     string // "" = memory only
-	remote  RemoteTier
 
 	mu     sync.Mutex
 	mem    map[Key]*avf.Result
@@ -141,27 +133,22 @@ type counters struct {
 	quarantined atomic.Int64
 	// Tier-attribution counters: blobHits/blobMisses are the blob-tier
 	// share of the hit/miss traffic above (so per-handle attribution
-	// distinguishes result entries from blob entries), remoteHits/
-	// remoteMisses count lookups resolved (or not) by the fabric tier.
-	blobHits     atomic.Int64
-	blobMisses   atomic.Int64
-	remoteHits   atomic.Int64
-	remoteMisses atomic.Int64
+	// distinguishes result entries from blob entries).
+	blobHits   atomic.Int64
+	blobMisses atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		MemHits:      c.memHits.Load(),
-		DiskHits:     c.diskHits.Load(),
-		Simulated:    c.sims.Load(),
-		Deduped:      c.dedups.Load(),
-		Misses:       c.misses.Load(),
-		Evicted:      c.evicted.Load(),
-		Quarantined:  c.quarantined.Load(),
-		BlobHits:     c.blobHits.Load(),
-		BlobMisses:   c.blobMisses.Load(),
-		RemoteHits:   c.remoteHits.Load(),
-		RemoteMisses: c.remoteMisses.Load(),
+		MemHits:     c.memHits.Load(),
+		DiskHits:    c.diskHits.Load(),
+		Simulated:   c.sims.Load(),
+		Deduped:     c.dedups.Load(),
+		Misses:      c.misses.Load(),
+		Evicted:     c.evicted.Load(),
+		Quarantined: c.quarantined.Load(),
+		BlobHits:    c.blobHits.Load(),
+		BlobMisses:  c.blobMisses.Load(),
 	}
 }
 
@@ -204,7 +191,6 @@ func New(opts Options) *Store {
 	if opts.Dir != "" {
 		st.dir = filepath.Join(opts.Dir, v)
 	}
-	st.remote = opts.Remote
 	return &Store{st: st}
 }
 
@@ -273,13 +259,10 @@ func (s *Store) Do(key Key, simulate func() (*avf.Result, error)) (*avf.Result, 
 
 	var err error
 	r := s.loadDisk(key)
-	switch {
-	case r != nil:
+	if r != nil {
 		st.glob.diskHits.Add(1)
 		s.loc.diskHits.Add(1)
-	case st.remote != nil:
-		r, err = s.remoteResult(key, simulate)
-	default:
+	} else {
 		r, err = simulate()
 		st.glob.sims.Add(1)
 		s.loc.sims.Add(1)
@@ -334,15 +317,12 @@ func (s *Store) DoBlob(key Key, compute func() ([]byte, error)) ([]byte, error) 
 
 	var err error
 	v, ok := s.loadBlob(key)
-	switch {
-	case ok:
+	if ok {
 		st.glob.diskHits.Add(1)
 		s.loc.diskHits.Add(1)
 		st.glob.blobHits.Add(1)
 		s.loc.blobHits.Add(1)
-	case st.remote != nil:
-		v, err = s.remoteBlob(key, compute)
-	default:
+	} else {
 		v, err = compute()
 		st.glob.sims.Add(1)
 		s.loc.sims.Add(1)
@@ -364,9 +344,12 @@ func (s *Store) DoBlob(key Key, compute func() ([]byte, error)) ([]byte, error) 
 // GetBlob returns the cached blob for key from either tier, or (nil,
 // false) — counted in Stats.Misses — leaving the computation to the
 // caller (pair with PutBlob). Unlike DoBlob it never blocks on an
-// in-flight computation: campaign code uses it for probe-then-batch
-// patterns where a miss changes what gets computed, not just who
-// computes it. Always a miss on a nil store.
+// in-flight computation. Fault-injection campaigns use it to load
+// golden-run replay facts, checkpoint manifests and checkpoints, whose
+// payloads they decode themselves: a payload that fails to decode is
+// discarded and rebuilt (a checkpoint is instead replaced by a replay
+// from cycle zero), which DoBlob's compute-once contract cannot
+// express. Always a miss on a nil store.
 func (s *Store) GetBlob(key Key) ([]byte, bool) {
 	if s == nil {
 		return nil, false
@@ -393,14 +376,6 @@ func (s *Store) GetBlob(key Key) ([]byte, bool) {
 		st.mu.Unlock()
 		return v, true
 	}
-	// One non-blocking fabric probe: GetBlob's probe-then-batch contract
-	// (a miss changes what gets computed) forbids waiting on a peer's
-	// claim here, but a resolved remote entry is still a hit.
-	if st.remote != nil {
-		if v, ok := s.remoteProbeBlob(key); ok {
-			return v, true
-		}
-	}
 	st.glob.misses.Add(1)
 	s.loc.misses.Add(1)
 	st.glob.blobMisses.Add(1)
@@ -420,9 +395,6 @@ func (s *Store) PutBlob(key Key, v []byte) {
 	st.insertBlob(key, v, &s.loc)
 	st.mu.Unlock()
 	s.saveBlob(key, v)
-	if st.remote != nil {
-		st.remote.Put(KindBlob, key, persist.EncodeFramed(v))
-	}
 }
 
 // touchBlob marks key most-recently-used. Caller holds mu.
@@ -611,18 +583,13 @@ type Stats struct {
 	Misses  int64 `json:"misses,omitempty"`
 	Evicted int64 `json:"evicted,omitempty"`
 	// Quarantined counts disk entries that failed frame validation or
-	// decode and were moved to the quarantine directory — and fabric
-	// entries rejected by the same frame-on-receipt check (each one
-	// costs a re-computation, never a wrong result — DESIGN.md §11).
+	// decode and were moved to the quarantine directory (each one costs
+	// a re-computation, never a wrong result — DESIGN.md §11).
 	Quarantined int64 `json:"quarantined,omitempty"`
 	// BlobHits and BlobMisses are the blob-tier share of the hit and
-	// miss traffic above (results vs. blobs attribution per handle);
-	// RemoteHits and RemoteMisses count lookups the campaign-fabric
-	// tier resolved or failed to resolve (DESIGN.md §13).
-	BlobHits     int64 `json:"blob_hits,omitempty"`
-	BlobMisses   int64 `json:"blob_misses,omitempty"`
-	RemoteHits   int64 `json:"remote_hits,omitempty"`
-	RemoteMisses int64 `json:"remote_misses,omitempty"`
+	// miss traffic above (results vs. blobs attribution per handle).
+	BlobHits   int64 `json:"blob_hits,omitempty"`
+	BlobMisses int64 `json:"blob_misses,omitempty"`
 }
 
 // Hits is the total traffic served without running a simulation.
@@ -648,11 +615,11 @@ func (s *Store) LocalStats() Stats {
 }
 
 // String renders the counters as the one-line "mem=… disk=… sim=… dedup=…"
-// summary the CLIs print. The blob-probe, quarantine, blob-attribution
-// and fabric fields are appended (the prefix is load-bearing: scripts
-// anchor on the first four fields).
+// summary the CLIs print. The blob-probe, quarantine and
+// blob-attribution fields are appended (the prefix is load-bearing:
+// scripts anchor on the first four fields).
 func (st Stats) String() string {
-	return fmt.Sprintf("mem=%d disk=%d sim=%d dedup=%d miss=%d evict=%d quar=%d blob=%d/%d remote=%d/%d",
+	return fmt.Sprintf("mem=%d disk=%d sim=%d dedup=%d miss=%d evict=%d quar=%d blob=%d/%d",
 		st.MemHits, st.DiskHits, st.Simulated, st.Deduped, st.Misses, st.Evicted, st.Quarantined,
-		st.BlobHits, st.BlobMisses, st.RemoteHits, st.RemoteMisses)
+		st.BlobHits, st.BlobMisses)
 }

@@ -414,3 +414,59 @@ func TestBlobCapUnlimited(t *testing.T) {
 		t.Errorf("unlimited cap evicted %d blobs", st.Evicted)
 	}
 }
+
+// TestBlobStatsPerViewAttribution pins the per-handle blob attribution
+// contract: two views of one store see only their own blob-tier
+// traffic in LocalStats, while store-wide Stats aggregates both.
+func TestBlobStatsPerViewAttribution(t *testing.T) {
+	s := New(Options{})
+	busy, idle := s.View(), s.View()
+
+	bkey := s.Key("attr-blob")
+	if _, err := busy.DoBlob(bkey, func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := busy.GetBlob(bkey); !ok { // memory hit
+		t.Fatal("warm GetBlob missed")
+	}
+	if _, ok := busy.GetBlob(s.Key("absent")); ok {
+		t.Fatal("absent key hit")
+	}
+
+	bs := busy.LocalStats()
+	if bs.BlobHits != 1 || bs.BlobMisses != 1 {
+		t.Errorf("busy view blob attribution = %d/%d, want 1/1 (stats %+v)", bs.BlobHits, bs.BlobMisses, bs)
+	}
+	is := idle.LocalStats()
+	if is != (Stats{}) {
+		t.Errorf("idle view attributed traffic it never issued: %+v", is)
+	}
+	gs := s.Stats()
+	if gs.BlobHits != bs.BlobHits || gs.BlobMisses != bs.BlobMisses {
+		t.Errorf("store-wide stats %+v do not aggregate the busy view's %+v", gs, bs)
+	}
+
+	// A second view hitting the same blob attributes to itself only.
+	if _, ok := idle.GetBlob(bkey); !ok {
+		t.Fatal("second view missed the shared blob")
+	}
+	if is := idle.LocalStats(); is.BlobHits != 1 || is.MemHits != 1 {
+		t.Errorf("second view stats = %+v, want its own mem+blob hit", is)
+	}
+	if bs2 := busy.LocalStats(); bs2.BlobHits != bs.BlobHits {
+		t.Errorf("first view's counters moved (%d -> %d) on the second view's traffic", bs.BlobHits, bs2.BlobHits)
+	}
+}
+
+// TestStatsStringKeepsAnchoredPrefix pins the CLI stats line: scripts
+// grep the first four fields, so the blob fields must append, never
+// reshape.
+func TestStatsStringKeepsAnchoredPrefix(t *testing.T) {
+	st := Stats{MemHits: 1, DiskHits: 2, Simulated: 3, Deduped: 4,
+		Misses: 5, Evicted: 6, Quarantined: 7,
+		BlobHits: 8, BlobMisses: 9}
+	want := "mem=1 disk=2 sim=3 dedup=4 miss=5 evict=6 quar=7 blob=8/9"
+	if got := st.String(); got != want {
+		t.Errorf("Stats.String() = %q, want %q", got, want)
+	}
+}
