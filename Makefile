@@ -35,10 +35,13 @@ rootcause-diff:
 	$(GO) test ./internal/rootcause -count=2
 
 # fuzz-smoke runs each decoder fuzz target for a short time beyond its
-# committed seed corpus: the injection slice-table codec, the CRC frame
-# every disk entry goes through, and the job-journal line decoder.
+# committed seed corpus: the injection slice-table, golden-info and
+# checkpoint-manifest codecs, the CRC frame every disk entry goes
+# through, and the job-journal line decoder.
 fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
+	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGoldenInfo$$' -fuzztime 10s
+	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeJournalLine$$' -fuzztime 10s
 
@@ -62,10 +65,13 @@ bench-smoke:
 	@status=0; $(GO) run ./cmd/benchjson -check BENCH_latest.json -tolerance 0.20 -min-ns 100000000 < bench-smoke.out > /dev/null || status=1; \
 	rm -f bench-smoke.out; exit $$status
 
-# bench-compare produces the 5-run samples of the two headline benchmarks
-# used for before/after comparisons (feed the two files to benchstat).
+# bench-compare produces the 5-run samples used for before/after
+# comparisons: the two headline simulation benchmarks, the default
+# 1000-trial injection campaign, and the replay layer alone (one
+# checkpoint fork plus one 80-fault slice).
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI_BaselineSim|BenchmarkFig5_GASearchBaseline' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench 'BenchmarkTableI_BaselineSim|BenchmarkFig5_GASearchBaseline|BenchmarkInjectCampaign$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench '^BenchmarkSliceReplay$$' -benchmem -count 5 ./internal/pipe
 
 # profile prints the CPU profile (go tool pprof -top) of two paths a
 # user waits on: the reference-knob experiment suite (avfbench -ref) and

@@ -150,6 +150,11 @@ type Writeback struct {
 type line struct {
 	tag   uint64
 	valid bool
+	// watch is 1 + the index of this line's entry in Cache.watched, or 0
+	// when no fate watch is armed on it. It sits in valid's padding, so
+	// the line stays 96 bytes, and is read only behind the watched-nil
+	// gate, never on a normal simulation.
+	watch int32
 	lru   int64 // last-use time
 
 	fillTime   int64
@@ -163,32 +168,45 @@ type line struct {
 	chunkTime  []int64
 }
 
-// Watch observes the microarchitectural fate of one bit for the
-// fault-injection engine (internal/inject, DESIGN.md §9): armed before a
-// replay starts, it waits for the first lifetime transition on its target
-// whose interval contains the injection timestamp and records whether
-// that interval closed ACE (the flipped bit would have reached
-// architectural state) or un-ACE (the flip was masked by an overwrite or
-// a clean eviction). Exactly the Biswas rule the ACE accounting applies,
-// observed for a single (line, chunk) or tag entry. Watches are pure
-// observers — they never mutate cache state — so any number can ride one
-// replay and each resolves exactly as it would alone.
-type Watch struct {
-	ln    *line // geometric slot identity (stable across fills)
-	ci    int   // chunk index for data watches; unused for tag watches
-	tag   bool
-	cycle int64 // injection timestamp
-
-	resolved bool
-	ace      bool
+// Fate is one resolved fault-injection fate watch (DESIGN.md §9): the
+// caller's watch id and whether the watched interval closed ACE (the
+// flipped bit would have reached architectural state) or un-ACE (the
+// flip was masked by an overwrite or a clean eviction).
+type Fate struct {
+	ID  int32
+	ACE bool
 }
 
-// Outcome reports the watch's state: resolved is true once the fate of
-// the watched bit is known, and ace then tells whether the flip would
-// reach architectural state. Unresolved after Finalize means the watched
-// bit was never live at the watched timestamp — callers treat that as
-// masked.
-func (w *Watch) Outcome() (resolved, ace bool) { return w.resolved, w.ace }
+// watch observes the microarchitectural fate of one bit for the
+// fault-injection engine (internal/inject): armed before a replay
+// starts, it waits for the first lifetime transition on its target
+// whose interval contains the injection timestamp, and resolves to the
+// Biswas rule the ACE accounting applies to that interval, observed for
+// a single (line, chunk) or tag entry. Watches are pure observers, so
+// any number can ride one replay and each resolves exactly as it would
+// alone.
+type watch struct {
+	id    int32
+	ci    int32 // chunk index of a data watch; -1 for a tag watch
+	cycle int64 // injection timestamp
+}
+
+// lineWatches holds the armed, unresolved watches on one line. A watch
+// leaves the list the moment it resolves, so an access scans only the
+// still-open watches of the line it touches.
+type lineWatches struct {
+	ln *line
+	ws []watch
+}
+
+// fire queues the resolution of lw.ws[i] and drops it from the list.
+// List order carries no meaning: watches resolve independently.
+func (c *Cache) fire(lw *lineWatches, i int, ace bool) {
+	*c.fates = append(*c.fates, Fate{ID: lw.ws[i].id, ACE: ace})
+	last := len(lw.ws) - 1
+	lw.ws[i] = lw.ws[last]
+	lw.ws = lw.ws[:last]
+}
 
 // Cache is a set-associative writeback cache with LRU replacement and
 // chunk-granular lifetime ACE accounting. Not safe for concurrent use.
@@ -219,11 +237,13 @@ type Cache struct {
 	memoAddr  uint64
 	memoEpoch uint64
 
-	// watches holds the armed fault-injection fate watches; nil on every
-	// normal simulation, so the lifetime hot paths pay a single
-	// predictable nil-check branch. Batched campaign replays arm one
-	// watch per co-replayed trial.
-	watches []*Watch
+	// watched indexes the armed fault-injection fate watches by line
+	// (line.watch points into it); nil on every normal simulation, so the
+	// lifetime hot paths pay a single predictable nil-check branch.
+	// Batched campaign replays arm one watch per co-replayed trial.
+	// fates is the caller's queue the resolutions are appended to.
+	watched []lineWatches
+	fates   *[]Fate
 
 	// Stats since the last ResetStats. Accesses/Misses count demand
 	// traffic (reads and writes issued to this cache); WritebackAccesses
@@ -390,7 +410,7 @@ func (c *Cache) TouchHit(now int64, addr uint64, size int, write bool) (bool, er
 		return false, fmt.Errorf("cache %s: access %#x size %d crosses line boundary", c.cfg.Name, addr, size)
 	}
 	ci, n := c.chunkSpan(addr, size)
-	if c.watches != nil {
+	if c.watched != nil {
 		c.watchSpan(ln, ci, n, now, write)
 	}
 	ln.lru = now
@@ -425,7 +445,7 @@ func (c *Cache) Access(now int64, addr uint64, size int, write bool) bool {
 		}
 	}
 	ci, n := c.chunkSpan(addr, size)
-	if c.watches != nil {
+	if c.watched != nil {
 		c.watchSpan(ln, ci, n, now, write)
 	}
 	ln.lru = now
@@ -470,7 +490,7 @@ func (c *Cache) applyMask(ln *line, now int64, mask uint64) error {
 			return fmt.Errorf("cache %s: writeback mask %#x covers a partial %d-byte chunk",
 				c.cfg.Name, mask, c.chunkBytes)
 		}
-		if c.watches != nil {
+		if c.watched != nil {
 			c.watchSpan(ln, ci, 1, now, true)
 		}
 		c.closeChunkWrite(ln, ci, now)
@@ -521,19 +541,23 @@ func (c *Cache) closeChunkWrite(ln *line, ci int, now int64) {
 // read is ACE (the flipped bits were consumed), closing by a write is
 // un-ACE (they were overwritten). Callers invoke it before their
 // transition loop, while the interval starts are still the pre-access
-// chunk times, and only behind a c.watches nil check.
+// chunk times, and only behind a c.watched nil check.
 func (c *Cache) watchSpan(ln *line, ci, n int, now int64, write bool) {
-	for _, w := range c.watches {
-		if w.resolved || w.tag || w.ln != ln || w.ci < ci || w.ci >= ci+n {
+	if ln.watch == 0 {
+		return
+	}
+	lw := &c.watched[ln.watch-1]
+	lo, hi := int32(ci), int32(ci+n)
+	for i := 0; i < len(lw.ws); {
+		w := &lw.ws[i]
+		// A tag watch (ci -1) is below every span. The closing interval
+		// is [chunkTime, now) of the current residency; the flip
+		// participates only if it lies inside.
+		if w.ci < lo || w.ci >= hi || w.cycle < ln.chunkTime[w.ci] || w.cycle >= now {
+			i++
 			continue
 		}
-		// The closing interval is [chunkTime, now) of the current
-		// residency; the flip participates only if it lies inside.
-		if w.cycle < ln.chunkTime[w.ci] || w.cycle >= now {
-			continue
-		}
-		w.resolved = true
-		w.ace = !write
+		c.fire(lw, i, !write)
 	}
 }
 
@@ -544,81 +568,68 @@ func (c *Cache) watchSpan(ln *line, ci, n int, now int64, write bool) {
 // dirty-chunk walk (which can advance lastAceEnd) and before the dirty
 // mask is cleared.
 func (c *Cache) watchEvict(ln *line, now int64) {
-	for _, w := range c.watches {
-		if w.resolved || w.ln != ln {
-			continue
-		}
-		if w.tag {
+	if ln.watch == 0 {
+		return
+	}
+	lw := &c.watched[ln.watch-1]
+	for i := 0; i < len(lw.ws); {
+		w := &lw.ws[i]
+		if w.ci < 0 {
 			if w.cycle >= ln.fillTime && w.cycle < now {
-				w.resolved = true
-				w.ace = ln.lastAceEnd > w.cycle
+				c.fire(lw, i, ln.lastAceEnd > w.cycle)
+				continue
 			}
+		} else if w.cycle >= ln.chunkTime[w.ci] && w.cycle < now {
+			c.fire(lw, i, ln.dirty>>uint(w.ci)&1 == 1)
 			continue
 		}
-		if w.cycle < ln.chunkTime[w.ci] || w.cycle >= now {
-			continue
-		}
-		w.resolved = true
-		w.ace = ln.dirty>>uint(w.ci)&1 == 1
+		i++
 	}
 }
 
 // AddWatch arms a fault-injection fate watch on one bit of this cache —
 // bits below DataBits address the data array (line-major, byte-major
 // within the line), the rest the tag array (one tag entry per line) —
-// with the given injection timestamp, and returns its handle. Any number
-// of watches may be armed at once; each resolves independently. Arm
-// before the replay starts (accesses carry timestamps ahead of the
-// pipeline's wall clock, so the covering lifetime interval may be closed
-// by an access executed before the injection cycle is reached). Reset
-// and ClearWatches disarm all watches; handles stay readable.
-func (c *Cache) AddWatch(bit uint64, cycle int64) (*Watch, error) {
+// with the given injection timestamp. Its resolution is appended to
+// *fates under id, at the access or eviction that decides it; every
+// watch armed until the next ClearWatches must name the same queue. Any
+// number of watches may be armed at once; each resolves independently. Arm before the replay starts (accesses carry
+// timestamps ahead of the pipeline's wall clock, so the covering
+// lifetime interval may be closed by an access executed before the
+// injection cycle is reached). A watch still unresolved after Finalize
+// was never live at its timestamp: callers treat it as masked. Reset,
+// Restore and ClearWatches disarm all watches.
+func (c *Cache) AddWatch(bit uint64, cycle int64, id int32, fates *[]Fate) error {
 	if bit >= c.cfg.Bits() {
-		return nil, fmt.Errorf("cache %s: watch bit %d out of range (%d bits)", c.cfg.Name, bit, c.cfg.Bits())
+		return fmt.Errorf("cache %s: watch bit %d out of range (%d bits)", c.cfg.Name, bit, c.cfg.Bits())
 	}
-	var w *Watch
+	var ln *line
+	w := watch{id: id, ci: -1, cycle: cycle}
 	if bit < c.cfg.DataBits() {
 		byteIdx := int(bit >> 3)
-		w = &Watch{
-			ln:    &c.lines[byteIdx/c.cfg.LineBytes],
-			ci:    (byteIdx % c.cfg.LineBytes) >> c.chunkBits,
-			cycle: cycle,
-		}
+		ln = &c.lines[byteIdx/c.cfg.LineBytes]
+		w.ci = int32((byteIdx % c.cfg.LineBytes) >> c.chunkBits)
 	} else {
-		lineIdx := int((bit - c.cfg.DataBits()) / c.cfg.TagBitsPerLine())
-		w = &Watch{ln: &c.lines[lineIdx], tag: true, cycle: cycle}
+		ln = &c.lines[(bit-c.cfg.DataBits())/c.cfg.TagBitsPerLine()]
 	}
-	c.watches = append(c.watches, w)
-	return w, nil
+	if ln.watch == 0 {
+		c.watched = append(c.watched, lineWatches{ln: ln})
+		ln.watch = int32(len(c.watched))
+	}
+	lw := &c.watched[ln.watch-1]
+	lw.ws = append(lw.ws, w)
+	c.fates = fates
+	return nil
 }
 
 // ClearWatches disarms all fate watches.
-func (c *Cache) ClearWatches() { c.watches = nil }
-
-// ArmWatch arms a single fate watch, replacing any previously armed
-// ones. It is the one-trial-per-replay convenience over AddWatch.
-func (c *Cache) ArmWatch(bit uint64, cycle int64) error {
-	c.watches = nil
-	_, err := c.AddWatch(bit, cycle)
-	return err
-}
-
-// WatchOutcome reports the state of the watch armed by ArmWatch (the
-// first armed watch): resolved is true once the fate of the watched bit
-// is known, and ace then tells whether the flip would reach
-// architectural state. An unresolved watch after Finalize means the
-// watched bit was never live at the watched timestamp — callers treat
-// that as masked.
-func (c *Cache) WatchOutcome() (resolved, ace bool) {
-	if len(c.watches) == 0 {
-		return false, false
+func (c *Cache) ClearWatches() {
+	for i := range c.watched {
+		c.watched[i].ln.watch = 0
 	}
-	return c.watches[0].Outcome()
+	c.watched = nil
+	c.fates = nil
 }
-
-// ClearWatch disarms all fate watches (kept as the single-watch
-// counterpart of ArmWatch).
-func (c *Cache) ClearWatch() { c.watches = nil }
 
 func (c *Cache) addAce(ln *line, t0, t1 int64) {
 	if t0 < c.windowStart {
@@ -686,7 +697,7 @@ func (c *Cache) FillTouch(fillT, touchT int64, addr uint64, size int, write bool
 	c.Misses++
 	c.fillLine(victim, tag, fillT)
 	ci, n := c.chunkSpan(addr, size)
-	if c.watches != nil {
+	if c.watched != nil {
 		c.watchSpan(victim, ci, n, touchT, write)
 	}
 	victim.lru = touchT
@@ -715,7 +726,7 @@ func (c *Cache) ReadLine(tHit, tMiss int64, addr uint64) (hit bool) {
 	for w := 0; w < c.ways; w++ {
 		ln := &c.lines[base+w]
 		if ln.valid && ln.tag == tag {
-			if c.watches != nil {
+			if c.watched != nil {
 				c.watchSpan(ln, 0, c.cpl, tHit, false)
 			}
 			ln.lru = tHit
@@ -781,7 +792,7 @@ func (c *Cache) evictLine(ln *line, now int64, set int) (wb Writeback, dirty boo
 		c.addAce(ln, ln.chunkTime[ci], now)
 		mask |= c.chunkUnit << uint(ci<<c.chunkBits)
 	}
-	if c.watches != nil {
+	if c.watched != nil {
 		c.watchEvict(ln, now)
 	}
 	ln.dirty = 0
@@ -858,7 +869,7 @@ func (c *Cache) Reset() {
 	c.memoLine = nil
 	c.memoEpoch, c.memoAddr = 0, 0
 	c.epoch++
-	c.watches = nil
+	c.ClearWatches()
 	c.ResetStats()
 }
 

@@ -112,7 +112,7 @@ func (c *Cache) Restore(st *CacheState) error {
 	c.memoLine = nil
 	c.memoEpoch, c.memoAddr = 0, 0
 	c.epoch++
-	c.watches = nil
+	c.ClearWatches()
 	return nil
 }
 
@@ -199,7 +199,7 @@ func (t *TLB) Restore(st *TLBState) error {
 	t.Misses = st.Misses
 	t.memoValid = false
 	t.memoVPN, t.memoIdx = 0, 0
-	t.watches = nil
+	t.ClearWatches()
 	return nil
 }
 

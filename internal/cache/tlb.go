@@ -81,30 +81,26 @@ type TLB struct {
 	hd1EntryCycles uint64
 	windowStart    int64
 
-	// watches holds the armed fault-injection fate watches (DESIGN.md
-	// §9); nil on every normal simulation. Batched campaign replays arm
-	// one watch per co-replayed trial.
-	watches []*TLBWatch
+	// watched holds the armed, unresolved fault-injection fate watches
+	// (DESIGN.md §9) per entry slot; nil on every normal simulation.
+	// Batched campaign replays arm one watch per co-replayed trial.
+	// fates is the caller's queue the resolutions are appended to.
+	watched [][]tlbWatch
+	fates   *[]Fate
 
 	Accesses uint64
 	Misses   uint64
 }
 
-// TLBWatch observes the fate of one TLB entry slot for the
+// tlbWatch observes the fate of one TLB entry slot for the
 // fault-injection engine: the entry residency covering the watched
 // timestamp ends ACE iff its last read happened after that timestamp
 // (fill→last-read is the entry's ACE span; read→evict is un-ACE).
 // Watches are pure observers and never perturb TLB state.
-type TLBWatch struct {
-	idx      int
-	cycle    int64
-	resolved bool
-	ace      bool
+type tlbWatch struct {
+	id    int32
+	cycle int64
 }
-
-// Outcome reports the watch's state; unresolved after Finalize means the
-// slot held no translation live at the watched timestamp (masked).
-func (w *TLBWatch) Outcome() (resolved, ace bool) { return w.resolved, w.ace }
 
 // NewTLB builds a TLB; the configuration must validate.
 func NewTLB(cfg TLBConfig) (*TLB, error) {
@@ -190,7 +186,7 @@ func (t *TLB) Access(now int64, addr uint64) (latency int) {
 	}
 	oldVPN, hadOld := victim.vpn, victim.valid
 	if victim.valid {
-		t.closeEntry(victim, now)
+		t.closeEntry(victim, victimIdx, now)
 	}
 	victim.valid = true
 	victim.vpn = vpn
@@ -205,13 +201,9 @@ func (t *TLB) Access(now int64, addr uint64) (latency int) {
 	return t.cfg.WalkLatency
 }
 
-func (t *TLB) closeEntry(e *tlbEntry, now int64) {
-	for _, w := range t.watches {
-		if !w.resolved && e == &t.entries[w.idx] &&
-			w.cycle >= e.fillTime && w.cycle < now {
-			w.resolved = true
-			w.ace = e.lastRead > w.cycle
-		}
+func (t *TLB) closeEntry(e *tlbEntry, idx int32, now int64) {
+	if t.watched != nil {
+		t.watchClose(idx, e, now)
 	}
 	t0 := e.fillTime
 	if t0 < t.windowStart {
@@ -226,6 +218,24 @@ func (t *TLB) closeEntry(e *tlbEntry, now int64) {
 	}
 	e.valid = false
 	delete(t.byVPN, e.vpn)
+}
+
+// watchClose resolves the armed fate watches on entry slot idx whose
+// timestamp lies inside the closing residency [fillTime, now), and drops
+// them from the slot's list.
+func (t *TLB) watchClose(idx int32, e *tlbEntry, now int64) {
+	ws := t.watched[idx]
+	for i := 0; i < len(ws); {
+		w := ws[i]
+		if w.cycle < e.fillTime || w.cycle >= now {
+			i++
+			continue
+		}
+		*t.fates = append(*t.fates, Fate{ID: w.id, ACE: e.lastRead > w.cycle})
+		ws[i] = ws[len(ws)-1]
+		ws = ws[:len(ws)-1]
+	}
+	t.watched[idx] = ws
 }
 
 // closeHD1 folds the entry's open HD-1 exposure interval into its
@@ -278,45 +288,31 @@ func (t *TLB) updateHD1(now int64, newIdx int32, newVPN, oldVPN uint64, hadOld b
 }
 
 // AddWatch arms a fault-injection fate watch on entry slot idx with the
-// given injection timestamp and returns its handle. Any number of
-// watches may be armed at once; each resolves independently. Arm before
-// the replay starts; Reset and ClearWatches disarm all watches. An entry
-// under HammingCAM resolves by the plain lifetime rule (the HD-1 tag
-// refinement is an AVF derating, not a fate change; internal/inject
-// documents the resulting conservatism).
-func (t *TLB) AddWatch(idx int, cycle int64) (*TLBWatch, error) {
+// given injection timestamp; its resolution is appended to *fates under
+// id, at the eviction or Finalize that decides it, and every watch armed
+// until the next ClearWatches must name the same queue. Any number of
+// watches may be armed at once; each resolves independently. Arm before the replay starts; Reset, Restore and
+// ClearWatches disarm all watches. An entry under HammingCAM resolves by
+// the plain lifetime rule (the HD-1 tag refinement is an AVF derating,
+// not a fate change; internal/inject documents the resulting
+// conservatism).
+func (t *TLB) AddWatch(idx int, cycle int64, id int32, fates *[]Fate) error {
 	if idx < 0 || idx >= len(t.entries) {
-		return nil, fmt.Errorf("tlb %s: watch entry %d out of range (%d entries)", t.cfg.Name, idx, len(t.entries))
+		return fmt.Errorf("tlb %s: watch entry %d out of range (%d entries)", t.cfg.Name, idx, len(t.entries))
 	}
-	w := &TLBWatch{idx: idx, cycle: cycle}
-	t.watches = append(t.watches, w)
-	return w, nil
+	if t.watched == nil {
+		t.watched = make([][]tlbWatch, len(t.entries))
+	}
+	t.watched[idx] = append(t.watched[idx], tlbWatch{id: id, cycle: cycle})
+	t.fates = fates
+	return nil
 }
 
 // ClearWatches disarms all fate watches.
-func (t *TLB) ClearWatches() { t.watches = nil }
-
-// ArmWatch arms a single fate watch, replacing any previously armed
-// ones. It is the one-trial-per-replay convenience over AddWatch.
-func (t *TLB) ArmWatch(idx int, cycle int64) error {
-	t.watches = nil
-	_, err := t.AddWatch(idx, cycle)
-	return err
+func (t *TLB) ClearWatches() {
+	t.watched = nil
+	t.fates = nil
 }
-
-// WatchOutcome reports the state of the watch armed by ArmWatch (the
-// first armed watch); an unresolved watch after Finalize means the slot
-// held no translation live at the watched timestamp (masked).
-func (t *TLB) WatchOutcome() (resolved, ace bool) {
-	if len(t.watches) == 0 {
-		return false, false
-	}
-	return t.watches[0].Outcome()
-}
-
-// ClearWatch disarms all fate watches (kept as the single-watch
-// counterpart of ArmWatch).
-func (t *TLB) ClearWatch() { t.watches = nil }
 
 // Finalize closes all resident entries at time now. Call once at the end
 // of a measurement.
@@ -324,7 +320,7 @@ func (t *TLB) Finalize(now int64) {
 	t.memoValid = false
 	for i := range t.entries {
 		if t.entries[i].valid {
-			t.closeEntry(&t.entries[i], now)
+			t.closeEntry(&t.entries[i], int32(i), now)
 		}
 	}
 }
@@ -364,7 +360,7 @@ func (t *TLB) Reset() {
 	t.memoValid = false
 	t.aceEntryCycles, t.hd1EntryCycles = 0, 0
 	t.windowStart = 0
-	t.watches = nil
+	t.ClearWatches()
 	t.ResetStats()
 }
 

@@ -11,6 +11,7 @@ package inject
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,29 +40,35 @@ func decodeGoldenInfo(b []byte) (pipe.GoldenInfo, error) {
 		return pipe.GoldenInfo{}, err
 	}
 	gi := pipe.GoldenInfo{WindowStart: vals[0], Cycles: vals[1], Digest: uint64(vals[2])}
-	n := vals[3]
-	if n < 0 || int64(len(vals)-4) != 3*n {
+	// The count is checked by division: 3*n overflows for huge n.
+	n, rest := vals[3], vals[4:]
+	if n < 0 || n != int64(len(rest)/3) || len(rest)%3 != 0 {
 		return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info interval count mismatch")
 	}
-	for i := int64(0); i < n; i++ {
-		gi.RFDead = append(gi.RFDead, pipe.RFDeadInterval{
-			Slot: int16(vals[4+3*i]), Start: vals[4+3*i+1], End: vals[4+3*i+2],
-		})
+	for i := 0; i < len(rest); i += 3 {
+		slot := rest[i]
+		if slot < 0 || slot > math.MaxInt16 {
+			return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info register slot %d out of range", slot)
+		}
+		gi.RFDead = append(gi.RFDead, pipe.RFDeadInterval{Slot: int16(slot), Start: rest[i+1], End: rest[i+2]})
 	}
 	return gi, nil
 }
 
 // encodeManifest records a set's capture cycles and validity lead:
 // enough to pick fork points without loading any checkpoint.
-func encodeManifest(cs *pipe.CheckpointSet) []byte {
+func encodeManifest(interval, lead int64, cycles []int64) []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ckptmanifest v1 %d %d %d", cs.Interval, cs.Lead, len(cs.Checkpoints))
-	for _, c := range cs.Cycles() {
+	fmt.Fprintf(&b, "ckptmanifest v1 %d %d %d", interval, lead, len(cycles))
+	for _, c := range cycles {
 		fmt.Fprintf(&b, " %d", c)
 	}
 	return []byte(b.String())
 }
 
+// decodeManifest parses a manifest, rejecting a negative lead or capture
+// cycles that are not strictly increasing (NearestCheckpoint's
+// precondition).
 func decodeManifest(b []byte) (cycles []int64, lead int64, err error) {
 	vals, err := parseInts(b, "ckptmanifest v1", 3)
 	if err != nil {
@@ -70,7 +77,16 @@ func decodeManifest(b []byte) (cycles []int64, lead int64, err error) {
 	if n := vals[2]; n < 0 || int64(len(vals)-3) != n {
 		return nil, 0, fmt.Errorf("inject: checkpoint manifest count mismatch")
 	}
-	return vals[3:], vals[1], nil
+	cycles, lead = vals[3:], vals[1]
+	if lead < 0 {
+		return nil, 0, fmt.Errorf("inject: checkpoint manifest lead %d negative", lead)
+	}
+	for i := 1; i < len(cycles); i++ {
+		if cycles[i] <= cycles[i-1] {
+			return nil, 0, fmt.Errorf("inject: checkpoint manifest cycles not increasing")
+		}
+	}
+	return cycles, lead, nil
 }
 
 // parseInts splits a "<name> <version> <int>..." text blob into at
@@ -112,7 +128,7 @@ func (c *campaign) publishCheckpoints(set *pipe.CheckpointSet) {
 	if set == nil || c.o.Cache == nil {
 		return
 	}
-	c.o.Cache.PutBlob(c.ckptKey(-1), encodeManifest(set))
+	c.o.Cache.PutBlob(c.ckptKey(-1), encodeManifest(set.Interval, set.Lead, set.Cycles()))
 	for i, ck := range set.Checkpoints {
 		if b, err := ck.MarshalBinary(); err == nil {
 			c.o.Cache.PutBlob(c.ckptKey(i), b)

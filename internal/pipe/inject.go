@@ -115,10 +115,8 @@ type injTrial struct {
 	memWatch  bool // fault targets DL1/L2/DTLB (fate watch in internal/cache)
 	resolved  bool
 	corrupted bool
-	marked    bool            // corruption marker folded into the digest
-	watchReg  int16           // armed register-file watch (noReg = none)
-	cw        *cache.Watch    // armed DL1/L2 fate watch
-	tw        *cache.TLBWatch // armed DTLB fate watch
+	marked    bool  // corruption marker folded into the digest
+	watchReg  int16 // armed register-file watch (noReg = none)
 
 	// First-divergent-commit capture: the consuming instruction of a
 	// corrupting flip. Queue-structure trials record their occupant at
@@ -132,14 +130,27 @@ type injTrial struct {
 }
 
 // injState tracks the in-flight fault trials of one replay during
-// runCycles, sorted by injection cycle.
+// runCycles, sorted by injection cycle. Fate resolution costs
+// O(state changes), not O(trials): register watches are indexed by
+// physical register, and the cache/TLB fate watches are indexed by line
+// and entry inside internal/cache, which appends each resolution to
+// fates for the end-of-cycle poll to apply.
 type injState struct {
 	trials  []injTrial
 	next    int  // apply cursor over the cycle-sorted trials
 	open    int  // trials not yet resolved
-	memOpen int  // unresolved mem-watch trials (gates per-cycle polling)
-	rfOpen  int  // armed unresolved register watches (gates the read hook)
+	memOpen int  // unresolved mem-watch trials (gates the end-of-run sweep)
+	rfOpen  int  // armed unresolved register watches (gates the RF hooks)
 	full    bool // run to completion and fold corruption into the digest
+
+	// regWatch lists, per physical register, the trials (indices into
+	// trials) whose armed watch is on that register's current value; a
+	// release resolves and empties the list. Allocated on the first
+	// register-file watch.
+	regWatch [][]int32
+	// fates queues the cache/TLB watch resolutions (watch id = trial
+	// index) made since the last poll.
+	fates []cache.Fate
 }
 
 // FNV-1a constants for the commit digest, plus the marker folded into a
@@ -212,9 +223,9 @@ func (pl *Pipeline) injResolve(t *injTrial, corrupt bool) {
 // while any register watch is armed.
 func (pl *Pipeline) injNoteRead(p int16, u *uop, slot int8) {
 	inj := pl.inj
-	for i := range inj.trials {
+	for _, i := range inj.regWatch[p] {
 		t := &inj.trials[i]
-		if t.resolved || t.watchReg != p || pl.now <= t.fault.Cycle {
+		if pl.now <= t.fault.Cycle {
 			continue
 		}
 		if t.consStatic == nil || u.dynSeq < t.consSeq {
@@ -238,39 +249,31 @@ func (pl *Pipeline) injMarkCommit(u *uop) {
 	}
 }
 
-// injPoll checks the armed cache/TLB fate watches for resolution. Called
-// once per simulated cycle while any mem-watch trial is unresolved.
+// injPoll applies the cache/TLB fate-watch resolutions queued since the
+// previous poll. Called at the end of a simulated cycle only when the
+// queue is non-empty, so it never runs in a cycle where nothing resolved.
 func (pl *Pipeline) injPoll() {
 	inj := pl.inj
-	for i := range inj.trials {
-		t := &inj.trials[i]
-		if !t.memWatch || t.resolved {
-			continue
-		}
-		var resolved, ace bool
-		if t.cw != nil {
-			resolved, ace = t.cw.Outcome()
-		} else {
-			resolved, ace = t.tw.Outcome()
-		}
-		if resolved {
-			pl.injResolve(t, ace)
-		}
+	for _, f := range inj.fates {
+		pl.injResolve(&inj.trials[f.ID], f.ACE)
 	}
+	inj.fates = inj.fates[:0]
 }
 
-// injRegRelease resolves armed register-file watches when the watched
-// physical register is released at the overwriting instruction's commit:
-// the flipped value was consumed iff an ACE instruction read it after
-// the injection cycle — the same fill→last-read span the RF accounting
-// integrates.
+// injRegRelease resolves the armed register-file watches on physical
+// register p when it is released at the overwriting instruction's
+// commit: the flipped value was consumed iff an ACE instruction read it
+// after the injection cycle — the same fill→last-read span the RF
+// accounting integrates. Called only while rfOpen > 0.
 func (pl *Pipeline) injRegRelease(p int16) {
 	inj := pl.inj
-	for i := range inj.trials {
+	ws := inj.regWatch[p]
+	if len(ws) == 0 {
+		return
+	}
+	inj.regWatch[p] = ws[:0]
+	for _, i := range ws {
 		t := &inj.trials[i]
-		if t.resolved || t.watchReg != p {
-			continue
-		}
 		pl.injResolve(t, pl.regs[p].lastRead > t.fault.Cycle)
 	}
 }
@@ -308,13 +311,14 @@ func (pl *Pipeline) injResolveOccupant(t *injTrial, corrupt bool, u *uop) {
 	pl.injResolve(t, corrupt)
 }
 
-// applyFault applies one armed fault at its injection cycle: it locates
+// applyFault applies armed trial i at its injection cycle: it locates
 // the occupant of the flipped bit and either resolves the trial
 // immediately (queue structures, whose fate is their occupant's ACEness)
 // or arms a register watch. Empty slots, wrong-path and un-ACE occupants
 // and not-yet-live values resolve masked — exactly the states the ACE
 // accounting excludes.
-func (pl *Pipeline) applyFault(t *injTrial) {
+func (pl *Pipeline) applyFault(i int) {
+	t := &pl.inj.trials[i]
 	t.applied = true
 	f := t.fault
 	core := pl.core
@@ -345,8 +349,13 @@ func (pl *Pipeline) applyFault(t *injTrial) {
 		r := &pl.regs[p]
 		if r.written && r.aceValue && r.writeTime <= f.Cycle {
 			// Live ACE value: vulnerable until its last future read.
+			inj := pl.inj
+			if inj.regWatch == nil {
+				inj.regWatch = make([][]int32, len(pl.regs))
+			}
+			inj.regWatch[p] = append(inj.regWatch[p], int32(i))
 			t.watchReg = p
-			pl.inj.rfOpen++
+			inj.rfOpen++
 			return
 		}
 	case uarch.LQTag:
@@ -477,14 +486,13 @@ func (pl *Pipeline) armTrials(faults []Fault, full bool) (*injState, error) {
 		t := &inj.trials[i]
 		f := t.fault
 		var err error
-		switch f.Structure {
+		switch id := int32(i); f.Structure {
 		case uarch.DL1:
-			t.cw, err = pl.mem.DL1.AddWatch(f.Bit, f.Cycle)
+			err = pl.mem.DL1.AddWatch(f.Bit, f.Cycle, id, &inj.fates)
 		case uarch.L2:
-			t.cw, err = pl.mem.L2.AddWatch(f.Bit, f.Cycle)
+			err = pl.mem.L2.AddWatch(f.Bit, f.Cycle, id, &inj.fates)
 		case uarch.DTLB:
-			idx := int(f.Bit / uint64(pl.cfg.Mem.DTLB.EntryBits))
-			t.tw, err = pl.mem.DTLB.AddWatch(idx, f.Cycle)
+			err = pl.mem.DTLB.AddWatch(int(f.Bit/uint64(pl.cfg.Mem.DTLB.EntryBits)), f.Cycle, id, &inj.fates)
 		default:
 			continue
 		}
@@ -495,6 +503,7 @@ func (pl *Pipeline) armTrials(faults []Fault, full bool) (*injState, error) {
 		t.memWatch, t.applied = true, true
 		inj.memOpen++
 	}
+	inj.fates = make([]cache.Fate, 0, inj.memOpen)
 	return inj, nil
 }
 

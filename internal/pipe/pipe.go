@@ -475,11 +475,11 @@ func (pl *Pipeline) runCycles(b runBudget) error {
 					break
 				}
 				if !t.applied {
-					pl.applyFault(t)
+					pl.applyFault(inj.next)
 				}
 				inj.next++
 			}
-			if inj.memOpen > 0 {
+			if len(inj.fates) > 0 {
 				pl.injPoll()
 			}
 			if inj.open == 0 && !inj.full {

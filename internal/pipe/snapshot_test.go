@@ -3,8 +3,11 @@ package pipe_test
 import (
 	"testing"
 
+	"avfstress/internal/cache"
 	"avfstress/internal/codegen"
+	"avfstress/internal/isa"
 	"avfstress/internal/pipe"
+	"avfstress/internal/prog"
 	"avfstress/internal/uarch"
 )
 
@@ -100,7 +103,8 @@ func TestCheckpointedGoldenDisabled(t *testing.T) {
 
 // TestFaultBatchMatchesSolo: a single replay carrying many armed faults
 // resolves each exactly as a dedicated per-fault replay would — faults
-// are pure observers. Samples every structure.
+// are pure observers. Samples every structure and compares whole trial
+// records, first-divergent-commit identity included.
 func TestFaultBatchMatchesSolo(t *testing.T) {
 	cfg, pool, rc, k := checkpointFixture(t)
 	p, _, err := codegen.Generate(cfg, *k, 1<<40)
@@ -123,24 +127,153 @@ func TestFaultBatchMatchesSolo(t *testing.T) {
 			})
 		}
 	}
-	batch, err := pool.SimulateFaultsFrom(p, rc, nil, faults)
+	if corrupted := batchMatchesSolo(t, pool, p, rc, faults); corrupted == 0 || corrupted == len(faults) {
+		t.Errorf("degenerate outcome mix: %d/%d corrupted", corrupted, len(faults))
+	}
+}
+
+// batchMatchesSolo replays faults as one batch and each fault alone,
+// reports every trial whose outcome or first divergent commit differs,
+// and returns the number of corrupted trials.
+func batchMatchesSolo(t *testing.T, pool *pipe.Pool, p *prog.Program, rc pipe.RunConfig, faults []pipe.Fault) int {
+	t.Helper()
+	batch, err := pool.SimulateFaultsDetailFrom(p, rc, nil, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	corrupted := 0
 	for i, f := range faults {
-		solo, err := pool.SimulateFault(p, rc, f)
+		solo, err := pool.SimulateFaultDetail(p, rc, f)
 		if err != nil {
 			t.Fatalf("solo replay %+v: %v", f, err)
 		}
-		if batch[i] != solo {
-			t.Errorf("%s %+v: batch says corrupted=%v, solo says %v", f.Structure, f, batch[i], solo)
+		// Digest is not compared: outcome-mode replays carry none.
+		if batch[i].Corrupted != solo.Corrupted || batch[i].Diverge != solo.Diverge {
+			t.Errorf("%s %+v: batch trial %+v, solo trial %+v", f.Structure, f, batch[i], solo)
 		}
-		if solo {
+		if solo.Corrupted {
 			corrupted++
 		}
 	}
-	if corrupted == 0 || corrupted == len(faults) {
+	return corrupted
+}
+
+// TestFaultBatchCollisionsMatchSolo: faults that share one target ride
+// one replay and each still resolves exactly as it would alone. The
+// fixture stacks, at staggered cycles:
+//   - faults on one physical register across two consecutive
+//     occupancies, so watches armed on the first value are resolved by
+//     its release while later ones arm on the reallocated value;
+//   - faults on one DL1 line and one L2 line, over several data chunks
+//     (some repeated) and the tag entry;
+//   - faults on one DTLB entry.
+func TestFaultBatchCollisionsMatchSolo(t *testing.T) {
+	cfg, pool, rc, k := checkpointFixture(t)
+	p, _, err := codegen.Generate(cfg, *k, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Marking every static instruction dead makes the recorder log every
+	// correct-path register occupancy [writer issue, release).
+	every := map[*isa.Instr]bool{}
+	for i := range p.Init {
+		every[&p.Init[i]] = true
+	}
+	for i := range p.Body {
+		every[&p.Body[i]] = true
+	}
+	_, info, _, err := pool.SimulateGoldenRecorded(p, rc, -1, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := info.WindowStart, info.WindowStart+info.Cycles
+	core := uint64(cfg.Core.RegBits)
+	// The first slot, past the window's first quarter, with two
+	// consecutive closed occupancies whose values are both consumed:
+	// a probe fault early in each occupancy corrupts. hit records the
+	// corrupting probe cycle.
+	hit := map[pipe.RFDeadInterval]int64{}
+	live := func(iv pipe.RFDeadInterval) bool {
+		for d := int64(1); d < iv.End-iv.Start; d *= 2 {
+			c := iv.Start + d
+			tr, err := pool.SimulateFaultDetail(p, rc, pipe.Fault{Structure: uarch.RF, Bit: uint64(iv.Slot) * core, Cycle: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Corrupted {
+				hit[iv] = c
+				return true
+			}
+		}
+		return false
+	}
+	var first, second pipe.RFDeadInterval
+	prev := map[int16]pipe.RFDeadInterval{}
+	for _, iv := range info.RFDead {
+		if iv.End < 0 || iv.Start < lo+info.Cycles/4 || iv.End >= hi-2 || iv.End-iv.Start < 8 {
+			continue
+		}
+		if pv, ok := prev[iv.Slot]; ok && iv.Start >= pv.End && live(pv) && live(iv) {
+			first, second = pv, iv
+			break
+		}
+		prev[iv.Slot] = iv
+	}
+	if second.End == 0 {
+		t.Fatal("no register slot with two consumed occupancies in the window")
+	}
+	reg := func(off uint64, cycle int64) pipe.Fault {
+		return pipe.Fault{Structure: uarch.RF, Bit: uint64(first.Slot)*core + off%core, Cycle: cycle}
+	}
+	faults := []pipe.Fault{
+		reg(0, first.Start-1), // before the first value is written
+		reg(5, first.Start),
+		reg(17, hit[first]),
+		reg(17, hit[first]), // an exact duplicate
+		reg(20, (first.Start+first.End)/2),
+		reg(31, first.End-1), // just before the release
+		reg(40, first.End),   // the release cycle
+		reg(44, (first.End+second.Start)/2),
+		reg(50, second.Start),
+		reg(55, hit[second]),
+		reg(63, (second.Start+second.End)/2),
+		reg(2, second.End-1),
+		reg(9, second.End+1),
+	}
+	span := func(j, n int) int64 { return lo + info.Cycles*int64(j+1)/int64(n+1) }
+	for _, c := range []struct {
+		s  uarch.Structure
+		cc cache.Config
+	}{{uarch.DL1, cfg.Mem.DL1}, {uarch.L2, cfg.Mem.L2}} {
+		const line = 5
+		lineBits := uint64(c.cc.LineBytes) * 8
+		chunkBits := uint64(c.cc.EffectiveChunkBytes()) * 8
+		// Faults go in pairs sharing a cycle, so one access or eviction
+		// resolves several watches of the line at once: tag pairs first,
+		// then data pairs, the last on a single chunk.
+		const n = 6
+		for j := 0; j < 4; j++ {
+			faults = append(faults, pipe.Fault{Structure: c.s,
+				Bit:   c.cc.DataBits() + line*c.cc.TagBitsPerLine() + uint64(j*5)%c.cc.TagBitsPerLine(),
+				Cycle: span(j/2, n)})
+		}
+		for j, ci := range []uint64{0, 1, 1, 3, 7, 4, 7, 7} {
+			faults = append(faults, pipe.Fault{Structure: c.s,
+				Bit: line*lineBits + ci*chunkBits + uint64(j*13)%chunkBits, Cycle: span(2+j/2, n)})
+		}
+	}
+	const entry = 1
+	eb := uint64(cfg.Mem.DTLB.EntryBits)
+	for j := 0; j < 6; j++ {
+		faults = append(faults, pipe.Fault{Structure: uarch.DTLB,
+			Bit: entry*eb + uint64(j*23)%eb, Cycle: span(j/2, 3)})
+	}
+	for _, f := range faults {
+		if f.Cycle < lo || f.Cycle >= hi {
+			t.Fatalf("fixture fault %+v outside the window [%d, %d)", f, lo, hi)
+		}
+	}
+	if corrupted := batchMatchesSolo(t, pool, p, rc, faults); corrupted == 0 || corrupted == len(faults) {
 		t.Errorf("degenerate outcome mix: %d/%d corrupted", corrupted, len(faults))
 	}
 }

@@ -28,7 +28,7 @@ func (pl *Pipeline) commit() int {
 			pl.dropStore(u.addr>>3, false)
 		}
 		if u.oldPhys != noReg {
-			if pl.inj != nil {
+			if pl.inj != nil && pl.inj.rfOpen > 0 {
 				pl.injRegRelease(u.oldPhys)
 			}
 			if pl.liveRec != nil {
