@@ -35,13 +35,12 @@ rootcause-diff:
 	$(GO) test ./internal/rootcause -count=2
 
 # fuzz-smoke runs each decoder fuzz target for a short time beyond its
-# committed seed corpus: the injection slice-table, golden-info and
-# checkpoint-manifest codecs, the CRC frame every disk entry goes
-# through, and the job-journal line decoder.
+# committed seed corpus: the injection slice-table and golden-info
+# codecs, the CRC frame every disk entry goes through, and the
+# job-journal line decoder.
 fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGoldenInfo$$' -fuzztime 10s
-	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeJournalLine$$' -fuzztime 10s
 

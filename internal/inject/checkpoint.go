@@ -1,13 +1,11 @@
 package inject
 
-// Checkpoint plumbing for the campaign engine: persistence of the
-// golden run's replay facts (GoldenInfo), the checkpoint manifest
-// (capture cycles + validity lead) and the per-index checkpoint blobs
-// in the simcache blob tier, plus the lazy checkpoint source slice jobs
-// fork from. Checkpoints are pure replay accelerators: every code path
-// here degrades to a from-cycle-zero replay on any miss or decode
-// failure, never to a wrong outcome — which is why none of these keys
-// participate in slice addressing or in the report.
+// Golden-run plumbing for the campaign engine: persistence of the
+// golden run's replay facts (GoldenInfo) in the simcache blob tier, and
+// the checkpoint source slice jobs fork from. Checkpoints are pure
+// replay accelerators held in memory only — re-running the capturing
+// golden run costs less than encoding, storing and decoding them — so
+// no cache key names them and they never reach the report.
 
 import (
 	"fmt"
@@ -17,7 +15,6 @@ import (
 	"sync"
 
 	"avfstress/internal/pipe"
-	"avfstress/internal/simcache"
 )
 
 // encodeGoldenInfo serialises the golden run's replay facts as a small
@@ -34,172 +31,154 @@ func encodeGoldenInfo(gi pipe.GoldenInfo) []byte {
 	return []byte(b.String())
 }
 
+// decodeGoldenInfo parses an encodeGoldenInfo blob in place: one pass
+// counts its fields, so the interval count is checked and the interval
+// list sized before anything is allocated, and a second parses them.
 func decodeGoldenInfo(b []byte) (pipe.GoldenInfo, error) {
-	vals, err := parseInts(b, "goldeninfo v2", 4)
-	if err != nil {
-		return pipe.GoldenInfo{}, err
+	n := 0
+	for tok, rest := nextField(b); tok != nil; tok, rest = nextField(rest) {
+		n++
 	}
-	gi := pipe.GoldenInfo{WindowStart: vals[0], Cycles: vals[1], Digest: uint64(vals[2])}
-	// The count is checked by division: 3*n overflows for huge n.
-	n, rest := vals[3], vals[4:]
-	if n < 0 || n != int64(len(rest)/3) || len(rest)%3 != 0 {
+	name, rest := nextField(b)
+	ver, rest := nextField(rest)
+	if n < 6 || string(name) != "goldeninfo" || string(ver) != "v2" {
+		return pipe.GoldenInfo{}, fmt.Errorf("inject: bad goldeninfo v2 blob")
+	}
+	sc := intScanner{rest: rest}
+	gi := pipe.GoldenInfo{WindowStart: sc.next(), Cycles: sc.next(), Digest: uint64(sc.next())}
+	// The count is checked by division: 3*count overflows for huge
+	// counts.
+	count, fields := sc.next(), n-6
+	if sc.err == nil && (count < 0 || count != int64(fields/3) || fields%3 != 0) {
 		return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info interval count mismatch")
 	}
-	for i := 0; i < len(rest); i += 3 {
-		slot := rest[i]
+	if count > 0 {
+		gi.RFDead = make([]pipe.RFDeadInterval, count)
+	}
+	for i := range gi.RFDead {
+		slot, start, end := sc.next(), sc.next(), sc.next()
 		if slot < 0 || slot > math.MaxInt16 {
 			return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info register slot %d out of range", slot)
 		}
-		gi.RFDead = append(gi.RFDead, pipe.RFDeadInterval{Slot: int16(slot), Start: rest[i+1], End: rest[i+2]})
+		gi.RFDead[i] = pipe.RFDeadInterval{Slot: int16(slot), Start: start, End: end}
+	}
+	if sc.err != nil {
+		return pipe.GoldenInfo{}, sc.err
 	}
 	return gi, nil
 }
 
-// encodeManifest records a set's capture cycles and validity lead:
-// enough to pick fork points without loading any checkpoint.
-func encodeManifest(interval, lead int64, cycles []int64) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ckptmanifest v1 %d %d %d", interval, lead, len(cycles))
-	for _, c := range cycles {
-		fmt.Fprintf(&b, " %d", c)
-	}
-	return []byte(b.String())
+// intScanner reads whitespace-separated decimal integers from a text
+// blob without copying it. Values past int64 (the unsigned golden
+// digest) parse as uint64 and wrap. The first bad token sticks in err,
+// and every later read returns zero.
+type intScanner struct {
+	rest []byte
+	err  error
 }
 
-// decodeManifest parses a manifest, rejecting a negative lead or capture
-// cycles that are not strictly increasing (NearestCheckpoint's
-// precondition).
-func decodeManifest(b []byte) (cycles []int64, lead int64, err error) {
-	vals, err := parseInts(b, "ckptmanifest v1", 3)
+func (sc *intScanner) next() int64 {
+	tok, rest := nextField(sc.rest)
+	sc.rest = rest
+	if sc.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil {
-		return nil, 0, err
-	}
-	if n := vals[2]; n < 0 || int64(len(vals)-3) != n {
-		return nil, 0, fmt.Errorf("inject: checkpoint manifest count mismatch")
-	}
-	cycles, lead = vals[3:], vals[1]
-	if lead < 0 {
-		return nil, 0, fmt.Errorf("inject: checkpoint manifest lead %d negative", lead)
-	}
-	for i := 1; i < len(cycles); i++ {
-		if cycles[i] <= cycles[i-1] {
-			return nil, 0, fmt.Errorf("inject: checkpoint manifest cycles not increasing")
+		u, uerr := strconv.ParseUint(string(tok), 10, 64)
+		if uerr != nil {
+			sc.err = fmt.Errorf("inject: bad goldeninfo v2 blob: %w", err)
+			return 0
 		}
+		v = int64(u)
 	}
-	return cycles, lead, nil
+	return v
 }
 
-// parseInts splits a "<name> <version> <int>..." text blob into at
-// least min integers. Values past int64 (the unsigned golden digest)
-// parse as uint64 and wrap.
-func parseInts(b []byte, header string, min int) ([]int64, error) {
-	fields := strings.Fields(string(b))
-	if len(fields) < 2+min || fields[0]+" "+fields[1] != header {
-		return nil, fmt.Errorf("inject: bad %s blob", header)
+// nextField returns b's first whitespace-separated token (nil when none
+// is left) and the bytes after it.
+func nextField(b []byte) (tok, rest []byte) {
+	i := 0
+	for i < len(b) && isSpace(b[i]) {
+		i++
 	}
-	vals := make([]int64, len(fields)-2)
-	for i, f := range fields[2:] {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			u, uerr := strconv.ParseUint(f, 10, 64)
-			if uerr != nil {
-				return nil, fmt.Errorf("inject: bad %s blob: %w", header, err)
-			}
-			v = int64(u)
-		}
-		vals[i] = v
+	if i == len(b) {
+		return nil, nil
 	}
-	return vals, nil
+	j := i + 1
+	for j < len(b) && !isSpace(b[j]) {
+		j++
+	}
+	return b[i:j], b[j:]
 }
 
-// ckptKey addresses the checkpoint manifest of the campaign's interval
-// (i < 0) or one of its checkpoints: a different interval is a
-// different set, not a different answer.
-func (c *campaign) ckptKey(i int) simcache.Key {
-	if i < 0 {
-		return c.key(fmt.Sprintf("ckpts:%d", c.o.CheckpointInterval))
+func isSpace(c byte) bool {
+	switch c {
+	case ' ', '\t', '\n', '\v', '\f', '\r':
+		return true
 	}
-	return c.key(fmt.Sprintf("ckpts:%d:%d", c.o.CheckpointInterval, i))
+	return false
 }
 
-// publishCheckpoints pushes a freshly captured checkpoint set to the
-// blob tier: the manifest plus one blob per checkpoint.
-func (c *campaign) publishCheckpoints(set *pipe.CheckpointSet) {
-	if set == nil || c.o.Cache == nil {
-		return
-	}
-	c.o.Cache.PutBlob(c.ckptKey(-1), encodeManifest(set.Interval, set.Lead, set.Cycles()))
-	for i, ck := range set.Checkpoints {
-		if b, err := ck.MarshalBinary(); err == nil {
-			c.o.Cache.PutBlob(c.ckptKey(i), b)
-		}
-	}
-}
-
-// ckptSource hands slice replays their fork points: the fresh golden
-// run's in-memory set when this process just captured it, otherwise
-// the manifest's from the blob tier, each checkpoint decoded at most
-// once and shared across slices. Loads of different checkpoints run in
-// parallel; only slices wanting the same one wait for its decode. A
-// missing or corrupt entry yields nil and the slice replays from cycle
-// zero — slower, never wrong.
+// ckptSource hands slice replays their fork points. A campaign whose
+// golden run just ran forks from the set that run captured. One whose
+// golden result and info came warm from the cache re-runs the capturing
+// golden run in memory, once, when the first slice misses its outcome
+// table — so an all-warm campaign still simulates nothing. The re-run
+// must reproduce the cached info the sampler and slice grid were built
+// from; on a mismatch every slice fails rather than replay against a
+// golden run that disagrees with it.
 type ckptSource struct {
-	c      *campaign
+	c    *campaign
+	want pipe.GoldenInfo
+
+	once   sync.Once
+	set    *pipe.CheckpointSet
 	cycles []int64
-	lead   int64
-	set    *pipe.CheckpointSet // fresh in-memory set, or nil
-
-	mu    sync.Mutex
-	loads map[int]*ckptLoad
+	err    error
 }
 
-// ckptLoad is one checkpoint's lazy load from the blob tier.
-type ckptLoad struct {
-	once sync.Once
-	ck   *pipe.Checkpoint // nil = failed to load
-}
-
-func (c *campaign) ckptSource(set *pipe.CheckpointSet) *ckptSource {
-	src := &ckptSource{c: c, set: set, loads: map[int]*ckptLoad{}}
+// ckptSource returns the campaign's checkpoint source: set when the
+// golden run just captured one, otherwise a lazy re-capture guarded by
+// info.
+func (c *campaign) ckptSource(info pipe.GoldenInfo, set *pipe.CheckpointSet) *ckptSource {
+	cs := &ckptSource{c: c, want: info}
 	if set != nil {
-		src.cycles, src.lead = set.Cycles(), set.Lead
-		return src
+		cs.once.Do(func() { cs.set, cs.cycles = set, set.Cycles() })
 	}
-	key := c.ckptKey(-1)
-	if b, ok := c.o.Cache.GetBlob(key); ok {
-		var err error
-		if src.cycles, src.lead, err = decodeManifest(b); err != nil {
-			c.o.Cache.DiscardBlob(key)
-		}
+	return cs
+}
+
+// recapture re-runs the capturing golden run and checks it against the
+// cached golden info.
+func (cs *ckptSource) recapture() {
+	o := cs.c.o
+	_, gi, set, err := cs.c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, nil)
+	w := cs.want
+	switch {
+	case err != nil:
+		cs.err = fmt.Errorf("inject: golden re-capture: %w", err)
+	case gi.WindowStart != w.WindowStart || gi.Cycles != w.Cycles || gi.Digest != w.Digest:
+		cs.err = fmt.Errorf("inject: re-captured golden run (window %d+%d, digest %016x) disagrees with cached golden info (window %d+%d, digest %016x)",
+			gi.WindowStart, gi.Cycles, gi.Digest, w.WindowStart, w.Cycles, w.Digest)
+	default:
+		cs.set, cs.cycles = set, set.Cycles()
 	}
-	return src
 }
 
 // checkpointFor returns the latest checkpoint valid for a fault at the
 // given cycle, or nil for a replay from cycle zero. Safe on a nil
 // source (checkpointing disabled).
-func (cs *ckptSource) checkpointFor(cycle int64) *pipe.Checkpoint {
+func (cs *ckptSource) checkpointFor(cycle int64) (*pipe.Checkpoint, error) {
 	if cs == nil {
-		return nil
+		return nil, nil
 	}
-	i := pipe.NearestCheckpoint(cs.cycles, cs.lead, cycle)
-	if i < 0 {
-		return nil
+	cs.once.Do(cs.recapture)
+	if cs.err != nil {
+		return nil, cs.err
 	}
-	if cs.set != nil {
-		return cs.set.Checkpoints[i]
+	if i := pipe.NearestCheckpoint(cs.cycles, cs.set.Lead, cycle); i >= 0 {
+		return cs.set.Checkpoints[i], nil
 	}
-	cs.mu.Lock()
-	l := cs.loads[i]
-	if l == nil {
-		l = &ckptLoad{}
-		cs.loads[i] = l
-	}
-	cs.mu.Unlock()
-	l.once.Do(func() {
-		if b, found := cs.c.o.Cache.GetBlob(cs.c.ckptKey(i)); found {
-			l.ck, _ = pipe.UnmarshalCheckpoint(b, cs.c.o.Program)
-		}
-	})
-	return l.ck
+	return nil, nil
 }

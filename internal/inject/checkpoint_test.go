@@ -52,24 +52,6 @@ func TestGoldenInfoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestRejectsMalformed: count mismatches, a negative lead and
-// capture cycles out of order all fail decode.
-func TestManifestRejectsMalformed(t *testing.T) {
-	for _, in := range []string{
-		"ckptmanifest v1 512 40 2 100",
-		"ckptmanifest v1 512 40 1 100 200",
-		"ckptmanifest v1 512 40 -1",
-		"ckptmanifest v1 512 -3 1 100",
-		"ckptmanifest v1 512 40 2 200 100",
-		"ckptmanifest v1 512 40 2 100 100",
-		"ckptmanifest v2 512 40 0",
-	} {
-		if cycles, lead, err := decodeManifest([]byte(in)); err == nil {
-			t.Errorf("decode(%q) accepted %v lead %d", in, cycles, lead)
-		}
-	}
-}
-
 // FuzzDecodeGoldenInfo: the decoder never panics, and any value it
 // accepts survives encode→decode unchanged.
 func FuzzDecodeGoldenInfo(f *testing.F) {
@@ -92,24 +74,24 @@ func FuzzDecodeGoldenInfo(f *testing.F) {
 	})
 }
 
-// FuzzDecodeManifest: the decoder never panics, and any manifest it
-// accepts survives encode→decode unchanged.
-func FuzzDecodeManifest(f *testing.F) {
-	f.Add(encodeManifest(512, 40, nil))
-	f.Add(encodeManifest(512, 40, []int64{7_500, 8_012, 8_524}))
-	f.Add([]byte("ckptmanifest v1 512 40 2 200 100"))
-	f.Add([]byte("ckptmanifest v1 512 40 9223372036854775807"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		cycles, lead, err := decodeManifest(b)
-		if err != nil {
-			return
+// TestDecodeGoldenInfoWhitespace: the scanner splits on any run of
+// ASCII whitespace, leading and trailing included, like the encoder's
+// single spaces; other bytes stay part of a token.
+func TestDecodeGoldenInfoWhitespace(t *testing.T) {
+	want, err := decodeGoldenInfo([]byte("goldeninfo v2 7400 12345 99 1 3 7500 -1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{
+		"goldeninfo\tv2\t7400\t12345\t99\t1\t3\t7500\t-1",
+		"goldeninfo   v2 7400  12345\v\f99 1 3 7500     -1",
+		"  \n goldeninfo v2 7400 12345 99 1 3 7500 -1 \r\n\t",
+	} {
+		if got, err := decodeGoldenInfo([]byte(in)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("decode(%q) = %+v, %v; want %+v", in, got, err, want)
 		}
-		got, gotLead, err := decodeManifest(encodeManifest(0, lead, cycles))
-		if err != nil {
-			t.Fatalf("re-encoding of accepted %v lead %d fails decode: %v", cycles, lead, err)
-		}
-		if gotLead != lead || !reflect.DeepEqual(got, cycles) {
-			t.Fatalf("round trip changed %v lead %d into %v lead %d", cycles, lead, got, gotLead)
-		}
-	})
+	}
+	if gi, err := decodeGoldenInfo([]byte("goldeninfo v2 7400 12345 99 0 ")); err == nil {
+		t.Errorf("non-ASCII space accepted as a separator: %+v", gi)
+	}
 }

@@ -340,8 +340,8 @@ type campaign struct {
 	cfgFP, progFP, rcFP string
 }
 
-// key addresses one of the campaign's blobs: golden info, checkpoint
-// manifests and checkpoints, slice tables.
+// key addresses one of the campaign's blobs: golden info and slice
+// tables.
 func (c *campaign) key(part string) simcache.Key {
 	return c.o.Cache.Key(c.cfgFP, c.progFP, c.rcFP, part)
 }
@@ -350,7 +350,9 @@ func (c *campaign) key(part string) simcache.Key {
 // the checkpoint source slices fork from (nil when checkpointing is
 // disabled). The result key matches internal/experiments' workload key,
 // so both share one golden run; the replay facts live in a sibling blob
-// so a warm campaign skips the golden re-run entirely.
+// so a warm campaign skips the golden re-run entirely. Checkpoints are
+// never stored: a campaign that did not run the golden itself
+// re-captures them on demand (ckptSource).
 func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error) {
 	o := c.o
 	var (
@@ -368,9 +370,9 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error
 			}
 		}
 	}
-	// simulate publishes info and checkpoints inside the golden compute,
-	// before the result's singleflight resolves, so a concurrent
-	// campaign that waited on the same golden run finds them published.
+	// simulate publishes info inside the golden compute, before the
+	// result's singleflight resolves, so a concurrent campaign that
+	// waited on the same golden run finds it published.
 	simulate := func() (*avf.Result, error) {
 		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, c.live.DeadDefs)
 		if err != nil {
@@ -378,7 +380,6 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error
 		}
 		info, haveInfo, cks = gi, true, set
 		o.Cache.PutBlob(infoKey, encodeGoldenInfo(gi))
-		c.publishCheckpoints(set)
 		return res, nil
 	}
 	loadInfo()
@@ -402,7 +403,7 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error
 	if o.CheckpointInterval < 0 {
 		return golden, info, nil, nil
 	}
-	return golden, info, c.ckptSource(cks), nil
+	return golden, info, c.ckptSource(info, cks), nil
 }
 
 // sampled is a campaign's trial plan, per stratum: replayed targets in
@@ -456,6 +457,7 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	freed := 0
 	for i, st := range o.Structures {
 		rngs[i] = stratumRNG(o.Seed, st)
+		s.faults[i] = make([]pipe.Fault, 0, alloc[i])
 		for t := 0; t < alloc[i]; t++ {
 			f := draw(&rngs[i], i)
 			if pr.pruned(f) {
@@ -491,6 +493,7 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	}
 	alloc2 := allocate(freed, 0, w2)
 	for i := range o.Structures {
+		s.faults[i] = slices.Grow(s.faults[i], alloc2[i])
 		for drawn, att := 0, 0; drawn < alloc2[i] && att < 64*alloc2[i]+64; att++ {
 			if f := draw(&rngs[i], i); !pr.pruned(f) {
 				s.faults[i] = append(s.faults[i], f)
@@ -501,53 +504,67 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	return s, nil
 }
 
-// replay fills every outcome slot. Repeated targets collapse into one;
-// the unique targets, sorted by (cycle, structure, bit), split at slice
-// boundaries, and each slice becomes one job (sliceOutcomes), so a
+// replay fills every outcome slot. Every slot becomes one target
+// entry; the entries sort by (cycle, structure, bit), repeated targets
+// collapse into one fault while walking them, and the unique faults
+// split at slice boundaries, each slice one job (sliceOutcomes) — so a
 // thousand-trial campaign pays for a handful of partial replays and
 // blobs instead of a thousand of each.
 func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSource, s *sampled) error {
-	type slot struct{ stratum, idx int }
-	targets := map[pipe.Fault][]slot{}
-	var unique []pipe.Fault
+	type target struct {
+		f            pipe.Fault
+		stratum, idx int
+	}
+	n := 0
+	for _, fs := range s.faults {
+		n += len(fs)
+	}
+	targets := make([]target, 0, n)
 	for i, fs := range s.faults {
 		s.outcomes[i] = make([]pipe.FaultTrial, len(fs))
 		for t, f := range fs {
-			if _, ok := targets[f]; !ok {
-				unique = append(unique, f)
-			}
-			targets[f] = append(targets[f], slot{i, t})
+			targets = append(targets, target{f, i, t})
 		}
 	}
-	slices.SortFunc(unique, func(a, b pipe.Fault) int {
-		return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Structure, b.Structure), cmp.Compare(a.Bit, b.Bit))
+	slices.SortFunc(targets, func(a, b target) int {
+		return cmp.Or(cmp.Compare(a.f.Cycle, b.f.Cycle), cmp.Compare(a.f.Structure, b.f.Structure), cmp.Compare(a.f.Bit, b.f.Bit))
 	})
 
 	grid := newSliceGrid(c.o.Config, info)
+	unique := make([]pipe.Fault, 0, len(targets))
 	var jobs []scenario.Job
-	for lo := 0; lo < len(unique); {
-		hi, cell := lo+1, grid.cell(unique[lo].Cycle)
-		for hi < len(unique) && grid.cell(unique[hi].Cycle) == cell {
-			hi++
+	for lo := 0; lo < len(targets); {
+		hi, cell, first := lo, grid.cell(targets[lo].f.Cycle), len(unique)
+		for ; hi < len(targets) && grid.cell(targets[hi].f.Cycle) == cell; hi++ {
+			if hi == lo || targets[hi].f != targets[hi-1].f {
+				unique = append(unique, targets[hi].f)
+			}
 		}
-		faults := unique[lo:hi]
+		faults, entries := unique[first:len(unique):len(unique)], targets[lo:hi]
 		lo = hi
 		// Keyed by fault set, not cell or fork point: campaigns share a
 		// slice exactly when they would replay the same faults.
 		hash := faultSetHash(faults)
 		key := c.key("injslice:" + hash)
 		jobs = append(jobs, scenario.Job{
-			Key: "injslice\x00" + c.cfgFP + "\x00" + c.progFP + "\x00" + c.rcFP + "\x00" + hash,
+			// The blob key already hashes the engine version, config,
+			// program, budget and fault set: its hex is the job's
+			// identity.
+			Key: "injslice\x00" + key.Hex(),
 			Run: func(context.Context) error {
 				trials, err := c.sliceOutcomes(key, src, faults)
 				if err != nil {
 					return err
 				}
-				// Slices partition the targets: jobs write disjoint slots.
-				for i, f := range faults {
-					for _, sl := range targets[f] {
-						s.outcomes[sl.stratum][sl.idx] = trials[i]
+				// Slices partition the targets: jobs write disjoint
+				// slots. entries holds faults in the same order, once
+				// per slot.
+				j := 0
+				for k, e := range entries {
+					if k > 0 && e.f != entries[k-1].f {
+						j++
 					}
+					s.outcomes[e.stratum][e.idx] = trials[j]
 				}
 				return nil
 			},
@@ -563,7 +580,11 @@ func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSo
 // — a legacy or foreign entry — is discarded and replayed once.
 func (c *campaign) sliceOutcomes(key simcache.Key, src *ckptSource, faults []pipe.Fault) ([]pipe.FaultTrial, error) {
 	compute := func() ([]byte, error) {
-		out, err := c.pool.SimulateFaultsDetailFrom(c.o.Program, c.o.Run, src.checkpointFor(faults[0].Cycle), faults)
+		ck, err := src.checkpointFor(faults[0].Cycle)
+		if err != nil {
+			return nil, err
+		}
+		out, err := c.pool.SimulateFaultsDetailFrom(c.o.Program, c.o.Run, ck, faults)
 		if err != nil {
 			return nil, fmt.Errorf("inject: slice replay from cycle %d: %w", faults[0].Cycle, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"avfstress/internal/codegen"
@@ -236,6 +237,73 @@ func TestCampaignWarmNoGoldenRerun(t *testing.T) {
 	}
 }
 
+// TestCampaignPartialWarmRecaptures: a campaign whose golden result and
+// info come warm from disk but whose slices miss (another seed) re-runs
+// the capturing golden run in memory and renders exactly the report of
+// a cache-free run.
+func TestCampaignPartialWarmRecaptures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign in -short mode")
+	}
+	dir := t.TempDir()
+	o := testOptions(t, 120)
+	o.Cache = simcache.New(simcache.Options{Dir: dir})
+	if _, err := Run(bg, o); err != nil {
+		t.Fatal(err)
+	}
+
+	o.Seed = 2
+	o.Cache = simcache.New(simcache.Options{Dir: dir})
+	warm, err := Run(bg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Golden result and info are the only disk hits; every slice of the
+	// new seed misses and replays.
+	if st := o.Cache.Stats(); st.DiskHits != 2 || st.Simulated == 0 {
+		t.Errorf("seed-2 stats %v, want 2 disk hits (golden result + info) and replayed slices", st)
+	}
+	o.Cache = nil
+	bare, err := Run(bg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.String() != bare.String() {
+		t.Errorf("partially warm report differs from cache-free run:\n%s\nvs\n%s", warm, bare)
+	}
+}
+
+// TestCampaignStaleGoldenInfoFails: cached golden info that the
+// re-captured golden run contradicts fails the campaign instead of
+// replaying against it.
+func TestCampaignStaleGoldenInfoFails(t *testing.T) {
+	o := testOptions(t, 40)
+	o.Cache = simcache.New(simcache.Options{})
+	if _, err := Run(bg, o); err != nil {
+		t.Fatal(err)
+	}
+	c := &campaign{o: o, cfgFP: o.Config.Fingerprint(), progFP: "prog:" + o.Program.Fingerprint(), rcFP: o.Run.Fingerprint()}
+	b, ok := o.Cache.GetBlob(c.key("goldeninfo"))
+	if !ok {
+		t.Fatal("cold campaign stored no golden info")
+	}
+	gi, err := decodeGoldenInfo(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gi.Digest ^= 1
+	o.Cache.PutBlob(c.key("goldeninfo"), encodeGoldenInfo(gi))
+
+	o.Seed = 2 // new slices, so the checkpoints are re-captured
+	res, err := Run(bg, o)
+	if err == nil {
+		t.Fatalf("campaign over stale golden info rendered a report:\n%s", res)
+	}
+	if !strings.Contains(err.Error(), "disagrees with cached golden info") {
+		t.Errorf("error %q is not the re-capture guard's", err)
+	}
+}
+
 // TestCampaignCancellation: a cancelled context aborts the campaign
 // with the context's error.
 func TestCampaignCancellation(t *testing.T) {
@@ -281,8 +349,8 @@ func TestWilson(t *testing.T) {
 }
 
 // TestCampaignDiskFootprintPerSlice: a cold campaign with a disk tier
-// writes one blob per replay slice plus the checkpoint set, the golden
-// info and the checkpoint manifest — O(slices), not O(trials).
+// writes one blob per replay slice plus the golden info — O(slices),
+// not O(trials), and no checkpoints (they live in memory only).
 func TestCampaignDiskFootprintPerSlice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -298,7 +366,7 @@ func TestCampaignDiskFootprintPerSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, set, err := pool.SimulateGoldenRecorded(o.Program, o.Run, 0, nil)
+	_, info, _, err := pool.SimulateGoldenRecorded(o.Program, o.Run, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +381,9 @@ func TestCampaignDiskFootprintPerSlice(t *testing.T) {
 			bins++
 		}
 	}
-	t.Logf("%d trials: %d blob files, %d slices, %d checkpoints", res.Trials, bins, slices, len(set.Checkpoints))
-	if limit := int(slices) + len(set.Checkpoints) + 2; bins > limit {
-		t.Errorf("%d blob files on disk, want at most %d (%d slices + %d checkpoints + 2)",
-			bins, limit, slices, len(set.Checkpoints))
+	t.Logf("%d trials: %d blob files, %d slices", res.Trials, bins, slices)
+	if limit := int(slices) + 1; bins > limit {
+		t.Errorf("%d blob files on disk, want at most %d (%d slices + golden info)", bins, limit, slices)
 	}
 	if bins*4 > res.Trials {
 		t.Errorf("%d blob files for %d trials: the disk tier is not slice-granular", bins, res.Trials)

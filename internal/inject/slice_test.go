@@ -184,9 +184,8 @@ func TestCampaignHealsLegacyTrialBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Downgrade every on-disk blob (trial outcomes, golden info,
-	// checkpoint manifests alike) to a legacy one-byte entry with a
-	// valid frame.
+	// Downgrade every on-disk blob (trial outcomes and golden info
+	// alike) to a legacy one-byte entry with a valid frame.
 	versionDir := filepath.Join(dir, simcache.EngineVersion)
 	ents, err := os.ReadDir(versionDir)
 	if err != nil {

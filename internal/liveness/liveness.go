@@ -120,34 +120,37 @@ func Analyze(p *prog.Program, core uarch.CoreConfig) *Summary {
 // reads happen before its write (rename reads the map before
 // allocating), so they count as readers of the current def.
 func (s *Summary) analyzeDeadDefs(p *prog.Program) {
-	// succ walks execution order: init in sequence, then body
-	// cyclically forever.
+	// decided reports whether successor nxt ends the walk from a def of
+	// r, and dead the verdict when it does.
+	decided := func(nxt *isa.Instr, r isa.Reg) (stop, dead bool) {
+		if reads(nxt, r) && !nxt.UnACE && nxt.Op != isa.OpNop {
+			return true, false
+		}
+		if isa.WritesDest(nxt) && nxt.Dest == r {
+			return true, true // redefined with no ACE reader in between
+		}
+		return false, false
+	}
+	// deadAfter walks execution order — init in sequence, then body
+	// cyclically forever — by index. It scans at most the rest of init
+	// plus one full body cycle past the def: after that the walk
+	// revisits only body positions already examined.
 	deadAfter := func(sec []isa.Instr, idx int) bool {
-		in := &sec[idx]
-		r := in.Dest
-		// Scan at most the rest of init plus one full body cycle past
-		// the def: after that the walk revisits only body positions
-		// already examined.
-		var path []*isa.Instr
+		r := sec[idx].Dest
+		start := 0 // first body position on the walk
 		if len(p.Init) > 0 && &sec[0] == &p.Init[0] {
 			for i := idx + 1; i < len(p.Init); i++ {
-				path = append(path, &p.Init[i])
-			}
-			for i := range p.Body {
-				path = append(path, &p.Body[i])
+				if stop, dead := decided(&p.Init[i], r); stop {
+					return dead
+				}
 			}
 		} else {
-			n := len(p.Body)
-			for k := 1; k <= n; k++ {
-				path = append(path, &p.Body[(idx+k)%n])
-			}
+			start = idx + 1
 		}
-		for _, nxt := range path {
-			if reads(nxt, r) && !nxt.UnACE && nxt.Op != isa.OpNop {
-				return false
-			}
-			if isa.WritesDest(nxt) && nxt.Dest == r {
-				return true // redefined with no ACE reader in between
+		n := len(p.Body)
+		for k := 0; k < n; k++ {
+			if stop, dead := decided(&p.Body[(start+k)%n], r); stop {
+				return dead
 			}
 		}
 		// No redefinition found. For a body def that means the def

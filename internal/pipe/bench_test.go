@@ -30,7 +30,7 @@ func BenchmarkSliceReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, _, cks, err := pool.SimulateGoldenCheckpointed(p, rc, 0)
+	_, _, cks, err := pool.SimulateGoldenRecorded(p, rc, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package pipe
 
-// Binary checkpoint codec, so the simcache blob tier can persist the
-// checkpoints of a golden run and warm campaigns can fork replays
-// without ever re-running the golden simulation. The format is a flat
-// little-endian field dump (version-prefixed, no compression): the
-// decoder re-validates geometry at Restore time, so the codec only has
-// to be self-consistent, not self-describing.
+// Binary checkpoint encoder. Checkpoints live in memory only: a
+// campaign forks its replays from the set its own golden run captured,
+// and re-runs that golden run when it needs one (DESIGN.md §10), so
+// nothing decodes this format. MarshalBinary survives because the
+// benchmark harness (perfbench) measures the checkpoint footprint
+// through it (pipe.checkpoint_kb). The format is a flat little-endian
+// field dump, version-prefixed, no compression.
 //
 // Static-instruction pointers are encoded as indices into the bound
 // program (body i ≥ 0, init -(i+1)); pointers that resolve to neither —
@@ -16,7 +17,6 @@ package pipe
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"avfstress/internal/cache"
@@ -26,10 +26,8 @@ import (
 
 const (
 	ckptMagic = uint32(0x6b637661) // "avck", little-endian
-	// ckptVersion gates checkpoint-blob decoding; v2 added the per-uop
-	// dynamic stream sequence number (first-divergent-commit capture).
-	// Older cached blobs fail decode and the campaign falls back to
-	// replaying the affected buckets from cycle zero.
+	// ckptVersion versions the encoding; v2 added the per-uop dynamic
+	// stream sequence number (first-divergent-commit capture).
 	ckptVersion = byte(2)
 	staticNil   = int32(math.MinInt32)
 )
@@ -98,153 +96,6 @@ func (e *ckptEnc) bools(s []bool) {
 	}
 }
 
-// ckptDec decodes with a sticky error: after the first failure every
-// read returns zero values, so call sites skip per-field checks.
-type ckptDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *ckptDec) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("pipe: checkpoint decode: %s at offset %d", msg, d.off)
-	}
-}
-
-func (d *ckptDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.b)-d.off < n {
-		d.fail("truncated")
-		return nil
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-
-func (d *ckptDec) u8() byte {
-	s := d.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
-func (d *ckptDec) u16() uint16 {
-	s := d.take(2)
-	if s == nil {
-		return 0
-	}
-	return uint16(s[0]) | uint16(s[1])<<8
-}
-func (d *ckptDec) u32() uint32 {
-	s := d.take(4)
-	if s == nil {
-		return 0
-	}
-	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
-}
-func (d *ckptDec) u64() uint64 {
-	s := d.take(8)
-	if s == nil {
-		return 0
-	}
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-func (d *ckptDec) i16() int16 { return int16(d.u16()) }
-func (d *ckptDec) i32() int32 { return int32(d.u32()) }
-func (d *ckptDec) i64() int64 { return int64(d.u64()) }
-func (d *ckptDec) flag() bool { return d.u8() != 0 }
-
-// count reads a length prefix, refusing counts that cannot fit in the
-// remaining input (elemSize bytes per element) — the allocation guard.
-func (d *ckptDec) count(elemSize int) int {
-	n := int(d.u32())
-	if d.err == nil && n*elemSize > len(d.b)-d.off {
-		d.fail("length prefix exceeds input")
-		return 0
-	}
-	return n
-}
-
-func (d *ckptDec) str() string { return string(d.take(d.count(1))) }
-func (d *ckptDec) bytesv() []byte {
-	s := d.take(d.count(1))
-	if s == nil {
-		return nil
-	}
-	return append([]byte(nil), s...)
-}
-func (d *ckptDec) u16s() []uint16 {
-	n := d.count(2)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = d.u16()
-	}
-	return out
-}
-func (d *ckptDec) i16s() []int16 {
-	n := d.count(2)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int16, n)
-	for i := range out {
-		out[i] = d.i16()
-	}
-	return out
-}
-func (d *ckptDec) i32s() []int32 {
-	n := d.count(4)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = d.i32()
-	}
-	return out
-}
-func (d *ckptDec) i64s() []int64 {
-	n := d.count(8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.i64()
-	}
-	return out
-}
-func (d *ckptDec) u64s() []uint64 {
-	n := d.count(8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.u64()
-	}
-	return out
-}
-func (d *ckptDec) bools() []bool {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.flag()
-	}
-	return out
-}
-
 // staticIndex maps a program's static-instruction addresses to codec
 // indices (body i ≥ 0, init -(i+1)).
 func staticIndex(p *prog.Program) map[*isa.Instr]int32 {
@@ -268,27 +119,6 @@ func encStatic(e *ckptEnc, m map[*isa.Instr]int32, in *isa.Instr) {
 		return
 	}
 	e.i32(staticNil) // stale pointer from a previous pooled program
-}
-
-func decStatic(d *ckptDec, p *prog.Program) *isa.Instr {
-	idx := d.i32()
-	switch {
-	case d.err != nil || idx == staticNil:
-		return nil
-	case idx >= 0:
-		if int(idx) >= len(p.Body) {
-			d.fail("static body index out of range")
-			return nil
-		}
-		return &p.Body[idx]
-	default:
-		j := int(-idx - 1)
-		if j >= len(p.Init) {
-			d.fail("static init index out of range")
-			return nil
-		}
-		return &p.Init[j]
-	}
 }
 
 func encUopBody(e *ckptEnc, m map[*isa.Instr]int32, u *uop) {
@@ -335,33 +165,6 @@ func encUopBody(e *ckptEnc, m map[*isa.Instr]int32, u *uop) {
 	e.u8(f)
 }
 
-func decUopBody(d *ckptDec, p *prog.Program, u *uop) {
-	u.static = decStatic(d, p)
-	u.addr = d.u64()
-	u.dynSeq = d.i64()
-	u.dispatchCycle = d.i64()
-	u.issueCycle = d.i64()
-	u.doneCycle = d.i64()
-	u.dataReady = d.i64()
-	u.execLatency = d.i64()
-	u.destPhys = d.i16()
-	u.oldPhys = d.i16()
-	u.src[0] = d.i16()
-	u.src[1] = d.i16()
-	u.opc = isa.Op(d.u8())
-	u.state = uopState(d.u8())
-	u.pendingSrcs = d.u8()
-	f := d.u8()
-	u.wrongPath = f&(1<<0) != 0
-	u.ace = f&(1<<1) != 0
-	u.inIQ = f&(1<<2) != 0
-	u.inLQ = f&(1<<3) != 0
-	u.inSQ = f&(1<<4) != 0
-	u.forwarded = f&(1<<5) != 0
-	u.predTaken = f&(1<<6) != 0
-	u.mispred = f&(1<<7) != 0
-}
-
 func encEvents(e *ckptEnc, es []event) {
 	e.u32(uint32(len(es)))
 	for _, ev := range es {
@@ -369,18 +172,6 @@ func encEvents(e *ckptEnc, es []event) {
 		e.i64(ev.seq)
 		e.u32(ev.gen)
 	}
-}
-
-func decEvents(d *ckptDec) []event {
-	n := d.count(20)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]event, n)
-	for i := range out {
-		out[i] = event{cycle: d.i64(), seq: d.i64(), gen: d.u32()}
-	}
-	return out
 }
 
 func encRefLists(e *ckptEnc, ls []ckptRefList) {
@@ -393,27 +184,6 @@ func encRefLists(e *ckptEnc, ls []ckptRefList) {
 			e.u32(r.gen)
 		}
 	}
-}
-
-func decRefLists(d *ckptDec) []ckptRefList {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]ckptRefList, 0, n)
-	for i := 0; i < n; i++ {
-		l := ckptRefList{idx: d.i32()}
-		m := d.count(12)
-		if d.err != nil {
-			return nil
-		}
-		l.refs = make([]ckptRef, m)
-		for j := range l.refs {
-			l.refs[j] = ckptRef{seq: d.i64(), gen: d.u32()}
-		}
-		out = append(out, l)
-	}
-	return out
 }
 
 func encCacheState(e *ckptEnc, st *cache.CacheState) {
@@ -435,25 +205,6 @@ func encCacheState(e *ckptEnc, st *cache.CacheState) {
 	e.u64(st.WritebackMisses)
 }
 
-func decCacheState(d *ckptDec, st *cache.CacheState) {
-	st.Tag = d.u64s()
-	st.Valid = d.bools()
-	st.LRU = d.i64s()
-	st.FillTime = d.i64s()
-	st.LastAceEnd = d.i64s()
-	st.Dirty = d.u64s()
-	st.ChunkState = d.bytesv()
-	st.ChunkTime = d.i64s()
-	st.AceChunkCycles = d.u64()
-	st.TagAceCycles = d.u64()
-	st.WindowStart = d.i64()
-	st.Accesses = d.u64()
-	st.Misses = d.u64()
-	st.Writebacks = d.u64()
-	st.WritebackAccesses = d.u64()
-	st.WritebackMisses = d.u64()
-}
-
 func encTLBState(e *ckptEnc, st *cache.TLBState) {
 	e.u64s(st.VPN)
 	e.bools(st.Valid)
@@ -470,25 +221,8 @@ func encTLBState(e *ckptEnc, st *cache.TLBState) {
 	e.u64(st.Misses)
 }
 
-func decTLBState(d *ckptDec, st *cache.TLBState) {
-	st.VPN = d.u64s()
-	st.Valid = d.bools()
-	st.FillTime = d.i64s()
-	st.LastRead = d.i64s()
-	st.LRU = d.i64s()
-	st.HD1Cycles = d.u64s()
-	st.HD1Since = d.i64s()
-	st.HD1Count = d.i32s()
-	st.AceEntryCycles = d.u64()
-	st.HD1EntryCycles = d.u64()
-	st.WindowStart = d.i64()
-	st.Accesses = d.u64()
-	st.Misses = d.u64()
-}
-
 // MarshalBinary serialises the checkpoint. The bound program is not
-// embedded — UnmarshalCheckpoint rebinds it, verifying the embedded
-// program fingerprint.
+// embedded, only its fingerprint.
 func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
 	if ck.prog == nil {
 		return nil, errors.New("pipe: cannot marshal checkpoint with no program bound")
@@ -615,150 +349,4 @@ func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
 	encCacheState(e, &ck.mem.L2)
 	encTLBState(e, &ck.mem.DTLB)
 	return e.b, nil
-}
-
-// UnmarshalCheckpoint decodes a checkpoint and binds it to program p,
-// which must be the program the checkpoint was captured from (verified
-// by fingerprint). The returned checkpoint restores exactly like the
-// in-memory original (TestCheckpointCodecRoundTrip).
-func UnmarshalCheckpoint(data []byte, p *prog.Program) (*Checkpoint, error) {
-	d := &ckptDec{b: data}
-	if d.u32() != ckptMagic {
-		return nil, errors.New("pipe: not a checkpoint blob")
-	}
-	if v := d.u8(); d.err == nil && v != ckptVersion {
-		return nil, fmt.Errorf("pipe: checkpoint version %d unsupported", v)
-	}
-	ck := &Checkpoint{prog: p}
-	ck.cfgFP = d.str()
-	ck.progFP = d.str()
-	if d.err == nil && ck.progFP != p.Fingerprint() {
-		return nil, errors.New("pipe: checkpoint program mismatch")
-	}
-
-	ck.cycle = d.i64()
-	ck.head = d.i64()
-	ck.tail = d.i64()
-	ck.iqUsed = int(d.i32())
-	ck.lqUsed = int(d.i32())
-	ck.sqUsed = int(d.i32())
-	ck.fetchStallUntil = d.i64()
-	ck.wpIdx = int(d.i32())
-	f := d.u8()
-	ck.wrongPathMode = f&(1<<0) != 0
-	ck.havePending = f&(1<<1) != 0
-	ck.streamDone = f&(1<<2) != 0
-	ck.lastCommit = d.i64()
-	ck.digest = d.u64()
-
-	ck.pending.dyn.Static = decStatic(d, p)
-	ck.pending.dyn.Seq = d.i64()
-	ck.pending.dyn.Iter = d.i64()
-	ck.pending.dyn.PC = d.u64()
-	ck.pending.dyn.Addr = d.u64()
-	ck.pending.dyn.Taken = d.flag()
-	ck.pending.wrongPath = d.flag()
-
-	a := &ck.acct
-	a.measuring = d.flag()
-	for _, dst := range []*int64{&a.windowStart, &a.warmupLeft, &a.warmupDone,
-		&a.committed, &a.aceCommitted, &a.loads, &a.stores, &a.branches, &a.longArith,
-		&a.fetched, &a.wrongPathFetched, &a.branchesFetched, &a.mispredicts, &a.flushed,
-		&a.issuedALU, &a.issuedMul, &a.issuedMem, &a.issuedBr,
-		&a.iqAce, &a.robAce, &a.lqTagAce, &a.lqDataAce, &a.sqTagAce, &a.sqDataAce,
-		&a.fuStage, &a.rfRegCyc, &a.occROB, &a.occIQ, &a.occLQ, &a.occSQ} {
-		*dst = d.i64()
-	}
-
-	ring := d.count(4)
-	if d.err == nil && (ring == 0 || ring&(ring-1) != 0) {
-		d.fail("ROB ring size not a power of two")
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	ck.rob = make([]uop, ring)
-	for i := range ck.rob {
-		ck.rob[i].gen = d.u32()
-	}
-	mask := int64(ring - 1)
-	if w := ck.tail - ck.head; w < 0 || w > int64(ring) {
-		d.fail("in-flight window exceeds ring")
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	for seq := ck.head; seq < ck.tail; seq++ {
-		decUopBody(d, p, &ck.rob[seq&mask])
-	}
-	ck.ckpt = make([]int16, ring*isa.NumArchRegs)
-	for seq := ck.head; seq < ck.tail; seq++ {
-		i := seq & mask
-		row := ck.ckpt[i*int64(isa.NumArchRegs) : (i+1)*int64(isa.NumArchRegs)]
-		for j := range row {
-			row[j] = d.i16()
-		}
-	}
-
-	ck.archMap = d.i16s()
-	ck.freeList = d.i16s()
-	nregs := d.count(25)
-	if d.err != nil {
-		return nil, d.err
-	}
-	ck.regs = make([]physReg, nregs)
-	for i := range ck.regs {
-		r := &ck.regs[i]
-		r.readyCycle = d.i64()
-		r.writeTime = d.i64()
-		r.lastRead = d.i64()
-		rf := d.u8()
-		r.written = rf&(1<<0) != 0
-		r.aceValue = rf&(1<<1) != 0
-	}
-
-	ck.wheelHead = d.i64()
-	ck.wheelEvents = decEvents(d)
-	ck.wheelDue = decEvents(d)
-
-	ck.readyWords = d.u64s()
-	ck.readyCount = int(d.i32())
-	ck.waiters = decRefLists(d)
-	ck.blocked = decRefLists(d)
-
-	ck.dwKeys = d.u64s()
-	ck.dwVals = make([][]int64, len(ck.dwKeys))
-	for i, k := range ck.dwKeys {
-		if k != dwEmpty && k != dwTombstone {
-			ck.dwVals[i] = d.i64s()
-		}
-	}
-	ck.dwLive = int(d.i32())
-	ck.dwUsed = int(d.i32())
-
-	ck.stream.InInit = d.flag()
-	ck.stream.Idx = int(d.i64())
-	ck.stream.Iter = d.i64()
-	ck.stream.Seq = d.i64()
-
-	ck.bp.Global = d.bytesv()
-	ck.bp.Choice = d.bytesv()
-	ck.bp.LocalH = d.u16s()
-	ck.bp.LocalC = d.bytesv()
-	ck.bp.GHist = d.u64()
-	ck.bp.Lookups = d.u64()
-	ck.bp.Mispredicts = d.u64()
-
-	decCacheState(d, &ck.mem.IL1)
-	decCacheState(d, &ck.mem.DL1)
-	decCacheState(d, &ck.mem.L2)
-	decTLBState(d, &ck.mem.DTLB)
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("pipe: checkpoint decode: %d trailing bytes", len(d.b)-d.off)
-	}
-	return ck, nil
 }

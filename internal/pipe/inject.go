@@ -543,7 +543,11 @@ func (pl *Pipeline) RunFault(rc RunConfig, f Fault, full bool) (FaultTrial, erro
 		return FaultTrial{}, err
 	}
 	t := &inj.trials[0]
-	return FaultTrial{Corrupted: t.corrupted, Digest: pl.digest, Diverge: pl.trialDiverge(t)}, nil
+	trial := FaultTrial{Corrupted: t.corrupted, Diverge: pl.trialDiverge(t)}
+	if full {
+		trial.Digest = pl.digest
+	}
+	return trial, nil
 }
 
 // RunFaults replays the program under rc once with every fault in

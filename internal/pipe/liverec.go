@@ -80,13 +80,14 @@ func (rec *liveRecorder) finish() []RFDeadInterval {
 	return rec.out
 }
 
-// SimulateGoldenRecorded is SimulateGoldenCheckpointed plus dead-def
-// interval recording: the golden run additionally maps the statically
-// dead definitions in deadDefs onto physical-register occupancy
-// intervals, returned in GoldenInfo.RFDead. Recording is a pure
-// observer — result, digest and checkpoints are bit-identical to the
-// unrecorded variants. A negative interval disables checkpoint capture
-// (nil set), exactly as in SimulateGoldenCheckpointed.
+// SimulateGoldenRecorded is SimulateGolden plus checkpoint capture and
+// dead-def interval recording. The golden run snapshots its full state
+// every `interval` cycles of the measured window (0 selects the
+// automatic interval; negative disables capture and returns a nil set)
+// and maps the statically dead definitions in deadDefs (nil: none) onto
+// physical-register occupancy intervals, returned in GoldenInfo.RFDead.
+// Capture and recording are pure observers: result, window and digest
+// are bit-identical to SimulateGolden.
 func (pp *Pool) SimulateGoldenRecorded(p *prog.Program, rc RunConfig, interval int64, deadDefs map[*isa.Instr]bool) (*avf.Result, GoldenInfo, *CheckpointSet, error) {
 	pl, err := pp.get(p)
 	if err != nil {

@@ -198,7 +198,7 @@ type Pipeline struct {
 	// Fault-injection replay state (inject.go): inj is non-nil only
 	// inside fault replays; digestOn enables the commit digest (RunFault
 	// full mode and Pool.SimulateGolden). ckptRec, non-nil only inside
-	// SimulateGoldenCheckpointed, captures fork-replay checkpoints at the
+	// SimulateGoldenRecorded, captures fork-replay checkpoints at the
 	// top of the cycle loop (snapshot.go). Normal runs pay one
 	// predictable branch per cycle and per commit.
 	inj      *injState

@@ -15,7 +15,7 @@ package pipe
 //
 // The point is fault injection: a campaign of N trials replays the
 // program N times, and almost all of that work re-simulates the prefix
-// before each injection cycle. SimulateGoldenCheckpointed captures
+// before each injection cycle. SimulateGoldenRecorded captures
 // checkpoints during the (already mandatory) golden run, and
 // SimulateFaultsFrom forks a replay from the nearest checkpoint that is
 // safely before the fault instead of from cycle zero.
@@ -61,7 +61,7 @@ type ckptRefList struct {
 type Checkpoint struct {
 	cfgFP  string
 	progFP string
-	prog   *prog.Program // not serialised; rebound by UnmarshalCheckpoint
+	prog   *prog.Program // not serialised; MarshalBinary encodes progFP
 
 	cycle int64
 
@@ -404,9 +404,8 @@ type CheckpointSet struct {
 	Checkpoints []*Checkpoint
 }
 
-// Cycles returns the capture cycles of the set's checkpoints — the
-// manifest a cache layer persists so warm campaigns can bucket faults
-// without loading any checkpoint blob.
+// Cycles returns the capture cycles of the set's checkpoints, the
+// manifest NearestCheckpoint searches.
 func (cs *CheckpointSet) Cycles() []int64 {
 	out := make([]int64, len(cs.Checkpoints))
 	for i, ck := range cs.Checkpoints {
@@ -449,43 +448,6 @@ func (pp *Pool) raw(p *prog.Program) (*Pipeline, error) {
 		return v.(*Pipeline), nil
 	}
 	return New(pp.cfg, p)
-}
-
-// SimulateGoldenCheckpointed is SimulateGolden plus checkpoint capture:
-// the golden run snapshots its full state every `interval` cycles of the
-// measured window (0 selects the automatic interval; negative disables
-// capture and returns a nil set). The result, info and digest are
-// bit-identical to SimulateGolden — capture is a pure observer.
-func (pp *Pool) SimulateGoldenCheckpointed(p *prog.Program, rc RunConfig, interval int64) (*avf.Result, GoldenInfo, *CheckpointSet, error) {
-	if interval < 0 {
-		res, info, err := pp.SimulateGolden(p, rc)
-		return res, info, nil, err
-	}
-	if interval == 0 {
-		interval = autoCheckpointInterval
-	}
-	pl, err := pp.get(p)
-	if err != nil {
-		return nil, GoldenInfo{}, nil, err
-	}
-	rec := &ckptRecorder{interval: interval}
-	pl.ckptRec = rec
-	pl.digestOn = true
-	pl.digest = fnvOffset64
-	res, runErr := pl.Run(rc)
-	info := GoldenInfo{Digest: pl.digest}
-	lead := pl.mem.TimestampLead()
-	pl.digestOn = false
-	pl.ckptRec = nil
-	if runErr == nil {
-		info.WindowStart = pl.acct.windowStart
-		info.Cycles = res.Cycles
-	}
-	pp.pool.Put(pl)
-	if runErr != nil {
-		return nil, GoldenInfo{}, nil, runErr
-	}
-	return res, info, &CheckpointSet{Interval: rec.interval, Lead: lead, Checkpoints: rec.cks}, nil
 }
 
 // SimulateFaultsFrom replays program p under rc once on a pooled

@@ -43,7 +43,7 @@ func TestResumeGoldenMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, info, cks, err := pool.SimulateGoldenCheckpointed(p, rc, 512)
+	res, info, cks, err := pool.SimulateGoldenRecorded(p, rc, 512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCheckpointedGoldenDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, info, cks, err := pool.SimulateGoldenCheckpointed(p, rc, -1)
+	res, info, cks, err := pool.SimulateGoldenRecorded(p, rc, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,9 @@ func TestFaultBatchMatchesSolo(t *testing.T) {
 }
 
 // batchMatchesSolo replays faults as one batch and each fault alone,
-// reports every trial whose outcome or first divergent commit differs,
-// and returns the number of corrupted trials.
+// reports every trial whose record differs (outcome, first divergent
+// commit, and the digest, zero in both modes), and returns the number
+// of corrupted trials.
 func batchMatchesSolo(t *testing.T, pool *pipe.Pool, p *prog.Program, rc pipe.RunConfig, faults []pipe.Fault) int {
 	t.Helper()
 	batch, err := pool.SimulateFaultsDetailFrom(p, rc, nil, faults)
@@ -147,8 +148,7 @@ func batchMatchesSolo(t *testing.T, pool *pipe.Pool, p *prog.Program, rc pipe.Ru
 		if err != nil {
 			t.Fatalf("solo replay %+v: %v", f, err)
 		}
-		// Digest is not compared: outcome-mode replays carry none.
-		if batch[i].Corrupted != solo.Corrupted || batch[i].Diverge != solo.Diverge {
+		if batch[i] != solo {
 			t.Errorf("%s %+v: batch trial %+v, solo trial %+v", f.Structure, f, batch[i], solo)
 		}
 		if solo.Corrupted {
@@ -288,7 +288,7 @@ func TestFaultForkMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, cks, err := pool.SimulateGoldenCheckpointed(p, rc, 512)
+	_, info, cks, err := pool.SimulateGoldenRecorded(p, rc, 512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,65 +342,6 @@ func TestFaultForkMatchesCold(t *testing.T) {
 	}
 }
 
-// TestCheckpointCodecRoundTrip: a checkpoint survives
-// marshal→unmarshal, proven behaviourally — resuming the golden run
-// from the decoded copy reproduces the uninterrupted result bit-exactly
-// (a field-by-field compare would miss semantic drift; this cannot).
-func TestCheckpointCodecRoundTrip(t *testing.T) {
-	cfg, pool, rc, k := checkpointFixture(t)
-	p, _, err := codegen.Generate(cfg, *k, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantInfo, cks, err := pool.SimulateGoldenCheckpointed(p, rc, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ck := range cks.Checkpoints {
-		blob, err := ck.MarshalBinary()
-		if err != nil {
-			t.Fatalf("marshal checkpoint %d: %v", i, err)
-		}
-		dec, err := pipe.UnmarshalCheckpoint(blob, p)
-		if err != nil {
-			t.Fatalf("unmarshal checkpoint %d: %v", i, err)
-		}
-		if dec.Cycle() != ck.Cycle() {
-			t.Fatalf("checkpoint %d cycle %d decoded as %d", i, ck.Cycle(), dec.Cycle())
-		}
-		got, gotInfo, err := pool.ResumeGolden(dec, rc)
-		if err != nil {
-			t.Fatalf("resume from decoded checkpoint %d: %v", i, err)
-		}
-		if *got != *want || !sameGoldenInfo(gotInfo, wantInfo) {
-			t.Fatalf("decoded checkpoint %d: resumed run drifted", i)
-		}
-	}
-
-	// Error paths: truncation, corruption of the magic, wrong program.
-	blob, err := cks.Checkpoints[0].MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.UnmarshalCheckpoint(blob[:len(blob)/2], p); err == nil {
-		t.Error("truncated blob accepted")
-	}
-	bad := append([]byte(nil), blob...)
-	bad[0] ^= 0xff
-	if _, err := pipe.UnmarshalCheckpoint(bad, p); err == nil {
-		t.Error("corrupted magic accepted")
-	}
-	k2 := *k
-	k2.Seed = 43
-	p2, _, err := codegen.Generate(cfg, k2, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.UnmarshalCheckpoint(blob, p2); err == nil {
-		t.Error("checkpoint bound to the wrong program accepted")
-	}
-}
-
 // TestRestoreOntoDirtyPipeline: a pooled pipeline left dirty by a
 // different program is a valid restore target — Restore overwrites
 // every live field without an intervening Reset.
@@ -417,7 +358,7 @@ func TestRestoreOntoDirtyPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantInfo, cks, err := pool.SimulateGoldenCheckpointed(p, rc, 512)
+	want, wantInfo, cks, err := pool.SimulateGoldenRecorded(p, rc, 512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,18 +68,15 @@ type Options struct {
 	Dir string
 	// Version overrides EngineVersion (tests only).
 	Version string
-	// BlobCapBytes caps the in-memory blob tier (checkpoints can be
-	// hundreds of KB each, unlike the small slice outcome tables). Past
-	// the cap, least-recently-used blobs are evicted from memory —
-	// counted in Stats.Evicted — while their disk entries remain, so an
-	// eviction degrades a future hit from memory to disk, never to a
-	// re-simulation. 0 selects the default (1 GiB); negative = unlimited.
-	BlobCapBytes int64
 }
 
-// defaultBlobCapBytes bounds the in-memory blob tier when the caller
-// does not choose (Options.BlobCapBytes == 0).
-const defaultBlobCapBytes int64 = 1 << 30
+// blobCapBytes bounds the in-memory blob tier, so a long-lived daemon's
+// accumulated slice tables and golden info cannot grow without limit.
+// Past the cap, least-recently-used blobs are evicted from memory —
+// counted in Stats.Evicted — while their disk entries remain, so an
+// eviction degrades a future hit from memory to disk, never to a
+// re-simulation.
+const blobCapBytes int64 = 1 << 30
 
 // Store is a handle on the two-tier result cache. The zero value is not
 // usable; construct with New. A nil *Store is valid everywhere and
@@ -107,11 +104,11 @@ type state struct {
 
 	// The blob tier memoises opaque byte values under the same versioned
 	// content addressing — fault-injection slice outcome tables and
-	// replay checkpoints, keyed by golden fingerprint. It shares the
+	// golden-run replay facts, keyed by golden fingerprint. It shares the
 	// store's counters, dedup semantics and disk directory (".bin"
-	// entries). The memory side is LRU-bounded by blobCap (0 =
-	// unlimited): blobLRU holds a last-touch tick per resident key and
-	// blobBytes the resident payload total.
+	// entries). The memory side is LRU-bounded by blobCap
+	// (blobCapBytes; tests lower it): blobLRU holds a last-touch tick per
+	// resident key and blobBytes the resident payload total.
 	blobMem    map[Key][]byte
 	blobFlight map[Key]*blobCall
 	blobLRU    map[Key]int64
@@ -173,12 +170,6 @@ func New(opts Options) *Store {
 	if v == "" {
 		v = EngineVersion
 	}
-	blobCap := opts.BlobCapBytes
-	if blobCap == 0 {
-		blobCap = defaultBlobCapBytes
-	} else if blobCap < 0 {
-		blobCap = 0 // unlimited
-	}
 	st := &state{
 		version:    v,
 		mem:        map[Key]*avf.Result{},
@@ -186,7 +177,7 @@ func New(opts Options) *Store {
 		blobMem:    map[Key][]byte{},
 		blobFlight: map[Key]*blobCall{},
 		blobLRU:    map[Key]int64{},
-		blobCap:    blobCap,
+		blobCap:    blobCapBytes,
 	}
 	if opts.Dir != "" {
 		st.dir = filepath.Join(opts.Dir, v)
@@ -214,20 +205,26 @@ func (s *Store) Key(parts ...string) Key {
 	if s != nil {
 		v = s.st.version
 	}
-	h := sha256.New()
-	var n [8]byte
+	// Keys run to about a kilobyte (a configuration fingerprint alone
+	// is ~800 bytes); the stack buffer holds them without a heap copy.
+	n := 8 + len(v)
+	for _, p := range parts {
+		n += 8 + len(p)
+	}
+	var stack [2048]byte
+	buf := stack[:0]
+	if n > len(stack) {
+		buf = make([]byte, 0, n)
+	}
 	write := func(p string) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p)))
+		buf = append(buf, p...)
 	}
 	write(v)
 	for _, p := range parts {
 		write(p)
 	}
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return sha256.Sum256(buf)
 }
 
 // Do returns the cached result for key, or runs simulate, stores its
@@ -345,11 +342,9 @@ func (s *Store) DoBlob(key Key, compute func() ([]byte, error)) ([]byte, error) 
 // false) — counted in Stats.Misses — leaving the computation to the
 // caller (pair with PutBlob). Unlike DoBlob it never blocks on an
 // in-flight computation. Fault-injection campaigns use it to load
-// golden-run replay facts, checkpoint manifests and checkpoints, whose
-// payloads they decode themselves: a payload that fails to decode is
-// discarded and rebuilt (a checkpoint is instead replaced by a replay
-// from cycle zero), which DoBlob's compute-once contract cannot
-// express. Always a miss on a nil store.
+// golden-run replay facts, whose payload they decode themselves: a
+// payload that fails to decode is discarded and rebuilt, which DoBlob's
+// compute-once contract cannot express. Always a miss on a nil store.
 func (s *Store) GetBlob(key Key) ([]byte, bool) {
 	if s == nil {
 		return nil, false
@@ -414,9 +409,6 @@ func (st *state) insertBlob(key Key, v []byte, loc *counters) {
 	st.blobMem[key] = v
 	st.blobBytes += int64(len(v))
 	st.touchBlob(key)
-	if st.blobCap <= 0 {
-		return
-	}
 	for st.blobBytes > st.blobCap && len(st.blobMem) > 1 {
 		var victim Key
 		best := st.blobTick + 1
@@ -578,8 +570,8 @@ type Stats struct {
 	Simulated int64 `json:"simulated"`
 	Deduped   int64 `json:"deduped"`
 	// Misses counts GetBlob probes that found neither tier populated;
-	// Evicted counts blobs dropped from the memory tier by the
-	// BlobCapBytes LRU cap (their disk entries survive).
+	// Evicted counts blobs dropped from the memory tier by its LRU cap
+	// (their disk entries survive).
 	Misses  int64 `json:"misses,omitempty"`
 	Evicted int64 `json:"evicted,omitempty"`
 	// Quarantined counts disk entries that failed frame validation or

@@ -375,7 +375,8 @@ func TestGetPutBlob(t *testing.T) {
 
 func TestBlobCapEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Options{Dir: dir, BlobCapBytes: 100})
+	s := New(Options{Dir: dir})
+	s.st.blobCap = 100
 	pay := make([]byte, 40)
 	ka, kb, kc := s.Key("a"), s.Key("b"), s.Key("c")
 	s.PutBlob(ka, pay)
@@ -401,17 +402,6 @@ func TestBlobCapEvictsLRU(t *testing.T) {
 	}
 	if st := s.Stats(); st.DiskHits != before.DiskHits+1 {
 		t.Errorf("stats %+v, want the reload counted as a disk hit", st)
-	}
-}
-
-func TestBlobCapUnlimited(t *testing.T) {
-	s := New(Options{BlobCapBytes: -1})
-	pay := make([]byte, 1<<10)
-	for i := 0; i < 64; i++ {
-		s.PutBlob(s.Key("k", string(rune('a'+i))), pay)
-	}
-	if st := s.Stats(); st.Evicted != 0 {
-		t.Errorf("unlimited cap evicted %d blobs", st.Evicted)
 	}
 }
 
