@@ -34,15 +34,18 @@ rootcause-diff:
 	$(GO) test ./internal/inject -run 'TestRootCause' -count=2
 	$(GO) test ./internal/rootcause -count=2
 
-# fuzz-smoke runs each decoder fuzz target for a short time beyond its
-# committed seed corpus: the injection slice-table and golden-info
-# codecs, the CRC frame every disk entry goes through, and the
-# job-journal line decoder.
+# fuzz-smoke runs each decoder and parser fuzz target for a short time
+# beyond its committed seed corpus: the injection slice-table,
+# golden-info and golden-entry codecs, the CRC frame every disk entry
+# goes through, the job-journal line decoder, and scenario-spec
+# resolution.
 fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGoldenInfo$$' -fuzztime 10s
+	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGolden$$' -fuzztime 10s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeJournalLine$$' -fuzztime 10s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzResolveSpec$$' -fuzztime 10s
 
 check: vet build test
 

@@ -355,7 +355,7 @@ func (e *Evaluator) SimulateKnobs(ctx context.Context, k codegen.Knobs, rc pipe.
 		return nil, err
 	}
 	key := e.cache.Key(e.cfgFP, "knobs:"+k.Fingerprint(), rc.Fingerprint())
-	return e.cache.Do(key, func() (*avf.Result, error) {
+	return simcache.Do(e.cache, key, simcache.Results, func() (*avf.Result, error) {
 		p, _, err := codegen.Generate(e.cfg, k, 1<<40)
 		if err != nil {
 			return nil, err

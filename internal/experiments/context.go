@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -102,7 +103,9 @@ func (o Options) withDefaults() Options {
 // flight memoises keyed computations with singleflight semantics:
 // concurrent callers of one key share a single computation, successful
 // values are memoised forever, and errors (including cancellations) are
-// handed to every waiter but never memoised — a later call retries.
+// handed to every waiter but never memoised — a later call retries. A
+// computation that panics memoises nothing either: its waiters get an
+// error and the panic continues in the computing caller.
 type flight[T any] struct {
 	mu       sync.Mutex
 	done     map[string]T
@@ -130,20 +133,26 @@ func (f *flight[T]) do(key string, compute func() (T, error)) (T, error) {
 		<-c.ch
 		return c.val, c.err
 	}
-	c := &flightCall[T]{ch: make(chan struct{})}
+	c := &flightCall[T]{ch: make(chan struct{}), err: errFlightPanicked}
 	f.inflight[key] = c
 	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		delete(f.inflight, key)
+		if c.err == nil {
+			f.done[key] = c.val
+		}
+		f.mu.Unlock()
+		close(c.ch)
+	}()
 
 	c.val, c.err = compute()
-	f.mu.Lock()
-	delete(f.inflight, key)
-	if c.err == nil {
-		f.done[key] = c.val
-	}
-	f.mu.Unlock()
-	close(c.ch)
 	return c.val, c.err
 }
+
+// errFlightPanicked is what waiters on a panicked computation receive
+// (a call starts with it; only a returning computation replaces it).
+var errFlightPanicked = errors.New("experiments: the shared computation panicked")
 
 // Context caches shared work across experiments at two levels: the
 // wl/sm flights memoise whole workload suites and stressmark searches
@@ -253,7 +262,7 @@ func (c *Context) Workloads(ctx context.Context, cfg uarch.Config) ([]*avf.Resul
 					return
 				}
 				key := c.cache.Key(cfgFP, "prog:"+p.Fingerprint(), rcFP)
-				results[i], errs[i] = c.cache.Do(key, func() (*avf.Result, error) {
+				results[i], errs[i] = simcache.Do(c.cache, key, simcache.Results, func() (*avf.Result, error) {
 					return pool.Simulate(p, rc)
 				})
 			}(i, pf)
@@ -387,7 +396,7 @@ func (c *Context) evaluateReference(ctx context.Context, key string, cfg uarch.C
 	rc := core.DefaultEvalBudget(cfg)
 	rc.MaxInstructions *= 2
 	cacheKey := c.cache.Key(cfg.Fingerprint(), "knobs:"+k.Fingerprint(), rc.Fingerprint())
-	res, err := c.cache.Do(cacheKey, func() (*avf.Result, error) {
+	res, err := simcache.Do(c.cache, cacheKey, simcache.Results, func() (*avf.Result, error) {
 		return pipe.Simulate(cfg, p, rc)
 	})
 	if err != nil {
@@ -424,7 +433,7 @@ func (c *Context) PowerVirus(ctx context.Context) (*avf.Result, error) {
 		}
 		rc := c.workloadBudget()
 		key := c.cache.Key(cfg.Fingerprint(), "prog:"+pv.Fingerprint(), rc.Fingerprint())
-		return c.cache.Do(key, func() (*avf.Result, error) {
+		return simcache.Do(c.cache, key, simcache.Results, func() (*avf.Result, error) {
 			return pipe.Simulate(cfg, pv, rc)
 		})
 	})

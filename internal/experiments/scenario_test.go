@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -266,4 +268,40 @@ func TestCancellationMidSearchPropagates(t *testing.T) {
 	if resumed != control {
 		t.Error("resuming from a cancelled store changed the fig5 report")
 	}
+}
+
+// FuzzResolveSpec: resolving an arbitrary JSON spec never panics, and
+// the names it accepts are a fixed point — resolving them again, with
+// no other spec field set, returns them unchanged (the service journals
+// resolved names and re-resolves them on recovery).
+func FuzzResolveSpec(f *testing.F) {
+	for _, s := range []string{
+		`{}`,
+		`{"scenarios":["fig3","table1"]}`,
+		`{"scenarios":["stressmark","workloads"],"config":"configA","rates":"edr","suite":"specfp"}`,
+		`{"scenarios":["faultinject","rootcause"],"inject_trials":500}`,
+		`{"scenarios":["rootcause"]}`,
+		`{"scenarios":["  fig6 ","faultinject:baseline:rhc:200"]}`,
+		`{"scenarios":["stressmark:configA:bogus"]}`,
+		`{"scenarios":[""]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var sp scenario.Spec
+		if json.Unmarshal(b, &sp) != nil {
+			return
+		}
+		names, err := ResolveSpec(sp)
+		if err != nil {
+			return
+		}
+		again, err := ResolveSpec(scenario.Spec{Scenarios: names})
+		if err != nil {
+			t.Fatalf("resolved names %q rejected on re-resolution: %v", names, err)
+		}
+		if !slices.Equal(again, names) {
+			t.Fatalf("resolved names %q re-resolve to %q", names, again)
+		}
+	})
 }

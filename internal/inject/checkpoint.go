@@ -1,27 +1,67 @@
 package inject
 
-// Golden-run plumbing for the campaign engine: persistence of the
-// golden run's replay facts (GoldenInfo) in the simcache blob tier, and
-// the checkpoint source slice jobs fork from. Checkpoints are pure
-// replay accelerators held in memory only — re-running the capturing
-// golden run costs less than encoding, storing and decoding them — so
-// no cache key names them and they never reach the report.
+// Golden-run plumbing for the campaign engine: the cache codec of the
+// golden run (its result plus its replay facts, GoldenInfo, in one
+// entry), and the checkpoint source slice jobs fork from. Checkpoints
+// are pure replay accelerators held in memory only — re-running the
+// capturing golden run costs less than encoding, storing and decoding
+// them — so no cache key names them and they never reach the report.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
 
+	"avfstress/internal/avf"
 	"avfstress/internal/pipe"
+	"avfstress/internal/simcache"
 )
 
+// golden is a campaign's memoised golden run: the fault-free result and
+// its replay facts.
+type golden struct {
+	res  *avf.Result
+	info pipe.GoldenInfo
+}
+
+// goldenCodec stores a golden run as its encodeGoldenInfo line, a
+// newline, then the result's JSON.
+var goldenCodec = simcache.Codec[golden]{
+	Ext: ".bin",
+	Encode: func(g golden) ([]byte, error) {
+		res, err := simcache.Results.Encode(g.res)
+		if err != nil {
+			return nil, err
+		}
+		b := append(encodeGoldenInfo(g.info), '\n')
+		return append(b, res...), nil
+	},
+	Decode: func(b []byte) (golden, error) {
+		line, res, ok := bytes.Cut(b, []byte{'\n'})
+		if !ok {
+			return golden{}, fmt.Errorf("inject: golden entry has no golden-info line")
+		}
+		info, err := decodeGoldenInfo(line)
+		if err != nil {
+			return golden{}, err
+		}
+		r, err := simcache.Results.Decode(res)
+		if err != nil {
+			return golden{}, fmt.Errorf("inject: golden entry result: %w", err)
+		}
+		return golden{r, info}, nil
+	},
+}
+
 // encodeGoldenInfo serialises the golden run's replay facts as a small
-// versioned text blob, so warm campaigns skip the golden re-run. v2
-// appends the register-file dead intervals the pruner needs (v1 blobs
-// fail decode: discard and rebuild); they are always encoded, whatever
-// PruneStatic says, so warm and cold campaigns prune identically.
+// versioned text line, the head of the golden cache entry. v2 appends
+// the register-file dead intervals the pruner needs (v1 lines fail
+// decode: the store quarantines and recomputes the entry); they are
+// always encoded, whatever PruneStatic says, so warm and cold campaigns
+// prune identically.
 func encodeGoldenInfo(gi pipe.GoldenInfo) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "goldeninfo v2 %d %d %d %d", gi.WindowStart, gi.Cycles, gi.Digest, len(gi.RFDead))

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"avfstress/internal/avf"
 	"avfstress/internal/pipe"
 )
 
@@ -94,4 +95,38 @@ func TestDecodeGoldenInfoWhitespace(t *testing.T) {
 	if gi, err := decodeGoldenInfo([]byte("goldeninfo v2 7400 12345 99 0 ")); err == nil {
 		t.Errorf("non-ASCII space accepted as a separator: %+v", gi)
 	}
+}
+
+// FuzzDecodeGolden: the golden entry decoder never panics, and any
+// entry it accepts re-encodes to one that decodes to an equal golden
+// run. The committed corpus under testdata/fuzz adds entries without
+// an info line, with a v1 line and with a truncated result.
+func FuzzDecodeGolden(f *testing.F) {
+	for _, g := range []golden{
+		{res: &avf.Result{}},
+		{res: &avf.Result{Config: "baseline", Workload: "stressmark", Cycles: 12_345, Instructions: 9_000, IPC: 0.73}, info: sampleGoldenInfo()},
+	} {
+		b, err := goldenCodec.Encode(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		g, err := goldenCodec.Decode(b)
+		if err != nil {
+			return
+		}
+		enc, err := goldenCodec.Encode(g)
+		if err != nil {
+			t.Fatalf("accepted %+v does not re-encode: %v", g, err)
+		}
+		got, err := goldenCodec.Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of accepted %+v fails decode: %v", g, err)
+		}
+		if !reflect.DeepEqual(got, g) {
+			t.Fatalf("round trip changed %+v into %+v", g, got)
+		}
+	})
 }

@@ -340,70 +340,36 @@ type campaign struct {
 	cfgFP, progFP, rcFP string
 }
 
-// key addresses one of the campaign's blobs: golden info and slice
-// tables.
+// key addresses one of the campaign's cache entries: its golden run
+// and its slice tables.
 func (c *campaign) key(part string) simcache.Key {
 	return c.o.Cache.Key(c.cfgFP, c.progFP, c.rcFP, part)
 }
 
 // goldenRun returns the fault-free reference run, its replay facts and
 // the checkpoint source slices fork from (nil when checkpointing is
-// disabled). The result key matches internal/experiments' workload key,
-// so both share one golden run; the replay facts live in a sibling blob
-// so a warm campaign skips the golden re-run entirely. Checkpoints are
-// never stored: a campaign that did not run the golden itself
-// re-captures them on demand (ckptSource).
+// disabled). Result and facts are one cache entry, so a warm campaign
+// skips the golden re-run entirely. Checkpoints are never stored: a
+// campaign that did not run the golden itself re-captures them on
+// demand (ckptSource).
 func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error) {
 	o := c.o
-	var (
-		info     pipe.GoldenInfo
-		haveInfo bool
-		cks      *pipe.CheckpointSet
-	)
-	infoKey := c.key("goldeninfo")
-	loadInfo := func() {
-		if b, ok := o.Cache.GetBlob(infoKey); ok {
-			if gi, err := decodeGoldenInfo(b); err == nil {
-				info, haveInfo = gi, true
-			} else {
-				o.Cache.DiscardBlob(infoKey) // so the rebuild writes a clean entry
-			}
-		}
-	}
-	// simulate publishes info inside the golden compute, before the
-	// result's singleflight resolves, so a concurrent campaign that
-	// waited on the same golden run finds it published.
-	simulate := func() (*avf.Result, error) {
+	var cks *pipe.CheckpointSet
+	g, err := simcache.Do(o.Cache, c.key("golden"), goldenCodec, func() (golden, error) {
 		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, c.live.DeadDefs)
-		if err != nil {
-			return nil, err
-		}
-		info, haveInfo, cks = gi, true, set
-		o.Cache.PutBlob(infoKey, encodeGoldenInfo(gi))
-		return res, nil
-	}
-	loadInfo()
-	golden, err := o.Cache.Do(o.Cache.Key(c.cfgFP, c.progFP, c.rcFP), simulate)
+		cks = set
+		return golden{res, gi}, err
+	})
 	if err != nil {
-		return nil, info, nil, fmt.Errorf("inject: golden run: %w", err)
+		return nil, g.info, nil, fmt.Errorf("inject: golden run: %w", err)
 	}
-	if !haveInfo {
-		loadInfo() // a concurrent campaign ran the golden
-	}
-	if !haveInfo {
-		// Warm result, lost info blob (a partially swept cache
-		// directory): one golden re-run rebuilds it and the checkpoints.
-		if _, err := simulate(); err != nil {
-			return nil, info, nil, fmt.Errorf("inject: golden run: %w", err)
-		}
-	}
-	if info.Cycles <= 0 {
-		return nil, info, nil, fmt.Errorf("inject: golden run measured no cycles")
+	if g.info.Cycles <= 0 {
+		return nil, g.info, nil, fmt.Errorf("inject: golden run measured no cycles")
 	}
 	if o.CheckpointInterval < 0 {
-		return golden, info, nil, nil
+		return g.res, g.info, nil, nil
 	}
-	return golden, info, c.ckptSource(info, cks), nil
+	return g.res, g.info, c.ckptSource(g.info, cks), nil
 }
 
 // sampled is a campaign's trial plan, per stratum: replayed targets in
@@ -574,12 +540,12 @@ func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSo
 }
 
 // sliceOutcomes returns one slice's trial records: its memoised table,
-// or (through DoBlob, so it counts in Stats.Simulated) one replay
-// carrying all its faults as independent watches, forked from the
-// latest checkpoint valid for the earliest. A table the decoder rejects
-// — a legacy or foreign entry — is discarded and replayed once.
+// or (counted in Stats.Simulated) one replay carrying all its faults as
+// independent watches, forked from the latest checkpoint valid for the
+// earliest. The store quarantines and replays a table its codec
+// rejects — a legacy or foreign entry.
 func (c *campaign) sliceOutcomes(key simcache.Key, src *ckptSource, faults []pipe.Fault) ([]pipe.FaultTrial, error) {
-	compute := func() ([]byte, error) {
+	return simcache.Do(c.o.Cache, key, sliceCodec(len(faults)), func() ([]pipe.FaultTrial, error) {
 		ck, err := src.checkpointFor(faults[0].Cycle)
 		if err != nil {
 			return nil, err
@@ -588,19 +554,8 @@ func (c *campaign) sliceOutcomes(key simcache.Key, src *ckptSource, faults []pip
 		if err != nil {
 			return nil, fmt.Errorf("inject: slice replay from cycle %d: %w", faults[0].Cycle, err)
 		}
-		return encodeSlice(out), nil
-	}
-	for discarded := false; ; discarded = true {
-		b, err := c.o.Cache.DoBlob(key, compute)
-		if err != nil {
-			return nil, err
-		}
-		trials, err := decodeSlice(b, len(faults))
-		if err == nil || discarded {
-			return trials, err
-		}
-		c.o.Cache.DiscardBlob(key)
-	}
+		return out, nil
+	})
 }
 
 // aggregateResult folds the per-trial outcomes into the campaign result:

@@ -258,10 +258,10 @@ func TestCampaignPartialWarmRecaptures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Golden result and info are the only disk hits; every slice of the
-	// new seed misses and replays.
-	if st := o.Cache.Stats(); st.DiskHits != 2 || st.Simulated == 0 {
-		t.Errorf("seed-2 stats %v, want 2 disk hits (golden result + info) and replayed slices", st)
+	// The golden entry is the only disk hit; every slice of the new
+	// seed misses and replays.
+	if st := o.Cache.Stats(); st.DiskHits != 1 || st.Simulated == 0 {
+		t.Errorf("seed-2 stats %v, want 1 disk hit (the golden entry) and replayed slices", st)
 	}
 	o.Cache = nil
 	bare, err := Run(bg, o)
@@ -283,16 +283,19 @@ func TestCampaignStaleGoldenInfoFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &campaign{o: o, cfgFP: o.Config.Fingerprint(), progFP: "prog:" + o.Program.Fingerprint(), rcFP: o.Run.Fingerprint()}
-	b, ok := o.Cache.GetBlob(c.key("goldeninfo"))
-	if !ok {
-		t.Fatal("cold campaign stored no golden info")
-	}
-	gi, err := decodeGoldenInfo(b)
+	g, err := simcache.Do(o.Cache, c.key("golden"), goldenCodec, func() (golden, error) {
+		t.Fatal("cold campaign stored no golden entry")
+		return golden{}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi.Digest ^= 1
-	o.Cache.PutBlob(c.key("goldeninfo"), encodeGoldenInfo(gi))
+	// A fresh store holding only the golden entry, its digest flipped.
+	g.info.Digest ^= 1
+	o.Cache = simcache.New(simcache.Options{})
+	if _, err := simcache.Do(o.Cache, c.key("golden"), goldenCodec, func() (golden, error) { return g, nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	o.Seed = 2 // new slices, so the checkpoints are re-captured
 	res, err := Run(bg, o)

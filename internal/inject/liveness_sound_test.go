@@ -98,11 +98,11 @@ func enumeratePruned(t *testing.T, pr *pruner, cfg uarch.Config, info pipe.Golde
 func replayAllMasked(t *testing.T, pool *pipe.Pool, p *prog.Program, rc pipe.RunConfig, faults []pipe.Fault) {
 	t.Helper()
 	for _, f := range faults {
-		corrupted, err := pool.SimulateFault(p, rc, f)
+		trial, err := pool.SimulateFaultDetail(p, rc, f)
 		if err != nil {
 			t.Fatalf("replaying pruned target %+v: %v", f, err)
 		}
-		if corrupted {
+		if trial.Corrupted {
 			t.Errorf("statically pruned target %+v corrupted the run (unsound prune)", f)
 		}
 	}

@@ -89,8 +89,20 @@ func newPruner(enabled bool, cfg uarch.Config, sum *liveness.Summary, info pipe.
 	// ...plus the recorded dead occupancy intervals, clipped to the
 	// sampled window. Per-slot interval order is chronological by
 	// construction (occupancies of one slot are sequential), so the
-	// lists are search-ready as recorded.
+	// lists are search-ready as recorded. Counting each slot's intervals
+	// first carves the lists from one backing array instead of growing
+	// each by append.
+	counts := make([]int, core.PhysRegs)
+	for _, di := range info.RFDead {
+		if int(di.Slot) < core.PhysRegs {
+			counts[di.Slot]++
+		}
+	}
 	pr.rfIv = make([][]ivl, core.PhysRegs)
+	backing := make([]ivl, len(info.RFDead))
+	for slot, n := range counts {
+		pr.rfIv[slot], backing = backing[:0:n], backing[n:]
+	}
 	wStart, wEnd := info.WindowStart, info.WindowStart+info.Cycles
 	for _, di := range info.RFDead {
 		start, end := di.Start, di.End

@@ -15,6 +15,7 @@ import (
 
 	"avfstress/internal/isa"
 	"avfstress/internal/pipe"
+	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
 )
 
@@ -83,9 +84,19 @@ func encodeSlice(trials []pipe.FaultTrial) []byte {
 	return b
 }
 
+// sliceCodec is the cache codec of one slice's outcome table of n
+// records, n being its fault count.
+func sliceCodec(n int) simcache.Codec[[]pipe.FaultTrial] {
+	return simcache.Codec[[]pipe.FaultTrial]{
+		Ext:    ".bin",
+		Encode: func(t []pipe.FaultTrial) ([]byte, error) { return encodeSlice(t), nil },
+		Decode: func(b []byte) ([]pipe.FaultTrial, error) { return decodeSlice(b, n) },
+	}
+}
+
 // decodeSlice parses a slice blob of exactly n records, strictly: a
 // wrong magic, count or length, or a field out of range is undecodable
-// (discard and replay). Legacy per-trial blobs never decode.
+// (the store quarantines and replays it). Legacy per-trial blobs never decode.
 func decodeSlice(b []byte, n int) ([]pipe.FaultTrial, error) {
 	if len(b) < sliceHeader || string(b[:len(sliceMagic)]) != sliceMagic {
 		return nil, fmt.Errorf("inject: not a slice blob (%d bytes)", len(b))

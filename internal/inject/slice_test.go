@@ -127,7 +127,10 @@ func TestTrialBlobBitFlipQuarantinesEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	s := simcache.New(simcache.Options{Dir: dir})
 	key := s.Key("sliceblob-corrupt")
-	s.PutBlob(key, encodeSlice(sampleTrials()))
+	codec := sliceCodec(len(sampleTrials()))
+	if _, err := simcache.Do(s, key, codec, func() ([]pipe.FaultTrial, error) { return sampleTrials(), nil }); err != nil {
+		t.Fatal(err)
+	}
 	versionDir := filepath.Join(dir, simcache.EngineVersion)
 	var path string
 	ents, err := os.ReadDir(versionDir)
@@ -154,8 +157,9 @@ func TestTrialBlobBitFlipQuarantinesEveryOffset(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold := simcache.New(simcache.Options{Dir: dir})
-			if v, ok := cold.GetBlob(key); ok {
-				t.Fatalf("offset %d bit %d: corrupt slice blob served as a hit (%q)", off, bit, v)
+			replays := 0
+			if _, err := simcache.Do(cold, key, codec, func() ([]pipe.FaultTrial, error) { replays++; return sampleTrials(), nil }); err != nil || replays != 1 {
+				t.Fatalf("offset %d bit %d: corrupt slice blob served as a hit (replays=%d, err=%v)", off, bit, replays, err)
 			}
 			if st := cold.Stats(); st.Quarantined != 1 {
 				t.Fatalf("offset %d bit %d: stats %+v, want Quarantined=1", off, bit, st)

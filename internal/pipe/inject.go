@@ -550,26 +550,14 @@ func (pl *Pipeline) RunFault(rc RunConfig, f Fault, full bool) (FaultTrial, erro
 	return trial, nil
 }
 
-// RunFaults replays the program under rc once with every fault in
+// runFaults replays the program under rc once with every fault in
 // faults armed as an independent observer (early-resolution mode) and
-// returns per-fault corruption outcomes in caller order. When ck is
-// non-nil the replay forks from the checkpoint instead of cycle zero;
-// every fault must then satisfy ck.Cycle()+lead ≤ fault.Cycle for the
+// returns per-fault trial records in caller order, resuming from the
+// restored state when resume is set (Pool.SimulateFaultsDetailFrom).
+// Every fault must then satisfy ck.Cycle()+lead ≤ fault.Cycle for the
 // hierarchy's timestamp lead (CheckpointSet.Nearest enforces this), so
 // every lifetime transition that can resolve a watch happens after the
-// fork point. Call once per New, Reset or Restore.
-func (pl *Pipeline) RunFaults(rc RunConfig, faults []Fault) ([]bool, error) {
-	trials, err := pl.runFaults(rc, faults, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(trials))
-	for i := range trials {
-		out[i] = trials[i].Corrupted
-	}
-	return out, nil
-}
-
+// fork point.
 func (pl *Pipeline) runFaults(rc RunConfig, faults []Fault, resume bool) ([]FaultTrial, error) {
 	if len(faults) == 0 {
 		return nil, nil
@@ -624,19 +612,10 @@ func (pp *Pool) SimulateGolden(p *prog.Program, rc RunConfig) (*avf.Result, Gold
 	return res, info, nil
 }
 
-// SimulateFault replays program p under rc on a pooled pipeline with
-// fault f injected (early-resolution mode) and reports whether the fault
-// corrupts committed architectural state.
-func (pp *Pool) SimulateFault(p *prog.Program, rc RunConfig, f Fault) (bool, error) {
-	trial, err := pp.SimulateFaultDetail(p, rc, f)
-	if err != nil {
-		return false, err
-	}
-	return trial.Corrupted, nil
-}
-
-// SimulateFaultDetail is SimulateFault returning the full trial record,
-// including the first-divergent-commit identity of a corrupting fault
+// SimulateFaultDetail replays program p under rc on a pooled pipeline
+// with fault f injected (early-resolution mode) and returns the trial
+// record: whether the fault corrupts committed architectural state and
+// the first-divergent-commit identity of a corrupting fault
 // (internal/rootcause attributes from it). Early-resolution mode: the
 // consuming instruction is identified at or before resolution, so the
 // replay still stops as soon as the fate is known.

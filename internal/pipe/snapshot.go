@@ -17,7 +17,7 @@ package pipe
 // program N times, and almost all of that work re-simulates the prefix
 // before each injection cycle. SimulateGoldenRecorded captures
 // checkpoints during the (already mandatory) golden run, and
-// SimulateFaultsFrom forks a replay from the nearest checkpoint that is
+// SimulateFaultsDetailFrom forks a replay from the nearest checkpoint that is
 // safely before the fault instead of from cycle zero.
 //
 // Safety margin: hierarchy accesses carry timestamps that run ahead of
@@ -450,29 +450,14 @@ func (pp *Pool) raw(p *prog.Program) (*Pipeline, error) {
 	return New(pp.cfg, p)
 }
 
-// SimulateFaultsFrom replays program p under rc once on a pooled
+// SimulateFaultsDetailFrom replays program p under rc once on a pooled
 // pipeline with every fault armed as an independent observer, forking
-// from checkpoint ck (nil: from cycle zero), and returns per-fault
-// corruption outcomes in caller order. Outcomes are bit-identical to
-// per-fault SimulateFault replays from cycle zero provided every fault
-// cycle respects ck's validity margin (CheckpointSet.Nearest).
-func (pp *Pool) SimulateFaultsFrom(p *prog.Program, rc RunConfig, ck *Checkpoint, faults []Fault) ([]bool, error) {
-	trials, err := pp.SimulateFaultsDetailFrom(p, rc, ck, faults)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(trials))
-	for i := range trials {
-		out[i] = trials[i].Corrupted
-	}
-	return out, nil
-}
-
-// SimulateFaultsDetailFrom is SimulateFaultsFrom returning the full
-// per-fault trial records, including each corrupting fault's
-// first-divergent-commit identity. Consumer capture is resolved from
-// pipeline state alone, so records are bit-identical across fork points
-// exactly like the corruption outcomes.
+// from checkpoint ck (nil: from cycle zero), and returns per-fault trial
+// records in caller order, including each corrupting fault's
+// first-divergent-commit identity. Records are bit-identical to
+// per-fault SimulateFaultDetail replays from cycle zero provided every
+// fault cycle respects ck's validity margin (CheckpointSet.Nearest):
+// consumer capture is resolved from pipeline state alone.
 func (pp *Pool) SimulateFaultsDetailFrom(p *prog.Program, rc RunConfig, ck *Checkpoint, faults []Fault) ([]FaultTrial, error) {
 	if ck == nil {
 		pl, err := pp.get(p)

@@ -322,18 +322,18 @@ func TestFaultForkMatchesCold(t *testing.T) {
 				}
 			}
 		}
-		got, err := pool.SimulateFaultsFrom(p, rc, ck, bucket)
+		got, err := pool.SimulateFaultsDetailFrom(p, rc, ck, bucket)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", idx, err)
 		}
 		for i, f := range bucket {
-			cold, err := pool.SimulateFault(p, rc, f)
+			cold, err := pool.SimulateFaultDetail(p, rc, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got[i] != cold {
+			if got[i].Corrupted != cold.Corrupted {
 				t.Errorf("%s %+v (ck %d): forked says corrupted=%v, cold says %v",
-					f.Structure, f, idx, got[i], cold)
+					f.Structure, f, idx, got[i].Corrupted, cold.Corrupted)
 			}
 		}
 	}

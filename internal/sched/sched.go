@@ -75,9 +75,6 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 type Options struct {
 	// Workers bounds concurrently executing jobs (0 = GOMAXPROCS).
 	Workers int
-	// OnDone, when set, observes every job completion (progress
-	// streams). It may be called from multiple goroutines.
-	OnDone func(key string, d time.Duration, err error)
 	// Retry bounds retries of transiently failing jobs (zero value:
 	// no retries). Permanent failures — the default classification —
 	// fail the run on the first attempt.
@@ -141,7 +138,6 @@ func Run(ctx context.Context, jobs []scenario.Job, opts Options) error {
 	exec = func(n *node) {
 		defer wg.Done()
 		sem <- struct{}{}
-		start := time.Now()
 		err := runAttempts(cctx, n, opts)
 		<-sem
 		if err != nil {
@@ -149,9 +145,6 @@ func Run(ctx context.Context, jobs []scenario.Job, opts Options) error {
 			// identities (often fingerprint blobs), not display
 			// strings, so jobs must return self-describing errors.
 			fail(err)
-		}
-		if opts.OnDone != nil {
-			opts.OnDone(n.key, time.Since(start), err)
 		}
 		// Release dependents; the last dependency to finish launches
 		// each one (even after a failure, so the DAG always drains —

@@ -187,23 +187,3 @@ func TestNilRunIsGroupingNode(t *testing.T) {
 		t.Errorf("grouping node broke ordering: %v", r.log)
 	}
 }
-
-func TestOnDoneObservesEveryJob(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	jobs := []scenario.Job{
-		{Key: "x", Run: func(context.Context) error { return nil }},
-		{Key: "y", Deps: []string{"x"}, Run: func(context.Context) error { return nil }},
-	}
-	err := Run(context.Background(), jobs, Options{OnDone: func(key string, _ time.Duration, err error) {
-		mu.Lock()
-		seen[key] = true
-		mu.Unlock()
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seen["x"] || !seen["y"] {
-		t.Errorf("OnDone missed jobs: %v", seen)
-	}
-}

@@ -7,6 +7,7 @@ package simcache
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -65,7 +66,7 @@ func TestResultBitFlipQuarantinesEveryOffset(t *testing.T) {
 	s := New(Options{Dir: dir})
 	key := s.Key("corrupt-result")
 	want := sampleResult("victim")
-	if _, err := s.Do(key, func() (*avf.Result, error) { return want, nil }); err != nil {
+	if _, err := Do(s, key, Results, func() (*avf.Result, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	versionDir := filepath.Join(dir, EngineVersion)
@@ -83,7 +84,7 @@ func TestResultBitFlipQuarantinesEveryOffset(t *testing.T) {
 		}
 		cold := New(Options{Dir: dir}) // fresh memory tier: forces a disk read
 		sims := 0
-		got, err := cold.Do(key, func() (*avf.Result, error) { sims++; return sampleResult("victim"), nil })
+		got, err := Do(cold, key, Results, func() (*avf.Result, error) { sims++; return sampleResult("victim"), nil })
 		if err != nil {
 			t.Fatalf("offset %d: corrupt entry surfaced as an error: %v", off, err)
 		}
@@ -116,7 +117,10 @@ func TestBlobBitFlipQuarantinesEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Dir: dir})
 	key := s.Key("corrupt-blob")
-	s.PutBlob(key, []byte{1})
+	one := func() ([]byte, error) { return []byte{1}, nil }
+	if _, err := Do(s, key, bytesCodec, one); err != nil {
+		t.Fatal(err)
+	}
 	versionDir := filepath.Join(dir, EngineVersion)
 	path := diskEntry(t, versionDir, ".bin")
 	good, err := os.ReadFile(path)
@@ -131,12 +135,12 @@ func TestBlobBitFlipQuarantinesEveryOffset(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold := New(Options{Dir: dir})
-			if v, ok := cold.GetBlob(key); ok {
-				t.Fatalf("offset %d bit %d: corrupt blob served as a hit (%v)", off, bit, v)
+			if _, err := Do(cold, key, bytesCodec, one); err != nil {
+				t.Fatalf("offset %d bit %d: corrupt blob surfaced as an error: %v", off, bit, err)
 			}
 			st := cold.Stats()
-			if st.Quarantined != 1 || st.Misses != 1 {
-				t.Fatalf("offset %d bit %d: stats %+v, want Quarantined=1 Misses=1", off, bit, st)
+			if st.Quarantined != 1 || st.BlobMisses != 1 {
+				t.Fatalf("offset %d bit %d: stats %+v, want Quarantined=1 BlobMisses=1", off, bit, st)
 			}
 			// Restore the good entry for the next mutation.
 			if err := os.WriteFile(path, good, 0o644); err != nil {
@@ -153,10 +157,13 @@ func TestTruncatedAndLegacyEntriesAreMisses(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Dir: dir})
 	rkey, bkey := s.Key("res"), s.Key("blob")
-	if _, err := s.Do(rkey, func() (*avf.Result, error) { return sampleResult("legacy"), nil }); err != nil {
+	if _, err := Do(s, rkey, Results, func() (*avf.Result, error) { return sampleResult("legacy"), nil }); err != nil {
 		t.Fatal(err)
 	}
-	s.PutBlob(bkey, []byte{0, 1, 2, 3})
+	blob := func() ([]byte, error) { return []byte{0, 1, 2, 3}, nil }
+	if _, err := Do(s, bkey, bytesCodec, blob); err != nil {
+		t.Fatal(err)
+	}
 	versionDir := filepath.Join(dir, EngineVersion)
 	rpath := diskEntry(t, versionDir, ".json")
 	bpath := diskEntry(t, versionDir, ".bin")
@@ -178,10 +185,13 @@ func TestTruncatedAndLegacyEntriesAreMisses(t *testing.T) {
 		}
 		cold := New(Options{Dir: dir})
 		sims := 0
-		if _, err := cold.Do(rkey, func() (*avf.Result, error) { sims++; return sampleResult("legacy"), nil }); err != nil {
+		if _, err := Do(cold, rkey, Results, func() (*avf.Result, error) { sims++; return sampleResult("legacy"), nil }); err != nil {
 			t.Fatalf("%s: result read errored: %v", tc.name, err)
 		}
-		if _, ok := cold.GetBlob(bkey); ok && sims == 0 {
+		if _, err := Do(cold, bkey, bytesCodec, func() ([]byte, error) { sims++; return blob() }); err != nil {
+			t.Fatalf("%s: blob read errored: %v", tc.name, err)
+		}
+		if sims == 0 {
 			t.Fatalf("%s: nothing was treated as a miss", tc.name)
 		}
 		if st := cold.Stats(); st.Quarantined < int64(tc.expectQ) {
@@ -189,10 +199,12 @@ func TestTruncatedAndLegacyEntriesAreMisses(t *testing.T) {
 		}
 		// Heal both entries for the next case.
 		s2 := New(Options{Dir: dir})
-		if _, err := s2.Do(rkey, func() (*avf.Result, error) { return sampleResult("legacy"), nil }); err != nil {
+		if _, err := Do(s2, rkey, Results, func() (*avf.Result, error) { return sampleResult("legacy"), nil }); err != nil {
 			t.Fatal(err)
 		}
-		s2.PutBlob(bkey, []byte{0, 1, 2, 3})
+		if _, err := Do(s2, bkey, bytesCodec, blob); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -203,7 +215,7 @@ func TestFramedPayloadDecodeFailureQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Dir: dir})
 	key := s.Key("bad-payload")
-	if _, err := s.Do(key, func() (*avf.Result, error) { return sampleResult("x"), nil }); err != nil {
+	if _, err := Do(s, key, Results, func() (*avf.Result, error) { return sampleResult("x"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	versionDir := filepath.Join(dir, EngineVersion)
@@ -212,7 +224,7 @@ func TestFramedPayloadDecodeFailureQuarantines(t *testing.T) {
 	writeValidFrameInvalidJSON(t, path)
 	cold := New(Options{Dir: dir})
 	sims := 0
-	if _, err := cold.Do(key, func() (*avf.Result, error) { sims++; return sampleResult("x"), nil }); err != nil {
+	if _, err := Do(cold, key, Results, func() (*avf.Result, error) { sims++; return sampleResult("x"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if sims != 1 {
@@ -223,19 +235,27 @@ func TestFramedPayloadDecodeFailureQuarantines(t *testing.T) {
 	}
 }
 
-// TestDiscardBlobQuarantines: DiscardBlob drops the memory entry and
-// quarantines the disk entry, so the next probe is a clean miss.
-func TestDiscardBlobQuarantines(t *testing.T) {
+// TestDecodeRejectionQuarantinesEveryKind: the store applies the
+// JSON rule above to every codec — a frame-valid binary entry its codec
+// rejects (an older payload version) is quarantined and recomputed,
+// and the recomputed entry then serves hits.
+func TestDecodeRejectionQuarantinesEveryKind(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Options{Dir: dir})
-	key := s.Key("discard")
-	s.PutBlob(key, []byte("decoder rejected me"))
-	if _, ok := s.GetBlob(key); !ok {
-		t.Fatal("blob not stored")
+	key := New(Options{}).Key("rejected")
+	v2 := Codec[[]byte]{Ext: ".bin", Encode: bytesCodec.Encode, Decode: func(b []byte) ([]byte, error) {
+		if !bytes.HasPrefix(b, []byte("v2:")) {
+			return nil, errors.New("not a v2 payload")
+		}
+		return b, nil
+	}}
+	if _, err := Do(New(Options{Dir: dir}), key, bytesCodec, func() ([]byte, error) { return []byte("v1:legacy"), nil }); err != nil {
+		t.Fatal(err)
 	}
-	s.DiscardBlob(key)
-	if _, ok := s.GetBlob(key); ok {
-		t.Error("discarded blob still served")
+	s := New(Options{Dir: dir})
+	sims := 0
+	fresh := func() ([]byte, error) { sims++; return []byte("v2:fresh"), nil }
+	if v, err := Do(s, key, v2, fresh); err != nil || string(v) != "v2:fresh" || sims != 1 {
+		t.Fatalf("rejected entry: %q, %v, sims=%d; want a recomputation", v, err, sims)
 	}
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Errorf("stats %+v, want Quarantined=1", st)
@@ -243,8 +263,11 @@ func TestDiscardBlobQuarantines(t *testing.T) {
 	if got := quarantineCount(t, filepath.Join(dir, EngineVersion)); got != 1 {
 		t.Errorf("quarantine dir holds %d entries, want 1", got)
 	}
-	// Discarding again (or on a nil store) is a harmless no-op.
-	s.DiscardBlob(key)
-	var nils *Store
-	nils.DiscardBlob(key)
+	warm := New(Options{Dir: dir})
+	if v, err := Do(warm, key, v2, fresh); err != nil || string(v) != "v2:fresh" || sims != 1 {
+		t.Fatalf("healed entry: %q, %v, sims=%d; want a disk hit", v, err, sims)
+	}
+	if st := warm.Stats(); st.DiskHits != 1 || st.Quarantined != 0 {
+		t.Errorf("stats %+v, want one clean disk hit", st)
+	}
 }

@@ -6,26 +6,29 @@
 // a cache keyed by a canonical fingerprint of those inputs and is
 // bit-identical to re-running the simulator.
 //
-// The store is two-tier:
+// One engine, Do, memoises every kind of value; a Codec names the
+// kind's payload format. The store is two-tier:
 //
-//   - an in-memory map, shared by every experiment and GA search in the
-//     process (duplicate genomes across generations, the 33-workload
-//     suite shared by Figures 3/4/6/7, Table III, ...);
+//   - an in-memory map of decoded values, shared by every experiment and
+//     GA search in the process (duplicate genomes across generations, the
+//     33-workload suite shared by Figures 3/4/6/7, Table III, ...) and
+//     LRU-bounded by encoded payload size;
 //   - an optional on-disk tier (one CRC-framed file per key, written
 //     atomically via internal/persist), shared across processes and
-//     runs. Reads validate the frame before decoding: a torn, truncated
-//     or bit-flipped entry is quarantined to <dir>/quarantine/ and
-//     served as a miss — corruption costs a re-simulation, never a
-//     crash and never a wrong result (DESIGN.md §11).
+//     runs. Reads validate the frame and then decode: a torn, truncated,
+//     bit-flipped or undecodable entry is quarantined to
+//     <dir>/quarantine/ and served as a miss — corruption costs a
+//     re-computation, never a crash and never a wrong result (DESIGN.md
+//     §11).
 //
 // Concurrent requests for the same key are deduplicated (singleflight):
-// the first caller simulates, the rest wait and share the result.
+// the first caller computes, the rest wait and share the value.
 //
 // Keys incorporate EngineVersion, so entries written by an older
 // simulator never match and stale disk tiers self-invalidate (DESIGN.md
-// §7 gives the bump rules). Results handed out by the store are shared —
-// callers must treat *avf.Result as immutable, which every consumer in
-// this repository already does.
+// §7 gives the bump rules). Values handed out by the store are shared —
+// callers must treat them as immutable, which every consumer in this
+// repository already does.
 package simcache
 
 import (
@@ -60,28 +63,51 @@ type Key [sha256.Size]byte
 // tier.
 func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
 
+// Codec is the payload format of one kind of memoised value: Encode and
+// Decode convert between the value and its disk payload, and Ext is the
+// disk entry's file extension. A key belongs to one codec — keys are
+// built from parts that name the kind of value they address.
+type Codec[T any] struct {
+	Ext    string
+	Encode func(T) ([]byte, error)
+	Decode func([]byte) (T, error)
+}
+
+// Results is the codec of simulation results: JSON ".json" entries.
+var Results = Codec[*avf.Result]{
+	Ext:    ".json",
+	Encode: func(r *avf.Result) ([]byte, error) { return json.Marshal(r) },
+	Decode: func(b []byte) (*avf.Result, error) {
+		r := &avf.Result{}
+		if err := json.Unmarshal(b, r); err != nil {
+			return nil, err
+		}
+		return r, nil
+	},
+}
+
 // Options configures a Store.
 type Options struct {
 	// Dir enables the disk tier under this directory ("" = memory only).
-	// Entries land in Dir/<version>/<key>.json so stale engine versions
+	// Entries land in Dir/<version>/<key><ext> so stale engine versions
 	// are inert and easy to sweep.
 	Dir string
 	// Version overrides EngineVersion (tests only).
 	Version string
 }
 
-// blobCapBytes bounds the in-memory blob tier, so a long-lived daemon's
-// accumulated slice tables and golden info cannot grow without limit.
-// Past the cap, least-recently-used blobs are evicted from memory —
+// memCapBytes bounds the memory tier by encoded payload size, so a
+// long-lived daemon's accumulated entries cannot grow without limit.
+// Past the cap, least-recently-used entries are evicted from memory —
 // counted in Stats.Evicted — while their disk entries remain, so an
-// eviction degrades a future hit from memory to disk, never to a
-// re-simulation.
-const blobCapBytes int64 = 1 << 30
+// eviction degrades a future hit from memory to disk (or, memory-only,
+// to a re-computation), never to a wrong value.
+const memCapBytes int64 = 1 << 30
 
-// Store is a handle on the two-tier result cache. The zero value is not
+// Store is a handle on the two-tier cache. The zero value is not
 // usable; construct with New. A nil *Store is valid everywhere and
-// disables caching (Do just runs the simulation), so call sites need no
-// branching.
+// disables caching (Do just runs the computation), so call sites need
+// no branching.
 //
 // Handles returned by View share the underlying tiers, dedup state and
 // store-wide counters, but additionally count their own traffic — the
@@ -99,69 +125,69 @@ type state struct {
 	dir     string // "" = memory only
 
 	mu     sync.Mutex
-	mem    map[Key]*avf.Result
+	mem    map[Key]*entry
 	flight map[Key]*call
-
-	// The blob tier memoises opaque byte values under the same versioned
-	// content addressing — fault-injection slice outcome tables and
-	// golden-run replay facts, keyed by golden fingerprint. It shares the
-	// store's counters, dedup semantics and disk directory (".bin"
-	// entries). The memory side is LRU-bounded by blobCap
-	// (blobCapBytes; tests lower it): blobLRU holds a last-touch tick per
-	// resident key and blobBytes the resident payload total.
-	blobMem    map[Key][]byte
-	blobFlight map[Key]*blobCall
-	blobLRU    map[Key]int64
-	blobTick   int64
-	blobBytes  int64
-	blobCap    int64
+	tick   int64 // LRU clock
+	bytes  int64 // resident payload total
+	cap    int64 // memCapBytes; tests lower it
 
 	glob counters
 }
 
-// counters is one set of traffic counters.
-type counters struct {
-	memHits     atomic.Int64
-	diskHits    atomic.Int64
-	sims        atomic.Int64
-	dedups      atomic.Int64
-	misses      atomic.Int64
-	evicted     atomic.Int64
-	quarantined atomic.Int64
-	// Tier-attribution counters: blobHits/blobMisses are the blob-tier
-	// share of the hit/miss traffic above (so per-handle attribution
-	// distinguishes result entries from blob entries).
-	blobHits   atomic.Int64
-	blobMisses atomic.Int64
+// entry is one resident value, sized by its encoded payload.
+type entry struct {
+	val  any
+	size int64
+	tick int64 // last touch
 }
+
+// counter indexes one traffic counter.
+type counter int
+
+const (
+	memHits counter = iota
+	diskHits
+	sims
+	dedups
+	evicted
+	quarantined
+	blobHits   // the .bin share of memHits+diskHits
+	blobMisses // the .bin share of sims
+	numCounters
+)
+
+// counters is one set of traffic counters.
+type counters [numCounters]atomic.Int64
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		MemHits:     c.memHits.Load(),
-		DiskHits:    c.diskHits.Load(),
-		Simulated:   c.sims.Load(),
-		Deduped:     c.dedups.Load(),
-		Misses:      c.misses.Load(),
-		Evicted:     c.evicted.Load(),
-		Quarantined: c.quarantined.Load(),
-		BlobHits:    c.blobHits.Load(),
-		BlobMisses:  c.blobMisses.Load(),
+		MemHits:     c[memHits].Load(),
+		DiskHits:    c[diskHits].Load(),
+		Simulated:   c[sims].Load(),
+		Deduped:     c[dedups].Load(),
+		Evicted:     c[evicted].Load(),
+		Quarantined: c[quarantined].Load(),
+		BlobHits:    c[blobHits].Load(),
+		BlobMisses:  c[blobMisses].Load(),
 	}
 }
 
-// call is one in-flight simulation other goroutines can wait on.
+// add counts one event store-wide and on this handle.
+func (s *Store) add(c counter) {
+	s.st.glob[c].Add(1)
+	s.loc[c].Add(1)
+}
+
+// call is one in-flight computation other goroutines can wait on.
 type call struct {
 	done chan struct{}
-	res  *avf.Result
+	val  any
+	size int64
 	err  error
 }
 
-// blobCall is one in-flight blob computation.
-type blobCall struct {
-	done chan struct{}
-	val  []byte
-	err  error
-}
+// errPanicked is what waiters on a computation that panicked receive.
+var errPanicked = errors.New("simcache: the computation panicked")
 
 // New returns an empty store. With a non-empty Dir the disk tier is
 // created lazily on first write.
@@ -171,13 +197,10 @@ func New(opts Options) *Store {
 		v = EngineVersion
 	}
 	st := &state{
-		version:    v,
-		mem:        map[Key]*avf.Result{},
-		flight:     map[Key]*call{},
-		blobMem:    map[Key][]byte{},
-		blobFlight: map[Key]*blobCall{},
-		blobLRU:    map[Key]int64{},
-		blobCap:    blobCapBytes,
+		version: v,
+		mem:     map[Key]*entry{},
+		flight:  map[Key]*call{},
+		cap:     memCapBytes,
 	}
 	if opts.Dir != "" {
 		st.dir = filepath.Join(opts.Dir, v)
@@ -227,208 +250,112 @@ func (s *Store) Key(parts ...string) Key {
 	return sha256.Sum256(buf)
 }
 
-// Do returns the cached result for key, or runs simulate, stores its
-// result in both tiers and returns it. Concurrent calls with the same
-// key run simulate once. Errors are returned to every waiter but never
-// cached. On a nil store, Do simply runs simulate.
-func (s *Store) Do(key Key, simulate func() (*avf.Result, error)) (*avf.Result, error) {
-	if s == nil {
-		return simulate()
-	}
-	st := s.st
-	st.mu.Lock()
-	if r, ok := st.mem[key]; ok {
-		st.mu.Unlock()
-		st.glob.memHits.Add(1)
-		s.loc.memHits.Add(1)
-		return r, nil
-	}
-	if c, ok := st.flight[key]; ok {
-		st.mu.Unlock()
-		st.glob.dedups.Add(1)
-		s.loc.dedups.Add(1)
-		<-c.done
-		return c.res, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	st.flight[key] = c
-	st.mu.Unlock()
-
-	var err error
-	r := s.loadDisk(key)
-	if r != nil {
-		st.glob.diskHits.Add(1)
-		s.loc.diskHits.Add(1)
-	} else {
-		r, err = simulate()
-		st.glob.sims.Add(1)
-		s.loc.sims.Add(1)
-		if err == nil {
-			s.saveDisk(key, r)
-		}
-	}
-	c.res, c.err = r, err
-	st.mu.Lock()
-	delete(st.flight, key)
-	if err == nil {
-		st.mem[key] = r
-	}
-	st.mu.Unlock()
-	close(c.done)
-	return r, err
-}
-
-// DoBlob is Do for small opaque byte values: it returns the cached
-// bytes for key, or runs compute, stores its result in both tiers
-// (".bin" entries beside the ".json" results on disk) and returns it.
-// Callers must treat returned slices as immutable — like results, blobs
-// are shared across all waiters and future hits. The fault-injection
-// campaign engine memoises one outcome table per replay slice this way,
-// keyed by (golden-run fingerprint, the slice's fault set), so warm
-// re-runs replay nothing.
-func (s *Store) DoBlob(key Key, compute func() ([]byte, error)) ([]byte, error) {
+// Do returns the memoised value for key, or runs compute, stores its
+// value in both tiers (encoded by c) and returns it. Concurrent calls
+// with the same key run compute once. Errors are returned to every
+// waiter but never memoised. A compute that panics memoises nothing:
+// its waiters get an error, the panic continues in the computing
+// caller, and the next call on the key computes afresh. On a nil store,
+// Do simply runs compute.
+func Do[T any](s *Store, key Key, c Codec[T], compute func() (T, error)) (T, error) {
 	if s == nil {
 		return compute()
 	}
 	st := s.st
+	blob := c.Ext == ".bin" // Stats.BlobHits/BlobMisses attribute these
 	st.mu.Lock()
-	if v, ok := st.blobMem[key]; ok {
-		st.touchBlob(key)
+	if e, ok := st.mem[key]; ok {
+		st.touch(e)
 		st.mu.Unlock()
-		st.glob.memHits.Add(1)
-		s.loc.memHits.Add(1)
-		st.glob.blobHits.Add(1)
-		s.loc.blobHits.Add(1)
-		return v, nil
-	}
-	if c, ok := st.blobFlight[key]; ok {
-		st.mu.Unlock()
-		st.glob.dedups.Add(1)
-		s.loc.dedups.Add(1)
-		<-c.done
-		return c.val, c.err
-	}
-	c := &blobCall{done: make(chan struct{})}
-	st.blobFlight[key] = c
-	st.mu.Unlock()
-
-	var err error
-	v, ok := s.loadBlob(key)
-	if ok {
-		st.glob.diskHits.Add(1)
-		s.loc.diskHits.Add(1)
-		st.glob.blobHits.Add(1)
-		s.loc.blobHits.Add(1)
-	} else {
-		v, err = compute()
-		st.glob.sims.Add(1)
-		s.loc.sims.Add(1)
-		if err == nil {
-			s.saveBlob(key, v)
+		s.add(memHits)
+		if blob {
+			s.add(blobHits)
 		}
+		return e.val.(T), nil
 	}
-	c.val, c.err = v, err
-	st.mu.Lock()
-	delete(st.blobFlight, key)
-	if err == nil {
-		st.insertBlob(key, v, &s.loc)
-	}
-	st.mu.Unlock()
-	close(c.done)
-	return v, err
-}
-
-// GetBlob returns the cached blob for key from either tier, or (nil,
-// false) — counted in Stats.Misses — leaving the computation to the
-// caller (pair with PutBlob). Unlike DoBlob it never blocks on an
-// in-flight computation. Fault-injection campaigns use it to load
-// golden-run replay facts, whose payload they decode themselves: a
-// payload that fails to decode is discarded and rebuilt, which DoBlob's
-// compute-once contract cannot express. Always a miss on a nil store.
-func (s *Store) GetBlob(key Key) ([]byte, bool) {
-	if s == nil {
-		return nil, false
-	}
-	st := s.st
-	st.mu.Lock()
-	if v, ok := st.blobMem[key]; ok {
-		st.touchBlob(key)
+	if cl, ok := st.flight[key]; ok {
 		st.mu.Unlock()
-		st.glob.memHits.Add(1)
-		s.loc.memHits.Add(1)
-		st.glob.blobHits.Add(1)
-		s.loc.blobHits.Add(1)
-		return v, true
+		s.add(dedups)
+		<-cl.done
+		if cl.err != nil {
+			var zero T
+			return zero, cl.err
+		}
+		return cl.val.(T), nil
 	}
+	cl := &call{done: make(chan struct{}), err: errPanicked}
+	st.flight[key] = cl
 	st.mu.Unlock()
-	if v, ok := s.loadBlob(key); ok {
-		st.glob.diskHits.Add(1)
-		s.loc.diskHits.Add(1)
-		st.glob.blobHits.Add(1)
-		s.loc.blobHits.Add(1)
+	// Land the call even if compute panics: its waiters then get
+	// errPanicked, the error a call starts with, and the key stays
+	// computable.
+	defer func() {
 		st.mu.Lock()
-		st.insertBlob(key, v, &s.loc)
+		delete(st.flight, key)
+		if cl.err == nil {
+			st.insert(key, cl.val, cl.size, s)
+		}
 		st.mu.Unlock()
-		return v, true
+		close(cl.done)
+	}()
+
+	v, size, ok := load(s, key, c)
+	if ok {
+		s.add(diskHits)
+		if blob {
+			s.add(blobHits)
+		}
+	} else {
+		var err error
+		v, err = compute()
+		s.add(sims)
+		if blob {
+			s.add(blobMisses)
+		}
+		if err != nil {
+			cl.err = err
+			return v, err
+		}
+		size = save(s, key, c, v)
 	}
-	st.glob.misses.Add(1)
-	s.loc.misses.Add(1)
-	st.glob.blobMisses.Add(1)
-	s.loc.blobMisses.Add(1)
-	return nil, false
+	cl.val, cl.size, cl.err = v, size, nil
+	return v, nil
 }
 
-// PutBlob stores a blob computed outside DoBlob in both tiers. The
-// caller must treat v as immutable afterwards (it is shared with every
-// future hit). No-op on a nil store.
-func (s *Store) PutBlob(key Key, v []byte) {
-	if s == nil {
-		return
-	}
-	st := s.st
-	st.mu.Lock()
-	st.insertBlob(key, v, &s.loc)
-	st.mu.Unlock()
-	s.saveBlob(key, v)
+// touch marks e most-recently-used. Caller holds mu.
+func (st *state) touch(e *entry) {
+	st.tick++
+	e.tick = st.tick
 }
 
-// touchBlob marks key most-recently-used. Caller holds mu.
-func (st *state) touchBlob(key Key) {
-	st.blobTick++
-	st.blobLRU[key] = st.blobTick
-}
-
-// insertBlob adds (or replaces) a resident blob, then evicts
+// insert adds (or replaces) a resident value, then evicts
 // least-recently-used entries until the memory tier fits the cap again.
 // Evicted entries keep their disk copies, so the worst case of an
 // eviction is a future disk hit. Caller holds mu.
-func (st *state) insertBlob(key Key, v []byte, loc *counters) {
-	if old, ok := st.blobMem[key]; ok {
-		st.blobBytes -= int64(len(old))
+func (st *state) insert(key Key, v any, size int64, s *Store) {
+	if old, ok := st.mem[key]; ok {
+		st.bytes -= old.size
 	}
-	st.blobMem[key] = v
-	st.blobBytes += int64(len(v))
-	st.touchBlob(key)
-	for st.blobBytes > st.blobCap && len(st.blobMem) > 1 {
+	e := &entry{val: v, size: size}
+	st.mem[key] = e
+	st.bytes += size
+	st.touch(e)
+	for st.bytes > st.cap && len(st.mem) > 1 {
 		var victim Key
-		best := st.blobTick + 1
-		for k, tick := range st.blobLRU {
-			if tick < best {
-				best, victim = tick, k
+		best := st.tick + 1
+		for k, o := range st.mem {
+			if o.tick < best {
+				best, victim = o.tick, k
 			}
 		}
 		if victim == key {
 			break // never evict the entry being inserted
 		}
-		st.blobBytes -= int64(len(st.blobMem[victim]))
-		delete(st.blobMem, victim)
-		delete(st.blobLRU, victim)
-		st.glob.evicted.Add(1)
-		loc.evicted.Add(1)
+		st.bytes -= st.mem[victim].size
+		delete(st.mem, victim)
+		s.add(evicted)
 	}
 }
-
-func (s *Store) blobPath(key Key) string { return filepath.Join(s.st.dir, key.Hex()+".bin") }
 
 // QuarantineDirName is the subdirectory of the disk tier's version
 // directory that corrupt entries are moved into.
@@ -444,142 +371,75 @@ func (s *Store) quarantine(path string) {
 	if err := os.MkdirAll(qdir, 0o755); err != nil || os.Rename(path, filepath.Join(qdir, filepath.Base(path))) != nil {
 		os.Remove(path)
 	}
-	s.st.glob.quarantined.Add(1)
-	s.loc.quarantined.Add(1)
+	s.add(quarantined)
 }
 
-// readEntry reads one CRC-framed disk entry and returns its payload.
-// A missing (or unreadable) file is a plain miss; an entry that fails
+func (s *Store) path(key Key, ext string) string { return filepath.Join(s.st.dir, key.Hex()+ext) }
+
+// load returns the disk tier's value for key and its payload size. A
+// missing (or unreadable) file is a plain miss; an entry that fails
 // frame validation — torn write, truncation, any flipped bit, or a
-// pre-frame legacy entry — is quarantined and reported as a miss, so
-// corruption costs a re-computation, never a crash or a wrong result.
-func (s *Store) readEntry(path string) ([]byte, bool) {
+// pre-frame legacy entry — or whose payload the codec rejects (a
+// writer-side bug, an entry from a divergent build or an older payload
+// version) is quarantined and reported as a miss, so corruption costs a
+// re-computation, never a crash or a wrong value.
+func load[T any](s *Store, key Key, c Codec[T]) (T, int64, bool) {
+	var zero T
+	if s.st.dir == "" {
+		return zero, 0, false
+	}
+	path := s.path(key, c.Ext)
 	payload, err := persist.ReadFramedFile(path)
-	if err == nil {
-		return payload, true
-	}
-	if errors.Is(err, persist.ErrCorrupt) {
-		s.quarantine(path)
-	}
-	return nil, false
-}
-
-// writeEntry frames and atomically writes one disk entry, best-effort:
-// write failures degrade to memory-only caching.
-func (s *Store) writeEntry(path string, payload []byte) {
-	if err := os.MkdirAll(s.st.dir, 0o755); err != nil {
-		return
-	}
-	_ = persist.WriteFramedFile(path, payload)
-}
-
-// loadBlob returns the disk tier's blob for key; unreadable entries are
-// misses (an empty blob is a valid entry, hence the ok bool) and
-// corrupt entries are quarantined misses.
-func (s *Store) loadBlob(key Key) ([]byte, bool) {
-	if s.st.dir == "" {
-		return nil, false
-	}
-	return s.readEntry(s.blobPath(key))
-}
-
-// saveBlob writes the blob as a framed entry, best-effort like saveDisk.
-func (s *Store) saveBlob(key Key, v []byte) {
-	if s.st.dir == "" {
-		return
-	}
-	s.writeEntry(s.blobPath(key), v)
-}
-
-// DiscardBlob removes key from the blob tier: the memory entry is
-// dropped and the disk entry quarantined. It is the caller-side half of
-// the corruption contract — when a decoder rejects a blob the store's
-// checksum accepted (a stale or truncated-by-an-old-writer payload),
-// discarding it turns the next read into a clean miss instead of a
-// repeating decode failure. No-op on a nil store.
-func (s *Store) DiscardBlob(key Key) {
-	if s == nil {
-		return
-	}
-	st := s.st
-	st.mu.Lock()
-	if old, ok := st.blobMem[key]; ok {
-		st.blobBytes -= int64(len(old))
-		delete(st.blobMem, key)
-		delete(st.blobLRU, key)
-	}
-	st.mu.Unlock()
-	if st.dir == "" {
-		return
-	}
-	path := s.blobPath(key)
-	if _, err := os.Stat(path); err == nil {
-		s.quarantine(path)
-	}
-}
-
-func (s *Store) path(key Key) string { return filepath.Join(s.st.dir, key.Hex()+".json") }
-
-// loadDisk returns the disk tier's entry for key, or nil. A missing
-// file is a miss; an entry failing frame validation or JSON decode is
-// quarantined and treated as a miss (the re-simulated result writes a
-// fresh entry).
-func (s *Store) loadDisk(key Key) *avf.Result {
-	if s.st.dir == "" {
-		return nil
-	}
-	path := s.path(key)
-	payload, ok := s.readEntry(path)
-	if !ok {
-		return nil
-	}
-	r := &avf.Result{}
-	if err := json.Unmarshal(payload, r); err != nil {
-		// The frame validated but the payload does not decode — a
-		// writer-side bug or an entry from a divergent build. Same
-		// treatment: out of the live tier, miss, re-simulate.
-		s.quarantine(path)
-		return nil
-	}
-	return r
-}
-
-// saveDisk writes the entry atomically (temp file + rename, CRC-framed
-// JSON payload), so concurrent processes sharing one cache directory
-// never observe partial writes — and since entries are content-
-// addressed, a lost race overwrites identical bytes. The disk tier is
-// best-effort: write failures degrade to memory-only caching.
-func (s *Store) saveDisk(key Key, r *avf.Result) {
-	if s.st.dir == "" {
-		return
-	}
-	payload, err := json.Marshal(r)
 	if err != nil {
-		return
+		if errors.Is(err, persist.ErrCorrupt) {
+			s.quarantine(path)
+		}
+		return zero, 0, false
 	}
-	s.writeEntry(s.path(key), payload)
+	v, err := c.Decode(payload)
+	if err != nil {
+		s.quarantine(path)
+		return zero, 0, false
+	}
+	return v, int64(len(payload)), true
+}
+
+// save encodes v and, with a disk tier, writes it atomically (temp
+// file + rename, CRC-framed payload), so concurrent processes sharing
+// one cache directory never observe partial writes — and since entries
+// are content-addressed, a lost race overwrites identical bytes. It
+// returns the payload size the memory tier charges. The disk tier is
+// best-effort: encode or write failures degrade to memory-only caching.
+func save[T any](s *Store, key Key, c Codec[T], v T) int64 {
+	payload, err := c.Encode(v)
+	if err != nil {
+		return 0
+	}
+	if s.st.dir != "" && os.MkdirAll(s.st.dir, 0o755) == nil {
+		_ = persist.WriteFramedFile(s.path(key, c.Ext), payload)
+	}
+	return int64(len(payload))
 }
 
 // Stats is a snapshot of a set of traffic counters.
 type Stats struct {
 	// MemHits and DiskHits count requests served from each tier;
-	// Simulated counts simulations actually executed; Deduped counts
-	// callers that waited on an identical in-flight simulation.
+	// Simulated counts computations actually executed; Deduped counts
+	// callers that waited on an identical in-flight computation.
 	MemHits   int64 `json:"mem_hits"`
 	DiskHits  int64 `json:"disk_hits"`
 	Simulated int64 `json:"simulated"`
 	Deduped   int64 `json:"deduped"`
-	// Misses counts GetBlob probes that found neither tier populated;
-	// Evicted counts blobs dropped from the memory tier by its LRU cap
-	// (their disk entries survive).
-	Misses  int64 `json:"misses,omitempty"`
+	// Evicted counts entries dropped from the memory tier by its LRU
+	// cap (their disk entries survive).
 	Evicted int64 `json:"evicted,omitempty"`
 	// Quarantined counts disk entries that failed frame validation or
 	// decode and were moved to the quarantine directory (each one costs
 	// a re-computation, never a wrong result — DESIGN.md §11).
 	Quarantined int64 `json:"quarantined,omitempty"`
-	// BlobHits and BlobMisses are the blob-tier share of the hit and
-	// miss traffic above (results vs. blobs attribution per handle).
+	// BlobHits and BlobMisses are the ".bin" entries' share of the hits
+	// (MemHits+DiskHits) and of the computations (Simulated): binary
+	// entries vs. results attribution per handle.
 	BlobHits   int64 `json:"blob_hits,omitempty"`
 	BlobMisses int64 `json:"blob_misses,omitempty"`
 }
@@ -607,11 +467,11 @@ func (s *Store) LocalStats() Stats {
 }
 
 // String renders the counters as the one-line "mem=… disk=… sim=… dedup=…"
-// summary the CLIs print. The blob-probe, quarantine and
+// summary the CLIs print. The eviction, quarantine and
 // blob-attribution fields are appended (the prefix is load-bearing:
 // scripts anchor on the first four fields).
 func (st Stats) String() string {
-	return fmt.Sprintf("mem=%d disk=%d sim=%d dedup=%d miss=%d evict=%d quar=%d blob=%d/%d",
-		st.MemHits, st.DiskHits, st.Simulated, st.Deduped, st.Misses, st.Evicted, st.Quarantined,
+	return fmt.Sprintf("mem=%d disk=%d sim=%d dedup=%d evict=%d quar=%d blob=%d/%d",
+		st.MemHits, st.DiskHits, st.Simulated, st.Deduped, st.Evicted, st.Quarantined,
 		st.BlobHits, st.BlobMisses)
 }

@@ -49,11 +49,11 @@ func TestDoMemoises(t *testing.T) {
 	var sims int
 	sim := func() (*avf.Result, error) { sims++; return sampleResult("w"), nil }
 	k := s.Key("x")
-	r1, err := s.Do(k, sim)
+	r1, err := Do(s, k, Results, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Do(k, sim)
+	r2, err := Do(s, k, Results, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDoMemoises(t *testing.T) {
 	if r1 != r2 {
 		t.Error("memory tier did not return the shared result")
 	}
-	if _, err := s.Do(s.Key("y"), sim); err != nil {
+	if _, err := Do(s, s.Key("y"), Results, sim); err != nil {
 		t.Fatal(err)
 	}
 	if sims != 2 {
@@ -80,11 +80,11 @@ func TestErrorsAreNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	k := s.Key("e")
 	fail := func() (*avf.Result, error) { return nil, boom }
-	if _, err := s.Do(k, fail); !errors.Is(err, boom) {
+	if _, err := Do(s, k, Results, fail); !errors.Is(err, boom) {
 		t.Fatalf("error lost: %v", err)
 	}
 	ok := func() (*avf.Result, error) { return sampleResult("w"), nil }
-	r, err := s.Do(k, ok)
+	r, err := Do(s, k, Results, ok)
 	if err != nil || r == nil {
 		t.Fatalf("failed call poisoned the key: %v", err)
 	}
@@ -95,13 +95,13 @@ func TestDiskTierRoundTripsBitIdentically(t *testing.T) {
 	want := sampleResult("disk")
 	a := New(Options{Dir: dir})
 	k := a.Key("k")
-	if _, err := a.Do(k, func() (*avf.Result, error) { return want, nil }); err != nil {
+	if _, err := Do(a, k, Results, func() (*avf.Result, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// A second store on the same directory (a fresh process) must serve
 	// the identical result from disk without simulating.
 	b := New(Options{Dir: dir})
-	got, err := b.Do(b.Key("k"), func() (*avf.Result, error) {
+	got, err := Do(b, b.Key("k"), Results, func() (*avf.Result, error) {
 		t.Fatal("simulated despite a warm disk tier")
 		return nil, nil
 	})
@@ -119,12 +119,12 @@ func TestDiskTierRoundTripsBitIdentically(t *testing.T) {
 func TestStaleEngineVersionSelfInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	old := New(Options{Dir: dir, Version: "v-old"})
-	if _, err := old.Do(old.Key("k"), func() (*avf.Result, error) { return sampleResult("old"), nil }); err != nil {
+	if _, err := Do(old, old.Key("k"), Results, func() (*avf.Result, error) { return sampleResult("old"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	cur := New(Options{Dir: dir, Version: "v-new"})
 	sims := 0
-	if _, err := cur.Do(cur.Key("k"), func() (*avf.Result, error) { sims++; return sampleResult("new"), nil }); err != nil {
+	if _, err := Do(cur, cur.Key("k"), Results, func() (*avf.Result, error) { sims++; return sampleResult("new"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if sims != 1 {
@@ -144,7 +144,7 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Dir: dir})
 	k := s.Key("k")
-	if _, err := s.Do(k, func() (*avf.Result, error) { return sampleResult("a"), nil }); err != nil {
+	if _, err := Do(s, k, Results, func() (*avf.Result, error) { return sampleResult("a"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, EngineVersion, k.Hex()+".json")
@@ -153,7 +153,7 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 	}
 	fresh := New(Options{Dir: dir})
 	sims := 0
-	if _, err := fresh.Do(fresh.Key("k"), func() (*avf.Result, error) { sims++; return sampleResult("a"), nil }); err != nil {
+	if _, err := Do(fresh, fresh.Key("k"), Results, func() (*avf.Result, error) { sims++; return sampleResult("a"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if sims != 1 {
@@ -178,7 +178,7 @@ func TestSingleflightDeduplicatesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := s.Do(k, sim)
+			r, err := Do(s, k, Results, sim)
 			if err != nil {
 				t.Error(err)
 			}
@@ -207,7 +207,7 @@ func TestSingleflightDeduplicatesConcurrentCalls(t *testing.T) {
 func TestNilStoreJustSimulates(t *testing.T) {
 	var s *Store
 	sims := 0
-	r, err := s.Do(s.Key("k"), func() (*avf.Result, error) { sims++; return sampleResult("w"), nil })
+	r, err := Do(s, s.Key("k"), Results, func() (*avf.Result, error) { sims++; return sampleResult("w"), nil })
 	if err != nil || r == nil || sims != 1 {
 		t.Fatalf("nil store: r=%v err=%v sims=%d", r, err, sims)
 	}
@@ -224,13 +224,13 @@ func TestViewsShareTiersButCountLocally(t *testing.T) {
 	root := New(Options{})
 	a, b := root.View(), root.View()
 	key := root.Key("cfg", "prog", "rc")
-	ra, err := a.Do(key, func() (*avf.Result, error) {
+	ra, err := Do(a, key, Results, func() (*avf.Result, error) {
 		return &avf.Result{Workload: "x", Cycles: 7}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Do(key, func() (*avf.Result, error) {
+	rb, err := Do(b, key, Results, func() (*avf.Result, error) {
 		t.Error("second view re-simulated a shared key")
 		return nil, nil
 	})
@@ -265,7 +265,17 @@ func TestViewsShareTiersButCountLocally(t *testing.T) {
 	}
 }
 
-func TestDoBlob(t *testing.T) {
+// bytesCodec stores raw payload bytes as ".bin" entries.
+var bytesCodec = Codec[[]byte]{
+	Ext:    ".bin",
+	Encode: func(b []byte) ([]byte, error) { return b, nil },
+	Decode: func(b []byte) ([]byte, error) { return b, nil },
+}
+
+// TestDoBinCodec: values of any codec memoise in memory, round-trip
+// through the disk tier under the codec's extension and count as blob
+// traffic when the extension is ".bin".
+func TestDoBinCodec(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Dir: dir})
 	key := s.Key("blob", "target-1")
@@ -274,158 +284,201 @@ func TestDoBlob(t *testing.T) {
 		calls++
 		return []byte{0x01}, nil
 	}
-	v, err := s.DoBlob(key, compute)
+	v, err := Do(s, key, bytesCodec, compute)
 	if err != nil || len(v) != 1 || v[0] != 0x01 {
-		t.Fatalf("DoBlob = %v, %v", v, err)
+		t.Fatalf("Do = %v, %v", v, err)
 	}
-	if v, _ = s.DoBlob(key, compute); v[0] != 0x01 {
+	if v, _ = Do(s, key, bytesCodec, compute); v[0] != 0x01 {
 		t.Fatal("memory-tier blob hit wrong")
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
 	st := s.Stats()
-	if st.MemHits != 1 || st.Simulated != 1 {
-		t.Fatalf("stats %+v, want 1 mem hit / 1 sim", st)
+	if st.MemHits != 1 || st.Simulated != 1 || st.BlobHits != 1 || st.BlobMisses != 1 {
+		t.Fatalf("stats %+v, want 1 mem hit / 1 sim, both blob traffic", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, EngineVersion, key.Hex()+".bin")); err != nil {
+		t.Fatalf("no .bin disk entry: %v", err)
 	}
 
 	// A fresh store sharing the directory serves the blob from disk.
 	s2 := New(Options{Dir: dir})
-	v, err = s2.DoBlob(key, func() ([]byte, error) { t.Fatal("disk tier missed"); return nil, nil })
+	v, err = Do(s2, key, bytesCodec, func() ([]byte, error) { t.Fatal("disk tier missed"); return nil, nil })
 	if err != nil || v[0] != 0x01 {
 		t.Fatalf("disk blob = %v, %v", v, err)
 	}
-	if st := s2.Stats(); st.DiskHits != 1 {
+	if st := s2.Stats(); st.DiskHits != 1 || st.BlobHits != 1 {
 		t.Fatalf("stats %+v, want 1 disk hit", st)
 	}
 
 	// Errors are returned but never cached.
 	ekey := s.Key("blob", "err")
-	if _, err := s.DoBlob(ekey, func() ([]byte, error) { return nil, errors.New("boom") }); err == nil {
+	if _, err := Do(s, ekey, bytesCodec, func() ([]byte, error) { return nil, errors.New("boom") }); err == nil {
 		t.Fatal("error not propagated")
 	}
-	if v, err := s.DoBlob(ekey, func() ([]byte, error) { return []byte{9}, nil }); err != nil || v[0] != 9 {
+	if v, err := Do(s, ekey, bytesCodec, func() ([]byte, error) { return []byte{9}, nil }); err != nil || v[0] != 9 {
 		t.Fatalf("retry after error = %v, %v", v, err)
 	}
 
 	// A nil store runs compute directly.
 	var nilStore *Store
-	if v, err := nilStore.DoBlob(key, func() ([]byte, error) { return []byte{7}, nil }); err != nil || v[0] != 7 {
-		t.Fatalf("nil store DoBlob = %v, %v", v, err)
+	if v, err := Do(nilStore, key, bytesCodec, func() ([]byte, error) { return []byte{7}, nil }); err != nil || v[0] != 7 {
+		t.Fatalf("nil store Do = %v, %v", v, err)
 	}
 }
 
-func TestDoBlobSingleflight(t *testing.T) {
+// TestPanickingComputeReleasesKey: a compute that panics memoises
+// nothing and wedges nothing — a waiter parked on it gets an error
+// (not a zero value), the panic reaches the computing caller, and the
+// next call on the key computes afresh.
+func TestPanickingComputeReleasesKey(t *testing.T) {
 	s := New(Options{})
-	key := s.Key("blob", "flight")
-	var calls atomic.Int64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			v, err := s.DoBlob(key, func() ([]byte, error) {
-				calls.Add(1)
-				time.Sleep(5 * time.Millisecond)
-				return []byte{42}, nil
-			})
-			if err != nil || v[0] != 42 {
-				t.Errorf("DoBlob = %v, %v", v, err)
-			}
-		}()
+	key := s.Key("panics")
+	started, gate := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		Do(s, key, bytesCodec, func() ([]byte, error) {
+			close(started)
+			<-gate
+			panic("compute blew up")
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		v, err := Do(s, key, bytesCodec, func() ([]byte, error) { return []byte("waiter computed"), nil })
+		if err == nil {
+			err = errors.New("waiter got value " + string(v))
+		}
+		waiter <- err
+	}()
+	for s.Stats().Deduped == 0 {
+		runtime.Gosched()
 	}
-	close(start)
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("compute ran %d times, want 1 (singleflight)", n)
+	close(gate)
+	if r := <-recovered; r == nil {
+		t.Fatal("the panic did not reach the computing caller")
 	}
-}
-
-func TestGetPutBlob(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Options{Dir: dir})
-	k := s.Key("blob")
-	if _, ok := s.GetBlob(k); ok {
-		t.Fatal("empty store reported a blob hit")
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, errPanicked) {
+			t.Errorf("waiter error = %v, want the panic error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter on a panicked compute never returned")
 	}
-	if st := s.Stats(); st.Misses != 1 {
-		t.Errorf("stats %+v, want 1 miss", st)
-	}
-	s.PutBlob(k, []byte("payload"))
-	if v, ok := s.GetBlob(k); !ok || string(v) != "payload" {
-		t.Fatalf("memory tier lost the blob: %q %v", v, ok)
-	}
-	// A fresh store on the same directory serves the blob from disk.
-	s2 := New(Options{Dir: dir})
-	if v, ok := s2.GetBlob(k); !ok || string(v) != "payload" {
-		t.Fatalf("disk tier lost the blob: %q %v", v, ok)
-	}
-	if st := s2.Stats(); st.DiskHits != 1 || st.Misses != 0 {
-		t.Errorf("stats %+v, want 1 disk hit and no misses", st)
-	}
-	// Nil store: always a miss, PutBlob a no-op.
-	var nils *Store
-	nils.PutBlob(k, []byte("x"))
-	if _, ok := nils.GetBlob(k); ok {
-		t.Error("nil store reported a hit")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, err := Do(s, key, bytesCodec, func() ([]byte, error) { return []byte("ok"), nil })
+		if err != nil || string(v) != "ok" {
+			t.Errorf("call after the panic = %q, %v", v, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("call after a panicked compute never returned: the key is wedged")
 	}
 }
 
 func TestBlobCapEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Dir: dir})
-	s.st.blobCap = 100
+	s.st.cap = 100
 	pay := make([]byte, 40)
-	ka, kb, kc := s.Key("a"), s.Key("b"), s.Key("c")
-	s.PutBlob(ka, pay)
-	s.PutBlob(kb, pay)
-	// Touch a so b is the least recently used.
-	if _, ok := s.GetBlob(ka); !ok {
-		t.Fatal("a missing before cap hit")
+	put := func(k Key) {
+		t.Helper()
+		if _, err := Do(s, k, bytesCodec, func() ([]byte, error) { return pay, nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.PutBlob(kc, pay) // 120 bytes resident -> evict b
+	hit := func(k Key) {
+		t.Helper()
+		if _, err := Do(s, k, bytesCodec, func() ([]byte, error) {
+			t.Fatal("resident or disk-backed blob recomputed")
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ka, kb, kc := s.Key("a"), s.Key("b"), s.Key("c")
+	put(ka)
+	put(kb)
+	// Touch a so b is the least recently used.
+	hit(ka)
+	put(kc) // 120 bytes resident -> evict b
 	if st := s.Stats(); st.Evicted != 1 {
 		t.Fatalf("stats %+v, want exactly 1 eviction", st)
 	}
-	if _, ok := s.GetBlob(ka); !ok {
-		t.Error("recently used blob a evicted")
-	}
-	if _, ok := s.GetBlob(kc); !ok {
-		t.Error("just-inserted blob c evicted")
+	before := s.Stats()
+	hit(ka)
+	hit(kc)
+	if st := s.Stats(); st.MemHits != before.MemHits+2 {
+		t.Errorf("stats %+v, want a and c still resident", st)
 	}
 	// b fell out of memory but survives on disk: a hit, not a miss.
-	before := s.Stats()
-	if _, ok := s.GetBlob(kb); !ok {
-		t.Fatal("evicted blob lost its disk entry")
-	}
+	before = s.Stats()
+	hit(kb)
 	if st := s.Stats(); st.DiskHits != before.DiskHits+1 {
 		t.Errorf("stats %+v, want the reload counted as a disk hit", st)
 	}
 }
 
+// TestMemCapCoversEveryKind: the memory bound charges results by their
+// encoded size just like binary entries, so a binary entry can evict a
+// result (a memory-only store then recomputes it).
+func TestMemCapCoversEveryKind(t *testing.T) {
+	s := New(Options{})
+	r := sampleResult("capped")
+	enc, err := Results.Encode(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.st.cap = int64(len(enc))
+	sims := 0
+	sim := func() (*avf.Result, error) { sims++; return r, nil }
+	rkey := s.Key("result")
+	if _, err := Do(s, rkey, Results, sim); err != nil {
+		t.Fatal(err)
+	}
+	if s.st.bytes != int64(len(enc)) {
+		t.Fatalf("resident bytes %d, want the result's encoded size %d", s.st.bytes, len(enc))
+	}
+	if _, err := Do(s, s.Key("blob"), bytesCodec, func() ([]byte, error) { return []byte{1}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Evicted != 1 {
+		t.Fatalf("stats %+v, want the result evicted", st)
+	}
+	if _, err := Do(s, rkey, Results, sim); err != nil || sims != 2 {
+		t.Fatalf("evicted result: sims=%d err=%v, want a recomputation", sims, err)
+	}
+}
+
 // TestBlobStatsPerViewAttribution pins the per-handle blob attribution
-// contract: two views of one store see only their own blob-tier
-// traffic in LocalStats, while store-wide Stats aggregates both.
+// contract: two views of one store see only their own blob traffic in
+// LocalStats, while store-wide Stats aggregates both, and result
+// traffic never counts as blob traffic.
 func TestBlobStatsPerViewAttribution(t *testing.T) {
 	s := New(Options{})
 	busy, idle := s.View(), s.View()
 
 	bkey := s.Key("attr-blob")
-	if _, err := busy.DoBlob(bkey, func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+	for range 2 { // a computation, then a memory hit
+		if _, err := Do(busy, bkey, bytesCodec, func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Do(busy, s.Key("attr-result"), Results, func() (*avf.Result, error) { return sampleResult("r"), nil }); err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := busy.GetBlob(bkey); !ok { // memory hit
-		t.Fatal("warm GetBlob missed")
-	}
-	if _, ok := busy.GetBlob(s.Key("absent")); ok {
-		t.Fatal("absent key hit")
 	}
 
 	bs := busy.LocalStats()
-	if bs.BlobHits != 1 || bs.BlobMisses != 1 {
-		t.Errorf("busy view blob attribution = %d/%d, want 1/1 (stats %+v)", bs.BlobHits, bs.BlobMisses, bs)
+	if bs.BlobHits != 1 || bs.BlobMisses != 1 || bs.Simulated != 2 {
+		t.Errorf("busy view blob attribution = %d/%d, want 1/1 of 2 sims (stats %+v)", bs.BlobHits, bs.BlobMisses, bs)
 	}
 	is := idle.LocalStats()
 	if is != (Stats{}) {
@@ -437,8 +490,11 @@ func TestBlobStatsPerViewAttribution(t *testing.T) {
 	}
 
 	// A second view hitting the same blob attributes to itself only.
-	if _, ok := idle.GetBlob(bkey); !ok {
+	if _, err := Do(idle, bkey, bytesCodec, func() ([]byte, error) {
 		t.Fatal("second view missed the shared blob")
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if is := idle.LocalStats(); is.BlobHits != 1 || is.MemHits != 1 {
 		t.Errorf("second view stats = %+v, want its own mem+blob hit", is)
@@ -449,13 +505,13 @@ func TestBlobStatsPerViewAttribution(t *testing.T) {
 }
 
 // TestStatsStringKeepsAnchoredPrefix pins the CLI stats line: scripts
-// grep the first four fields, so the blob fields must append, never
+// grep the first four fields, so the other fields must append, never
 // reshape.
 func TestStatsStringKeepsAnchoredPrefix(t *testing.T) {
 	st := Stats{MemHits: 1, DiskHits: 2, Simulated: 3, Deduped: 4,
-		Misses: 5, Evicted: 6, Quarantined: 7,
+		Evicted: 6, Quarantined: 7,
 		BlobHits: 8, BlobMisses: 9}
-	want := "mem=1 disk=2 sim=3 dedup=4 miss=5 evict=6 quar=7 blob=8/9"
+	want := "mem=1 disk=2 sim=3 dedup=4 evict=6 quar=7 blob=8/9"
 	if got := st.String(); got != want {
 		t.Errorf("Stats.String() = %q, want %q", got, want)
 	}
