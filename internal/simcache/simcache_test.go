@@ -272,10 +272,9 @@ var bytesCodec = Codec[[]byte]{
 	Decode: func(b []byte) ([]byte, error) { return b, nil },
 }
 
-// TestDoBinCodec: values of any codec memoise in memory, round-trip
-// through the disk tier under the codec's extension and count as blob
-// traffic when the extension is ".bin".
-func TestDoBinCodec(t *testing.T) {
+// TestDoBlob: values of any codec memoise in memory, round-trip through
+// the disk tier and count as blob traffic when the extension is ".bin".
+func TestDoBlob(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Dir: dir})
 	key := s.Key("blob", "target-1")
@@ -297,9 +296,6 @@ func TestDoBinCodec(t *testing.T) {
 	st := s.Stats()
 	if st.MemHits != 1 || st.Simulated != 1 || st.BlobHits != 1 || st.BlobMisses != 1 {
 		t.Fatalf("stats %+v, want 1 mem hit / 1 sim, both blob traffic", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, EngineVersion, key.Hex()+".bin")); err != nil {
-		t.Fatalf("no .bin disk entry: %v", err)
 	}
 
 	// A fresh store sharing the directory serves the blob from disk.
@@ -325,6 +321,73 @@ func TestDoBinCodec(t *testing.T) {
 	var nilStore *Store
 	if v, err := Do(nilStore, key, bytesCodec, func() ([]byte, error) { return []byte{7}, nil }); err != nil || v[0] != 7 {
 		t.Fatalf("nil store Do = %v, %v", v, err)
+	}
+}
+
+// TestDoBlobSingleflight: concurrent identical ".bin" requests share
+// one computation.
+func TestDoBlobSingleflight(t *testing.T) {
+	s := New(Options{})
+	key := s.Key("blob", "flight")
+	var calls atomic.Int64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			v, err := Do(s, key, bytesCodec, func() ([]byte, error) {
+				calls.Add(1)
+				time.Sleep(5 * time.Millisecond)
+				return []byte{42}, nil
+			})
+			if err != nil || v[0] != 42 {
+				t.Errorf("Do = %v, %v", v, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("compute ran %d times, want 1 (singleflight)", n)
+	}
+}
+
+// TestGetPutBlob: a computed ".bin" payload lands on disk under the
+// codec's extension and a fresh store on the directory reads it back
+// byte for byte, counted as a disk hit and not as a computation; a nil
+// store memoises nothing.
+func TestGetPutBlob(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Options{Dir: dir})
+	k := s.Key("blob")
+	if _, err := Do(s, k, bytesCodec, func() ([]byte, error) { return []byte("payload"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.BlobMisses != 1 || st.Simulated != 1 {
+		t.Errorf("stats %+v, want 1 blob computation", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, EngineVersion, k.Hex()+".bin")); err != nil {
+		t.Fatalf("no .bin disk entry: %v", err)
+	}
+	s2 := New(Options{Dir: dir})
+	v, err := Do(s2, k, bytesCodec, func() ([]byte, error) { t.Fatal("disk tier lost the blob"); return nil, nil })
+	if err != nil || string(v) != "payload" {
+		t.Fatalf("disk blob = %q, %v", v, err)
+	}
+	if st := s2.Stats(); st.DiskHits != 1 || st.BlobHits != 1 || st.Simulated != 0 {
+		t.Errorf("stats %+v, want 1 disk hit and no computation", st)
+	}
+	var nils *Store
+	calls := 0
+	for range 2 {
+		if _, err := Do(nils, k, bytesCodec, func() ([]byte, error) { calls++; return []byte("x"), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 2 {
+		t.Errorf("nil store computed %d times in 2 calls, want 2", calls)
 	}
 }
 
