@@ -17,14 +17,17 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs the concurrency-heavy tiers (DAG scheduler with its
-# retry/panic-containment paths, job service with journal replay,
-# experiment orchestration, injection campaigns, root-cause
-# attribution, the simcache/persist quarantine paths, and the
-# pipeline/cache snapshot-restore paths that fork-replay shares across
-# workers) under the race detector.
+# race runs the concurrency-heavy tiers under the race detector: the
+# scheduler (Run and Each, with their panic-containment and
+# deadline-retry paths) and every package that fans out through it —
+# GA evaluation and the stressmark search (whose concurrency oracle is
+# TestSearchEvaluationsExactAcrossParallelism), experiment
+# orchestration and workload suites, injection campaigns — plus the job
+# service with journal replay, root-cause attribution, the
+# simcache/persist quarantine paths and the pipeline/cache
+# snapshot-restore paths that fork-replay shares across workers.
 race:
-	$(GO) test -race ./internal/sched ./internal/service ./internal/scenario ./internal/experiments ./internal/inject ./internal/rootcause ./internal/liveness ./internal/simcache ./internal/persist ./internal/pipe ./internal/cache
+	$(GO) test -race ./internal/sched ./internal/ga ./internal/core ./internal/service ./internal/scenario ./internal/experiments ./internal/inject ./internal/rootcause ./internal/liveness ./internal/simcache ./internal/persist ./internal/pipe ./internal/cache
 
 # rootcause-diff runs the attribution differential suite twice over
 # (DESIGN.md §14): the replay-vs-static soundness sweep plus the
@@ -37,8 +40,8 @@ rootcause-diff:
 # fuzz-smoke runs each decoder and parser fuzz target for a short time
 # beyond its committed seed corpus: the injection slice-table,
 # golden-info and golden-entry codecs, the CRC frame every disk entry
-# goes through, the job-journal line decoder, and scenario-spec
-# resolution.
+# goes through, the job-journal line decoder, scenario-spec resolution,
+# and job-submission bodies through the HTTP handler.
 fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGoldenInfo$$' -fuzztime 10s
@@ -46,6 +49,7 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeJournalLine$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzResolveSpec$$' -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s
 
 check: vet build test
 

@@ -62,7 +62,7 @@ func main() {
 		par      = flag.Int("parallelism", 0, "per-job concurrency bound (0 = all cores)")
 		maxJobs  = flag.Int("max-jobs", 0, "concurrently running jobs; excess queue in order (0 = all cores)")
 		maxQueue = flag.Int("max-queue", 0, "admitted unfinished jobs; submissions beyond this get 429 (0 = 1024)")
-		retries  = flag.Int("retries", 0, "attempts per scheduler job for transient failures; 1 disables retries (0 = server default of 3)")
+		retries  = flag.Int("retries", 0, "attempts per scheduler job that exceeds -job-timeout; 1 disables retries (0 = server default of 3)")
 		jobTO    = flag.Duration("job-timeout", 0, "deadline per scheduler job (simulation/search/render); exceeded deadlines are retried, then fail the job (0 = none)")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM lets running jobs finish before they are suspended for restart")
 		readTO   = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout (0 = none)")

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -55,15 +54,17 @@ type Options struct {
 	// the default), <0 = disabled.
 	PruneStatic int
 	// Parallelism bounds each concurrency layer independently: the
-	// scheduler's concurrent scenario jobs, a workload suite's
-	// concurrent simulations and a GA search's concurrent evaluations
-	// (0 = GOMAXPROCS each). Layers compose, so transient peaks can
-	// exceed it; actual CPU parallelism stays capped by GOMAXPROCS.
+	// scheduler's concurrent scenario jobs (sched.Run), and a workload
+	// suite's concurrent simulations, a GA search's concurrent
+	// evaluations and a campaign's concurrent slice replays (each a
+	// sched.Each fan-out); 0 = GOMAXPROCS each. Layers compose, so
+	// transient peaks can exceed it; actual CPU parallelism stays
+	// capped by GOMAXPROCS.
 	Parallelism int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...interface{})
 
-	// Retry bounds scheduler retries of transiently failing jobs
+	// Retry bounds scheduler retries of jobs that exceeded JobTimeout
 	// (sched.IsTransient; zero value: no retries). Retries and
 	// deadlines never change results — every job is deterministic and
 	// memoised — only whether and when a run fails.
@@ -227,51 +228,35 @@ func (c *Context) workloadBudget() pipe.RunConfig {
 // individual simulation is content-addressed in the simcache store, so
 // other experiments, contexts and processes re-using a workload result
 // pay for it once. Concurrent callers (scenario jobs) share one
-// computation; cancelling ctx stops the suite between simulations.
+// computation. The simulations run through sched.Each: cancelling ctx
+// stops the suite between simulations, and a panicking one fails the
+// suite with a *sched.PanicError.
 func (c *Context) Workloads(ctx context.Context, cfg uarch.Config) ([]*avf.Result, error) {
 	cfgFP := cfg.Fingerprint()
 	return c.wl.do(cfgFP, func() ([]*avf.Result, error) {
 		profiles := workloads.Profiles()
 		results := make([]*avf.Result, len(profiles))
-		errs := make([]error, len(profiles))
-		par := c.Opts.Parallelism
-		if par <= 0 {
-			par = runtime.GOMAXPROCS(0)
-		}
 		pool, err := pipe.NewPool(cfg)
 		if err != nil {
 			return nil, err
 		}
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
 		rc := c.workloadBudget()
 		rcFP := rc.Fingerprint()
-		for i, pf := range profiles {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, pf workloads.Profile) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				p, err := pf.Build(cfg, c.Opts.Seed)
-				if err != nil {
-					errs[i] = err
-					return
-				}
+		err = sched.Each(ctx, len(profiles), c.Opts.Parallelism, func(_ context.Context, i int) error {
+			p, err := profiles[i].Build(cfg, c.Opts.Seed)
+			if err == nil {
 				key := c.cache.Key(cfgFP, "prog:"+p.Fingerprint(), rcFP)
-				results[i], errs[i] = simcache.Do(c.cache, key, simcache.Results, func() (*avf.Result, error) {
+				results[i], err = simcache.Do(c.cache, key, simcache.Results, func() (*avf.Result, error) {
 					return pool.Simulate(p, rc)
 				})
-			}(i, pf)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("experiments: workload %s: %w", profiles[i].Name, err)
 			}
+			if err != nil {
+				return fmt.Errorf("experiments: workload %s: %w", profiles[i].Name, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		c.logf("simulated %d workload proxies on %s", len(results), cfg.Name)
 		return results, nil

@@ -136,7 +136,6 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 				CheckpointInterval: c.Opts.CheckpointInterval,
 				PruneStatic:        c.Opts.PruneStatic,
 				RootCause:          true,
-				Retry:              c.Opts.Retry,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: injection campaign %s: %w", name, err)
@@ -157,7 +156,6 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 			CheckpointInterval: c.Opts.CheckpointInterval,
 			PruneStatic:        c.Opts.PruneStatic,
 			RootCause:          true,
-			Retry:              c.Opts.Retry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: injection campaign stressmark: %w", err)

@@ -15,9 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"avfstress/internal/sched"
 )
 
 // Gene describes one genome dimension.
@@ -83,8 +82,8 @@ type Config struct {
 	Islands        int
 	MigrationEvery int
 
-	// Parallelism bounds concurrent fitness evaluations (default
-	// GOMAXPROCS).
+	// Parallelism bounds concurrent fitness evaluations, run through
+	// sched.Each (0 = GOMAXPROCS).
 	Parallelism int
 
 	// InitialPopulation seeds the first generation with known genomes
@@ -140,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MigrationEvery <= 0 {
 		c.MigrationEvery = 3
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -378,85 +374,36 @@ func bestIndex(scores []float64) int {
 	return bi
 }
 
-// evaluate scores the population with a fixed pool of worker goroutines
-// pulling individuals off a shared counter. Compared to one goroutine
-// per individual this keeps goroutine (and, downstream, pooled-pipeline)
-// churn at the parallelism level rather than the population size.
-// Individuals with a carried score (elites, the post-cataclysm seed) are
-// not re-evaluated — fitness purity guarantees the identical value — and
-// the returned count covers only the evaluations actually performed.
-// The context is checked before every fitness call (the "between fitness
-// batches" cancellation point), so a cancelled search abandons the rest
-// of the population without waiting for it.
+// evaluate scores the population through sched.Each: at most
+// parallelism fitness calls run at once, each on its own index, and a
+// panicking fitness fails the generation with a *sched.PanicError
+// instead of killing the process. Individuals with a carried score
+// (elites, the post-cataclysm seed) are not re-evaluated — fitness
+// purity guarantees the identical value — and the returned count covers
+// only the evaluations actually performed. The context is checked
+// before every fitness call (the "between fitness batches" cancellation
+// point), so a cancelled search abandons the rest of the population
+// without waiting for it.
 func evaluate(ctx context.Context, pop []Genome, scores, carryScore []float64,
 	carryKnown []bool, fit Fitness, parallelism int) (int, error) {
-	n := 0
+	var todo []int
 	for i := range pop {
 		if carryKnown[i] {
 			scores[i] = carryScore[i]
 		} else {
-			n++
+			todo = append(todo, i)
 		}
 	}
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism <= 1 {
-		for i := range pop {
-			if carryKnown[i] {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return n, err
-			}
-			s, err := fit(pop[i])
-			if err != nil {
-				return n, fmt.Errorf("individual %d: %w", i, err)
-			}
-			scores[i] = s
+	err := sched.Each(ctx, len(todo), parallelism, func(_ context.Context, k int) error {
+		i := todo[k]
+		s, err := fit(pop[i])
+		if err != nil {
+			return fmt.Errorf("individual %d: %w", i, err)
 		}
-		return n, nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pop) {
-					return
-				}
-				if carryKnown[i] {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				s, err := fit(pop[i])
-				if err != nil {
-					fail(fmt.Errorf("individual %d: %w", i, err))
-					continue
-				}
-				scores[i] = s
-			}
-		}()
-	}
-	wg.Wait()
-	return n, firstErr
+		scores[i] = s
+		return nil
+	})
+	return len(todo), err
 }
 
 // nextGeneration applies elitism, tournament selection, two-point

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"avfstress/internal/sched"
 )
 
 func genes(n int) []Gene {
@@ -229,10 +231,11 @@ func TestCataclysmTriggersOnConvergence(t *testing.T) {
 
 func TestCataclysmKeepsBest(t *testing.T) {
 	// Even across cataclysms, the returned best must be the best ever.
-	calls := 0
+	// Evaluations run concurrently (default parallelism), so the call
+	// counter is atomic.
+	var calls atomic.Int32
 	tricky := func(g Genome) (float64, error) {
-		calls++
-		if calls == 5 {
+		if calls.Add(1) == 5 {
 			return 100, nil // one early lucky individual
 		}
 		return g[0], nil
@@ -410,6 +413,31 @@ func TestCancellationStopsWithinOneGeneration(t *testing.T) {
 	// reaches generation 2's evaluations.
 	if n := calls.Load(); n > 2*pop {
 		t.Errorf("%d fitness calls after cancelling in generation 1 (bound %d)", n, 2*pop)
+	}
+}
+
+// TestPanickingFitnessFailsRun: a fitness that panics on one
+// individual fails the run with a *sched.PanicError at any
+// parallelism; the panic never escapes an evaluation goroutine.
+func TestPanickingFitnessFailsRun(t *testing.T) {
+	for _, par := range []int{4, 1} {
+		var calls atomic.Int32
+		fit := func(g Genome) (float64, error) {
+			if calls.Add(1) == 5 {
+				panic("injected fitness panic")
+			}
+			return sphere(g)
+		}
+		_, err := Run(context.Background(), Config{
+			Genes: genes(3), PopSize: 12, Generations: 3, Seed: 2, Parallelism: par,
+		}, fit)
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("parallelism %d: want *sched.PanicError, got %v", par, err)
+		}
+		if pe.Value != "injected fitness panic" || !strings.HasPrefix(err.Error(), "ga: generation 0: ") {
+			t.Errorf("parallelism %d: panic lost its identity: %v", par, err)
+		}
 	}
 }
 

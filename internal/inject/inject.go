@@ -14,7 +14,7 @@
 // rendered report is byte-identical across runs, worker counts and
 // cache states. Unique targets group into replay slices — cells of a
 // fixed grid over the golden window (slice.go) — and each slice is one
-// job on internal/sched: one fork-replay of all its faults, resumed
+// sched.Each item: one fork-replay of all its faults, resumed
 // mid-run from a golden-run checkpoint, whose outcome table is
 // memoised in internal/simcache keyed by (golden fingerprint, the
 // slice's fault set), so warm re-runs replay nothing (DESIGN.md §10).
@@ -33,7 +33,6 @@ import (
 	"avfstress/internal/prog"
 	"avfstress/internal/report"
 	"avfstress/internal/rootcause"
-	"avfstress/internal/scenario"
 	"avfstress/internal/sched"
 	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
@@ -66,7 +65,8 @@ type Options struct {
 	// Structures restricts the campaign (default: every SER-tracked
 	// structure).
 	Structures []uarch.Structure
-	// Parallelism bounds concurrent trial replays (0 = GOMAXPROCS).
+	// Parallelism bounds concurrent slice replays, run through
+	// sched.Each (0 = GOMAXPROCS).
 	Parallelism int
 	// Cache, when set, memoises the golden run and one outcome table per
 	// replay slice; nil replays every slice.
@@ -92,10 +92,6 @@ type Options struct {
 	// replay, never any replay's outcome; with it disabled the campaign
 	// is byte-identical to the legacy sampler.
 	PruneStatic int
-	// Retry bounds scheduler retries of transiently failing slice jobs
-	// (zero value: no retries). Retries change wall-clock only, never
-	// outcomes — replays are deterministic and memoised.
-	Retry sched.RetryPolicy
 	// RootCause, when set, attributes every corrupting trial to the
 	// program instruction whose value the flipped bit held
 	// (internal/rootcause, DESIGN.md §14) and attaches the
@@ -473,9 +469,9 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 // replay fills every outcome slot. Every slot becomes one target
 // entry; the entries sort by (cycle, structure, bit), repeated targets
 // collapse into one fault while walking them, and the unique faults
-// split at slice boundaries, each slice one job (sliceOutcomes) — so a
-// thousand-trial campaign pays for a handful of partial replays and
-// blobs instead of a thousand of each.
+// split at slice boundaries, each slice one sched.Each item
+// (sliceOutcomes) — so a thousand-trial campaign pays for a handful of
+// partial replays and blobs instead of a thousand of each.
 func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSource, s *sampled) error {
 	type target struct {
 		f            pipe.Fault
@@ -496,9 +492,13 @@ func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSo
 		return cmp.Or(cmp.Compare(a.f.Cycle, b.f.Cycle), cmp.Compare(a.f.Structure, b.f.Structure), cmp.Compare(a.f.Bit, b.f.Bit))
 	})
 
+	type slice struct {
+		faults  []pipe.Fault
+		entries []target
+	}
 	grid := newSliceGrid(c.o.Config, info)
 	unique := make([]pipe.Fault, 0, len(targets))
-	var jobs []scenario.Job
+	var work []slice
 	for lo := 0; lo < len(targets); {
 		hi, cell, first := lo, grid.cell(targets[lo].f.Cycle), len(unique)
 		for ; hi < len(targets) && grid.cell(targets[hi].f.Cycle) == cell; hi++ {
@@ -506,37 +506,28 @@ func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSo
 				unique = append(unique, targets[hi].f)
 			}
 		}
-		faults, entries := unique[first:len(unique):len(unique)], targets[lo:hi]
+		work = append(work, slice{unique[first:len(unique):len(unique)], targets[lo:hi]})
 		lo = hi
+	}
+	return sched.Each(ctx, len(work), c.o.Parallelism, func(_ context.Context, k int) error {
+		sl := work[k]
 		// Keyed by fault set, not cell or fork point: campaigns share a
 		// slice exactly when they would replay the same faults.
-		hash := faultSetHash(faults)
-		key := c.key("injslice:" + hash)
-		jobs = append(jobs, scenario.Job{
-			// The blob key already hashes the engine version, config,
-			// program, budget and fault set: its hex is the job's
-			// identity.
-			Key: "injslice\x00" + key.Hex(),
-			Run: func(context.Context) error {
-				trials, err := c.sliceOutcomes(key, src, faults)
-				if err != nil {
-					return err
-				}
-				// Slices partition the targets: jobs write disjoint
-				// slots. entries holds faults in the same order, once
-				// per slot.
-				j := 0
-				for k, e := range entries {
-					if k > 0 && e.f != entries[k-1].f {
-						j++
-					}
-					s.outcomes[e.stratum][e.idx] = trials[j]
-				}
-				return nil
-			},
-		})
-	}
-	return sched.Run(ctx, jobs, sched.Options{Workers: c.o.Parallelism, Retry: c.o.Retry})
+		trials, err := c.sliceOutcomes(c.key("injslice:"+faultSetHash(sl.faults)), src, sl.faults)
+		if err != nil {
+			return err
+		}
+		// Slices partition the targets: items write disjoint slots.
+		// entries holds faults in the same order, once per slot.
+		j := 0
+		for i, e := range sl.entries {
+			if i > 0 && e.f != sl.entries[i-1].f {
+				j++
+			}
+			s.outcomes[e.stratum][e.idx] = trials[j]
+		}
+		return nil
+	})
 }
 
 // sliceOutcomes returns one slice's trial records: its memoised table,

@@ -1,13 +1,13 @@
 package sched
 
-// Error classification (DESIGN.md §11): every job failure is either
-// transient — worth retrying under the run's RetryPolicy — or
-// permanent. The default is permanent: simulations in this repository
-// are deterministic pure functions, so an unclassified failure would
-// fail identically on every retry. Code that hits genuinely transient
-// conditions (disk I/O, a blob a decoder rejected and discarded, an
-// exceeded per-job deadline) marks the error with Transient, and the
-// scheduler's retry loop consults IsTransient.
+// Error classification (DESIGN.md §11): a job failure is permanent
+// unless it is an exceeded per-job deadline. Simulations in this
+// repository are deterministic pure functions, so any other failure —
+// an error or a recovered panic — would recur identically on every
+// retry; only a *DeadlineError, raised when an attempt outlives
+// Options.JobTimeout, is worth another attempt under the run's
+// RetryPolicy. Every fan-out (Run's jobs and Each's items) converts a
+// panic into a *PanicError, so no job's bug ends the process.
 
 import (
 	"context"
@@ -16,45 +16,23 @@ import (
 	"time"
 )
 
-// transientError marks a failure as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient marks err as retryable under the scheduler's RetryPolicy.
-// A nil err stays nil. Context cancellation is never retryable, even
-// wrapped: cancellation means the run is over.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable anywhere in its
-// chain. Cancellation of the surrounding run always wins: an error
-// carrying context.Canceled or context.DeadlineExceeded is not
-// transient regardless of marks.
+// IsTransient reports whether err is retryable: a *DeadlineError
+// anywhere in its chain that does not also carry a cancellation of the
+// surrounding run (context.Canceled or context.DeadlineExceeded) —
+// cancellation means the run is over.
 func IsTransient(err error) bool {
-	if err == nil || isCancellation(err) {
-		return false
-	}
-	var te *transientError
-	if errors.As(err, &te) {
-		return true
-	}
 	var de *DeadlineError
-	return errors.As(err, &de)
+	return errors.As(err, &de) && !isCancellation(err)
 }
 
-// PanicError is a panic captured inside a scheduled job: the job fails
-// with the panic value and stack, the process — and every other job —
-// keeps running. Panics are permanent: a deterministic job panics
-// identically on every retry.
+// PanicError is a panic captured inside a scheduled job or an Each
+// item: it fails with the panic value and stack, the process — and
+// every other job — keeps running. Panics are permanent: a
+// deterministic job panics identically on every retry.
 type PanicError struct {
 	// Key identifies the job (possibly elided; keys are dedup
-	// identities and can be fingerprint blobs).
+	// identities and can be fingerprint blobs), or an Each item by its
+	// decimal index.
 	Key string
 	// Value is the recovered panic value.
 	Value interface{}
@@ -68,9 +46,9 @@ func (e *PanicError) Error() string {
 
 // DeadlineError reports a job that exceeded the run's per-job deadline
 // (Options.JobTimeout). It is deliberately distinct from
-// context.DeadlineExceeded — a job deadline fails that job (and is
-// transient: slow I/O may clear), it does not mean the caller's request
-// timed out.
+// context.DeadlineExceeded — a job deadline fails that job (and is the
+// one transient failure: a later attempt may finish in time), it does
+// not mean the caller's request timed out.
 type DeadlineError struct {
 	Key     string
 	Timeout time.Duration

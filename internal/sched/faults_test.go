@@ -1,7 +1,7 @@
 package sched
 
-// Fault-containment tests (DESIGN.md §11): panic recovery, transient
-// retry with backoff, per-job deadlines and the transient/permanent
+// Fault-containment tests (DESIGN.md §11): panic recovery, per-job
+// deadlines, their retry with backoff, and the transient/permanent
 // error classification.
 
 import (
@@ -71,29 +71,38 @@ func TestPanicDrainsDependents(t *testing.T) {
 	}
 }
 
+// slowUntil returns a job body whose first n attempts outlive their
+// deadline (blocking until the job context expires) and whose later
+// attempts succeed at once, counting attempts.
+func slowUntil(n int32, attempts *atomic.Int32) func(context.Context) error {
+	return func(ctx context.Context) error {
+		if attempts.Add(1) <= n {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	}
+}
+
 func TestTransientRetriesThenSucceeds(t *testing.T) {
 	var attempts atomic.Int32
 	var retries []int
 	var mu sync.Mutex
-	jobs := []scenario.Job{{Key: "flaky", Run: func(context.Context) error {
-		if attempts.Add(1) < 3 {
-			return Transient(fmt.Errorf("spurious I/O"))
-		}
-		return nil
-	}}}
+	jobs := []scenario.Job{{Key: "slow", Run: slowUntil(2, &attempts)}}
 	err := Run(context.Background(), jobs, Options{
-		Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+		JobTimeout: 20 * time.Millisecond,
+		Retry:      RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 		OnRetry: func(key string, attempt int, err error, backoff time.Duration) {
 			mu.Lock()
 			retries = append(retries, attempt)
 			mu.Unlock()
-			if key != "flaky" || !IsTransient(err) || backoff <= 0 {
+			if key != "slow" || !IsTransient(err) || backoff <= 0 {
 				t.Errorf("OnRetry(%q, %d, %v, %v)", key, attempt, err, backoff)
 			}
 		},
 	})
 	if err != nil {
-		t.Fatalf("transient failure not healed: %v", err)
+		t.Fatalf("deadline failures not healed: %v", err)
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Errorf("attempts %d, want 3", got)
@@ -107,12 +116,12 @@ func TestTransientRetriesThenSucceeds(t *testing.T) {
 
 func TestTransientExhaustsAttempts(t *testing.T) {
 	var attempts atomic.Int32
-	cause := errors.New("disk still broken")
 	err := Run(context.Background(), []scenario.Job{
-		{Key: "doomed", Run: func(context.Context) error { attempts.Add(1); return Transient(cause) }},
-	}, Options{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
-	if !errors.Is(err, cause) {
-		t.Fatalf("final error lost the cause: %v", err)
+		{Key: "doomed", Run: slowUntil(100, &attempts)},
+	}, Options{JobTimeout: 10 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
+	var de *DeadlineError
+	if !errors.As(err, &de) || de.Key != "doomed" {
+		t.Fatalf("final error is not the job's deadline: %v", err)
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Errorf("attempts %d, want 3", got)
@@ -181,18 +190,26 @@ func TestJobDeadlineRetries(t *testing.T) {
 }
 
 func TestRunCancellationWinsOverRetry(t *testing.T) {
+	// The first attempt outlives its deadline; the caller cancels while
+	// the retry is backing off, which must end the run at once instead
+	// of waiting out the (hour-long) backoff or attempting again.
 	ctx, cancel := context.WithCancel(context.Background())
 	var attempts atomic.Int32
-	err := Run(ctx, []scenario.Job{
-		{Key: "hopeless", Run: func(context.Context) error {
-			if attempts.Add(1) == 1 {
-				cancel()
-			}
-			return Transient(errors.New("transient but doomed"))
-		}},
-	}, Options{Retry: RetryPolicy{MaxAttempts: 100, BaseDelay: time.Millisecond}})
-	if err == nil {
-		t.Fatal("cancelled run returned nil")
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(ctx, []scenario.Job{{Key: "hopeless", Run: slowUntil(100, &attempts)}}, Options{
+			JobTimeout: 10 * time.Millisecond,
+			Retry:      RetryPolicy{MaxAttempts: 100, BaseDelay: time.Hour, MaxDelay: time.Hour},
+			OnRetry:    func(string, int, error, time.Duration) { cancel() },
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("cancelled run returned nil")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancellation did not cut the retry backoff short")
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Errorf("retried %d times after cancellation, want attempts=1", got)
@@ -200,29 +217,24 @@ func TestRunCancellationWinsOverRetry(t *testing.T) {
 }
 
 func TestClassification(t *testing.T) {
-	base := errors.New("x")
+	deadline := &DeadlineError{Key: "k", Timeout: time.Second}
 	for _, tc := range []struct {
 		name string
 		err  error
 		want bool
 	}{
 		{"nil", nil, false},
-		{"plain", base, false},
-		{"transient", Transient(base), true},
-		{"wrapped transient", fmt.Errorf("outer: %w", Transient(base)), true},
-		{"transient cancellation", Transient(context.Canceled), false},
-		{"deadline", &DeadlineError{Key: "k", Timeout: time.Second}, true},
+		{"plain", errors.New("x"), false},
+		{"panic", &PanicError{Key: "k", Value: "boom"}, false},
+		{"deadline", deadline, true},
+		{"wrapped deadline", fmt.Errorf("outer: %w", deadline), true},
+		{"deadline with cancellation", errors.Join(deadline, context.Canceled), false},
 		{"ctx deadline", context.DeadlineExceeded, false},
+		{"ctx cancel", context.Canceled, false},
 	} {
 		if got := IsTransient(tc.err); got != tc.want {
 			t.Errorf("%s: IsTransient=%v, want %v", tc.name, got, tc.want)
 		}
-	}
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) != nil")
-	}
-	if !errors.Is(Transient(base), base) {
-		t.Error("Transient hides the cause from errors.Is")
 	}
 }
 

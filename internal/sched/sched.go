@@ -1,24 +1,27 @@
-// Package sched executes a declared job DAG (internal/scenario Jobs) on
-// a bounded worker pool. Jobs sharing a Key are deduplicated — the
-// combined DAG of many scenarios pays for each shared workload suite or
-// stressmark search once — and execution is fully concurrent: a job
-// becomes runnable the moment its dependencies complete, bounded only
-// by the worker count.
+// Package sched is the repository's one fan-out mechanism. Run
+// executes a declared job DAG (internal/scenario Jobs) on a bounded
+// worker pool: jobs sharing a Key are deduplicated — the combined DAG
+// of many scenarios pays for each shared workload suite or stressmark
+// search once — and a job becomes runnable the moment its dependencies
+// complete, bounded only by the worker count. Each is the flat
+// counterpart, a bounded parallel-for over independent items: a GA
+// generation's fitness evaluations, a workload suite's simulations and
+// a campaign's replay slices all run through it.
 //
-// Cancellation is first-class: the context passed to Run is handed to
-// every job, the first job error (or the caller's cancellation) stops
-// new work from starting, and Run returns once all in-flight jobs have
-// drained. Because every job result in this repository is memoised
-// content-addressed (internal/simcache), a cancelled run leaves only
-// complete, valid entries behind — re-running after a cancellation
-// resumes from what finished.
+// Cancellation is first-class: the context passed to Run or Each is
+// handed to every job, the first job error (or the caller's
+// cancellation) stops new work from starting, and both return once all
+// in-flight jobs have drained. Because every job result in this
+// repository is memoised content-addressed (internal/simcache), a
+// cancelled run leaves only complete, valid entries behind — re-running
+// after a cancellation resumes from what finished.
 //
-// Faults are contained per job (DESIGN.md §11): a panicking job fails
-// with a *PanicError carrying its stack — never the process; transient
-// failures (IsTransient) retry with exponential backoff and jitter
-// under Options.Retry; and Options.JobTimeout deadlines each attempt,
-// failing runaway jobs with a *DeadlineError instead of hanging the
-// run.
+// Faults are contained per job in every fan-out (DESIGN.md §11): a
+// panicking job or item fails with a *PanicError carrying its stack —
+// never the process. Options.JobTimeout deadlines each attempt of a
+// Run job, failing a runaway job with a *DeadlineError instead of
+// hanging the run; deadline failures, and only those, retry with
+// exponential backoff and jitter under Options.Retry.
 package sched
 
 import (
@@ -28,14 +31,16 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"avfstress/internal/scenario"
 )
 
-// RetryPolicy bounds the scheduler's handling of transient job
-// failures (IsTransient): exponential backoff with full jitter,
+// RetryPolicy bounds the scheduler's retries of jobs that exceeded
+// their deadline (IsTransient): exponential backoff with full jitter,
 // capped. The zero value disables retries.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per job, including
@@ -66,8 +71,8 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 	if d > maxd {
 		d = maxd
 	}
-	// Full 0–50% jitter decorrelates retries across workers hammering
-	// one recovering resource (a shared cache disk).
+	// Full 0–50% jitter decorrelates retries of jobs that timed out
+	// together, so they do not contend again in lockstep.
 	return d + time.Duration(rand.Int64N(int64(d)/2+1))
 }
 
@@ -75,18 +80,18 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 type Options struct {
 	// Workers bounds concurrently executing jobs (0 = GOMAXPROCS).
 	Workers int
-	// Retry bounds retries of transiently failing jobs (zero value:
-	// no retries). Permanent failures — the default classification —
-	// fail the run on the first attempt.
+	// Retry bounds retries of jobs that exceeded JobTimeout (zero
+	// value: no retries). Every other failure is permanent and fails
+	// the run on the first attempt.
 	Retry RetryPolicy
 	// OnRetry, when set, observes every retry decision (job key,
 	// attempt number that failed, its error, and the backoff chosen).
 	// It may be called from multiple goroutines.
 	OnRetry func(key string, attempt int, err error, backoff time.Duration)
 	// JobTimeout deadlines each job attempt (0 = none). An expired
-	// attempt fails with a transient *DeadlineError — retried under
-	// Retry, then failing only that job, never masquerading as a
-	// cancellation of the whole run.
+	// attempt fails with a *DeadlineError — retried under Retry, then
+	// failing only that job, never masquerading as a cancellation of
+	// the whole run.
 	JobTimeout time.Duration
 }
 
@@ -186,9 +191,62 @@ func Run(ctx context.Context, jobs []scenario.Job, opts Options) error {
 	return ctx.Err()
 }
 
+// Each runs fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines (workers ≤ 0: GOMAXPROCS), handing indices out in
+// ascending order. It is Run's flat counterpart for independent items —
+// no keys, no dedup, no deadlines or retries: each item is one
+// panic-contained attempt, and a panic fails it with a *PanicError
+// keyed by its index. The first item error stops new items from
+// starting and so does the caller's cancellation; Each returns once
+// in-flight items drain, with ctx's error if the caller cancelled and
+// otherwise the first item error. Items that write only their own
+// index's slot of a shared slice need no further synchronisation.
+func Each(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				run := func(ctx context.Context) error { return fn(ctx, i) }
+				if err := runOnce(cctx, strconv.Itoa(i), run, 0); err != nil {
+					once.Do(func() { firstErr = err; cancel() })
+					return
+				}
+				// Yield between items, as a goroutine per item would: a
+				// worker looping on CPU-bound items otherwise keeps its
+				// P until the next asynchronous preemption (~10ms), and
+				// expired timers and network handlers — the daemon's
+				// /v1/healthz — wait that long for a core.
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return firstErr
+}
+
 // runAttempts executes one job under the run's fault-containment
 // policy: each attempt is panic-recovered and deadline-bounded, and
-// transient failures retry with backoff up to Retry.MaxAttempts. The
+// deadline failures retry with backoff up to Retry.MaxAttempts. The
 // surrounding run's cancellation always ends the loop immediately.
 func runAttempts(ctx context.Context, n *node, opts Options) error {
 	attempts := opts.Retry.MaxAttempts
@@ -196,7 +254,7 @@ func runAttempts(ctx context.Context, n *node, opts Options) error {
 		attempts = 1
 	}
 	for attempt := 1; ; attempt++ {
-		err := runOnce(ctx, n, opts.JobTimeout)
+		err := runOnce(ctx, n.key, n.run, opts.JobTimeout)
 		if err == nil || attempt >= attempts || !IsTransient(err) || ctx.Err() != nil {
 			return err
 		}
@@ -218,16 +276,16 @@ func runAttempts(ctx context.Context, n *node, opts Options) error {
 // timeout while the surrounding run is still live fails with a
 // *DeadlineError instead of a bare context.DeadlineExceeded, so a slow
 // job cannot impersonate a caller timeout.
-func runOnce(ctx context.Context, n *node, timeout time.Duration) (err error) {
+func runOnce(ctx context.Context, key string, run func(context.Context) error, timeout time.Duration) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Key: n.key, Value: r, Stack: debug.Stack()}
+			err = &PanicError{Key: key, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if n.run == nil {
+	if run == nil {
 		return nil
 	}
 	jctx := ctx
@@ -236,10 +294,10 @@ func runOnce(ctx context.Context, n *node, timeout time.Duration) (err error) {
 		jctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	err = n.run(jctx)
+	err = run(jctx)
 	if timeout > 0 && err != nil && errors.Is(err, context.DeadlineExceeded) &&
 		jctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-		err = &DeadlineError{Key: n.key, Timeout: timeout}
+		err = &DeadlineError{Key: key, Timeout: timeout}
 	}
 	return err
 }

@@ -343,35 +343,38 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 	}
 }
 
-// TestRetriesSurfaceInStatus: transient failures heal via the retry
-// policy and the attempt count lands in the job status.
+// TestRetriesSurfaceInStatus: attempts that outlive their per-job
+// deadline heal via the retry policy and the retry count lands in the
+// job status.
 func TestRetriesSurfaceInStatus(t *testing.T) {
 	testRunJob = func(ctx context.Context, j *job) (string, error) {
 		attempts := 0
 		err := sched.Run(ctx, []scenario.Job{
-			{Key: "flaky", Run: func(context.Context) error {
+			{Key: "slow", Run: func(ctx context.Context) error {
 				attempts++
 				if attempts < 3 {
-					return sched.Transient(errors.New("spurious"))
+					<-ctx.Done() // outlive the deadline
+					return ctx.Err()
 				}
 				return nil
 			}},
 		}, sched.Options{
-			Retry: sched.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+			JobTimeout: 20 * time.Millisecond,
+			Retry:      sched.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
 			OnRetry: func(key string, attempt int, err error, backoff time.Duration) {
 				j.mu.Lock()
 				j.retries++
 				j.mu.Unlock()
 			},
 		})
-		return "flaky report", err
+		return "slow report", err
 	}
 	defer func() { testRunJob = nil }()
 
 	_, hs := testServer(t)
 	st := waitTerminal(t, hs, submit(t, hs, `{"scenarios":["table1"]}`).ID)
 	if st.Status != StatusDone {
-		t.Fatalf("flaky job ended %s: %s", st.Status, st.Error)
+		t.Fatalf("slow job ended %s: %s", st.Status, st.Error)
 	}
 	if st.Retries != 2 {
 		t.Errorf("status retries %d, want 2", st.Retries)

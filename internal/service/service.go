@@ -20,7 +20,8 @@
 // and because all simulation results are memoised content-addressed,
 // the recovered report is byte-identical to an uninterrupted run.
 // Panicking jobs fail alone (the status carries the stack; the daemon
-// keeps serving), transient job errors retry with exponential backoff,
+// keeps serving), work that outlives its per-job deadline (JobTimeout)
+// retries with exponential backoff,
 // admission is bounded (429 when the queue is full, 503 while
 // draining), duplicate submissions dedup via Idempotency-Key, and
 // GET /v1/healthz reports journal/queue/cache health.
@@ -79,9 +80,10 @@ type Options struct {
 	// the journal is replayed — terminal jobs come back as history,
 	// unfinished jobs are resubmitted — then compacted in place.
 	JournalPath string
-	// Retry is the per-job retry policy for transient failures. The
-	// zero value means the server default (3 attempts, exponential
-	// backoff); set MaxAttempts to 1 to disable retries.
+	// Retry is the per-job retry policy for scheduler jobs that exceed
+	// JobTimeout, the only failures that retry. The zero value means
+	// the server default (3 attempts, exponential backoff); set
+	// MaxAttempts to 1 to disable retries.
 	Retry sched.RetryPolicy
 	// JobTimeout bounds each scheduler job (one simulation / search /
 	// render) inside every submitted job; a deadline is transient and
@@ -591,7 +593,7 @@ func (s *Server) evictLocked() {
 }
 
 // testRunJob, when non-nil, replaces a job's experiment execution —
-// the test seam for injecting panicking or transiently failing work.
+// the test seam for injecting panicking, slow or failing work.
 var testRunJob func(ctx context.Context, j *job) (string, error)
 
 // run executes one job against a fresh experiments context sharing the
