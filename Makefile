@@ -41,7 +41,9 @@ rootcause-diff:
 # beyond its committed seed corpus: the injection slice-table,
 # golden-info and golden-entry codecs, the CRC frame every disk entry
 # goes through, the job-journal line decoder, scenario-spec resolution,
-# and job-submission bodies through the HTTP handler.
+# job-submission bodies through the HTTP handler, and the binary
+# program-fingerprint encoding that keys simulations (equal exactly
+# when the programs are).
 fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGoldenInfo$$' -fuzztime 10s
@@ -50,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeJournalLine$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzResolveSpec$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s
+	$(GO) test ./internal/prog -run '^$$' -fuzz '^FuzzProgramFingerprint$$' -fuzztime 10s
 
 check: vet build test
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -8,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"avfstress/internal/codegen"
 	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
+	"avfstress/internal/workloads"
 )
 
 // smallOpts keeps the cache/aliasing tests cheap: short windows, paper
@@ -247,4 +251,51 @@ func parkedInFlight() bool {
 		}
 	}
 	return false
+}
+
+// generatorPin is the digest TestGeneratorOutputPinned expects. Change
+// it together with a simcache.EngineVersion bump (DESIGN.md §7), unless
+// only Program.Fingerprint's encoding changed: that changes every key
+// with it, so nothing stale stays reachable.
+const generatorPin = "85a8b36ff82d45a3b3c8751e62041ea38b464f7a0dae0c94ed127358eab8fcf3"
+
+// TestGeneratorOutputPinned pins what the simcache store keys by
+// generator input rather than by program: workload proxies are keyed by
+// (configuration, workloads.Profile, seed) and stressmarks by
+// (configuration, codegen.Knobs), so a change to what
+// workloads.Profile.Build or codegen.Generate emits for unchanged inputs
+// would let a disk tier serve results simulated from the old programs.
+// The test hashes the program fingerprints of every proxy and every
+// reference stressmark on both configurations into one digest.
+func TestGeneratorOutputPinned(t *testing.T) {
+	h := sha256.New()
+	for _, cfg := range []uarch.Config{
+		uarch.Scaled(uarch.Baseline(), 32), uarch.Scaled(uarch.ConfigA(), 32),
+	} {
+		for _, pf := range workloads.Profiles() {
+			p, err := pf.Build(cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s proxy %s %s\n", cfg.Name, pf.Name, p.Fingerprint())
+		}
+		for _, key := range []string{"baseline", "rhc", "edr", "configA"} {
+			k, err := ReferenceKnobs(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _, err := codegen.Generate(cfg, k, 1<<40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s knobs %s %s\n", cfg.Name, key, p.Fingerprint())
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != generatorPin {
+		t.Errorf("generator output changed: digest %s, pinned %s.\n"+
+			"Proxy and stressmark results are memoised under their generator inputs, "+
+			"so DESIGN.md §7 requires a simcache.EngineVersion bump with the new pin "+
+			"(none if only Program.Fingerprint's encoding changed).",
+			got, generatorPin)
+	}
 }

@@ -224,13 +224,17 @@ func (c *Context) workloadBudget() pipe.RunConfig {
 
 // Workloads simulates (once, cached) the 33-proxy suite on cfg. The
 // suite is keyed by the configuration fingerprint — never by Name alone,
-// which two differently-scaled configurations could share — and each
-// individual simulation is content-addressed in the simcache store, so
-// other experiments, contexts and processes re-using a workload result
-// pay for it once. Concurrent callers (scenario jobs) share one
-// computation. The simulations run through sched.Each: cancelling ctx
-// stops the suite between simulations, and a panicking one fails the
-// suite with a *sched.PanicError.
+// which two differently-scaled configurations could share — and
+// concurrent callers (scenario jobs) share one computation. Each proxy's
+// result is memoised in the simcache store under its generator inputs:
+// the configuration, the workloads.Profile (%#v, lossless) with the
+// seed, and the run budget. Profile.Build is a deterministic function of
+// exactly those, so the key is a content address of the program without
+// building it, and a memo hit builds nothing (the way codegen.Knobs keys
+// stressmarks). TestGeneratorOutputPinned guards that contract. The
+// simulations run through sched.Each: cancelling ctx stops the suite
+// between simulations, and a panicking one fails the suite with a
+// *sched.PanicError.
 func (c *Context) Workloads(ctx context.Context, cfg uarch.Config) ([]*avf.Result, error) {
 	cfgFP := cfg.Fingerprint()
 	return c.wl.do(cfgFP, func() ([]*avf.Result, error) {
@@ -242,16 +246,20 @@ func (c *Context) Workloads(ctx context.Context, cfg uarch.Config) ([]*avf.Resul
 		}
 		rc := c.workloadBudget()
 		rcFP := rc.Fingerprint()
+		seed := c.Opts.Seed
 		err = sched.Each(ctx, len(profiles), c.Opts.Parallelism, func(_ context.Context, i int) error {
-			p, err := profiles[i].Build(cfg, c.Opts.Seed)
-			if err == nil {
-				key := c.cache.Key(cfgFP, "prog:"+p.Fingerprint(), rcFP)
-				results[i], err = simcache.Do(c.cache, key, simcache.Results, func() (*avf.Result, error) {
-					return pool.Simulate(p, rc)
-				})
-			}
+			pf := profiles[i]
+			key := c.cache.Key(cfgFP, fmt.Sprintf("proxy:%#v seed=%d", pf, seed), rcFP)
+			var err error
+			results[i], err = simcache.Do(c.cache, key, simcache.Results, func() (*avf.Result, error) {
+				p, err := pf.Build(cfg, seed)
+				if err != nil {
+					return nil, err
+				}
+				return pool.Simulate(p, rc)
+			})
 			if err != nil {
-				return fmt.Errorf("experiments: workload %s: %w", profiles[i].Name, err)
+				return fmt.Errorf("experiments: workload %s: %w", pf.Name, err)
 			}
 			return nil
 		})

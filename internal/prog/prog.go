@@ -11,6 +11,7 @@ package prog
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"strings"
@@ -128,24 +129,47 @@ func (p *Program) Listing() string {
 func (p *Program) StaticLen() int { return len(p.Init) + len(p.Body) }
 
 // Fingerprint returns a compact content address of the program for
-// internal/simcache keys: a hex SHA-256 over the name (which reaches
-// avf.Result.Workload), the iteration count, the footprint, every
-// instruction field that influences execution, and the full state of
-// every address and branch generator. Instruction labels are excluded —
-// they only decorate listings. The built-in generators are plain value
-// structs, so %T/%+v renders their complete state deterministically;
-// custom generator implementations must do the same for their
-// simulation-relevant fields.
+// internal/simcache keys: a hex SHA-256 over a binary encoding of
+// everything that influences execution. The header is the name (which
+// reaches avf.Result.Workload) length-prefixed, then the iteration
+// count and the footprint; each of the init and body sections follows
+// as its tag, its instruction count and one fixed-width record per
+// instruction (Op, Dest, Src1, Src2 one byte each, Imm two bytes, a
+// flags byte for RegReg and UnACE, AddrGen and BrGen eight bytes each;
+// integers little-endian). Instruction labels are excluded — they only
+// decorate listings. Last come the generator tables, each as a count
+// and one length-prefixed %#v rendering per generator. The built-in
+// generators are plain value structs whose %#v is lossless; custom
+// generator implementations must render their simulation-relevant
+// state under %#v too.
 func (p *Program) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "prog{name=%q iters=%d footprint=%d}", p.Name, p.Iterations, p.FootprintBytes)
+	// A built-in generator renders in at most about 90 bytes, so the
+	// buffer is sized once.
+	n := 8 + len(p.Name) + 16 + 2*(4+8) + instrRecord*(len(p.Init)+len(p.Body)) +
+		16 + (8+96)*(len(p.AddrGens)+len(p.BrGens))
+	b := make([]byte, 0, n)
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(len(p.Name)))
+	b = append(b, p.Name...)
+	b = le.AppendUint64(b, uint64(p.Iterations))
+	b = le.AppendUint64(b, p.FootprintBytes)
 	section := func(tag string, ins []isa.Instr) {
-		fmt.Fprintf(h, "|%s[%d]", tag, len(ins))
+		b = append(b, tag...)
+		b = le.AppendUint64(b, uint64(len(ins)))
 		for i := range ins {
 			in := &ins[i]
-			fmt.Fprintf(h, "|%d,%d,%d,%d,%d,%t,%d,%d,%t",
-				in.Op, in.Dest, in.Src1, in.Src2, in.Imm, in.RegReg,
-				in.AddrGen, in.BrGen, in.UnACE)
+			var flags byte
+			if in.RegReg {
+				flags |= 1
+			}
+			if in.UnACE {
+				flags |= 2
+			}
+			b = append(b, byte(in.Op), byte(in.Dest), byte(in.Src1), byte(in.Src2))
+			b = le.AppendUint16(b, uint16(in.Imm))
+			b = append(b, flags)
+			b = le.AppendUint64(b, uint64(in.AddrGen))
+			b = le.AppendUint64(b, uint64(in.BrGen))
 		}
 	}
 	section("init", p.Init)
@@ -154,15 +178,28 @@ func (p *Program) Fingerprint() string {
 	// %+v would hash those lossy display strings (Bernoulli, for one,
 	// rounds its probability to three decimals), aliasing distinct
 	// programs. %#v renders the raw fields exactly and includes the
-	// concrete type name.
+	// concrete type name. The length is patched in after the rendering.
+	gen := func(g any) {
+		at := len(b)
+		b = le.AppendUint64(b, 0)
+		b = fmt.Appendf(b, "%#v", g)
+		le.PutUint64(b[at:], uint64(len(b)-at-8))
+	}
+	b = le.AppendUint64(b, uint64(len(p.AddrGens)))
 	for _, g := range p.AddrGens {
-		fmt.Fprintf(h, "|ag:%#v", g)
+		gen(g)
 	}
+	b = le.AppendUint64(b, uint64(len(p.BrGens)))
 	for _, g := range p.BrGens {
-		fmt.Fprintf(h, "|bg:%#v", g)
+		gen(g)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
+
+// instrRecord is the width of one instruction in the Fingerprint
+// encoding.
+const instrRecord = 4 + 2 + 1 + 8 + 8
 
 // Dyn is one dynamic instruction instance handed to the pipeline.
 type Dyn struct {

@@ -43,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -501,6 +502,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
+		return
+	}
+	// The body is one JSON value: anything after the spec but whitespace
+	// is refused, never silently dropped.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "bad spec: data after the JSON value")
 		return
 	}
 	if r.Context().Err() != nil {

@@ -126,6 +126,8 @@ func TestBadRequests(t *testing.T) {
 		{`{"mode":"guess"}`, http.StatusBadRequest},
 		{`{"unknown_field":1}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		{`{"scenarios":["table1"]} trailing`, http.StatusBadRequest},
+		{`{"scenarios":["table1"]}{"x":1}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.spec))
 		if err != nil {

@@ -14,12 +14,13 @@ import (
 )
 
 // FuzzSubmitBody: any POST /v1/jobs body is answered 202, 400 or 429 —
-// never a 5xx, never a panic — and an admitted job's resolved scenarios
-// re-resolve unchanged, both from the spec the job echoes (what journal
-// recovery resolves) and from the names alone. Jobs run through the
-// testRunJob seam, so no input simulates. The seed corpus
-// (testdata/fuzz) holds valid registered, parametric and empty specs
-// plus unknown fields, bad enums, negative budgets, trailing garbage
+// never a 5xx, never a panic — a 202 body is exactly one JSON value
+// plus whitespace, and an admitted job's resolved scenarios re-resolve
+// unchanged, both from the spec the job echoes (what journal recovery
+// resolves) and from the names alone. Jobs run through the testRunJob
+// seam, so no input simulates. The seed corpus (testdata/fuzz) holds
+// valid registered, parametric and empty specs plus unknown fields, bad
+// enums, negative budgets, trailing garbage, a trailing second value
 // and non-JSON.
 func FuzzSubmitBody(f *testing.F) {
 	testRunJob = func(context.Context, *job) (string, error) { return "fuzz report", nil }
@@ -40,6 +41,9 @@ func FuzzSubmitBody(f *testing.F) {
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
 		switch w.Code {
 		case http.StatusAccepted:
+			if !json.Valid(body) {
+				t.Fatalf("body %q is not exactly one JSON value but was admitted", body)
+			}
 		case http.StatusBadRequest, http.StatusTooManyRequests:
 			return
 		default:
