@@ -17,10 +17,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs the concurrency-heavy tiers under the race detector: the
-# scheduler (Run and Each, with their panic-containment and
-# deadline-retry paths) and every package that fans out through it —
-# GA evaluation and the stressmark search (whose concurrency oracle is
+# race runs the concurrency-heavy tiers under the race detector:
+# sched.Each (panic containment, first error, cancellation) and every
+# package that fans out through it — GA evaluation and the stressmark search (whose concurrency oracle is
 # TestSearchEvaluationsExactAcrossParallelism), experiment
 # orchestration and workload suites, injection campaigns — plus the job
 # service with journal replay, root-cause attribution, the

@@ -12,9 +12,9 @@
 // -memprofile write pprof profiles of the run, so hot-path hunts don't
 // need ad-hoc harnesses.
 //
-// avfbench is a thin client of the scenario registry and the concurrent
-// DAG scheduler (the same path avfstressd serves): the requested
-// scenarios' jobs run concurrently, deduplicated across scenarios, and
+// avfbench is a thin client of the scenario registry (the same path
+// avfstressd serves): the requested scenarios render concurrently,
+// sharing the searches and workload suites they have in common, and
 // the combined report is assembled in request order — byte-identical to
 // a sequential run. Ctrl-C cancels cleanly between simulations.
 package main

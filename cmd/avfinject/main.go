@@ -15,7 +15,7 @@
 //
 // avfinject is a thin client of the same scenario path avfstressd
 // serves: the flags build a declarative scenario.Spec whose parametric
-// faultinject scenario runs through the registry and scheduler, so the
+// faultinject scenario runs through the scenario registry, so the
 // campaign shares the suite's stressmark search, per-slice memoisation
 // and cancellation semantics with the daemon (POST /v1/jobs with
 // {"scenarios": ["faultinject"], ...} runs the identical study).

@@ -11,7 +11,7 @@
 //
 // avfstress is a thin client of the same scenario path avfstressd
 // serves: the flags build a declarative scenario.Spec whose parametric
-// "stressmark" scenario runs through the registry and scheduler, so the
+// "stressmark" scenario runs through the scenario registry, so the
 // search shares its weighting, memoisation and cancellation semantics
 // with the daemon and the experiment suite (the RHC/EDR studies use the
 // paper's core-only fitness). Ctrl-C cancels the search between

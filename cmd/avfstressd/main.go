@@ -1,14 +1,15 @@
 // Command avfstressd serves the experiment portfolio over HTTP: clients
-// submit declarative scenario specs, the daemon schedules their
-// combined job DAG on a bounded worker pool, and every job shares one
-// content-addressed simulation store — concurrent clients requesting
-// overlapping scenarios each pay only the marginal simulations.
+// submit declarative scenario specs, the daemon runs each job's
+// scenarios concurrently (at most -max-jobs jobs at a time), and every
+// job shares one content-addressed simulation store — concurrent
+// clients requesting overlapping scenarios each pay only the marginal
+// simulations.
 //
 // Usage:
 //
 //	avfstressd [-addr :8080] [-cache-dir DIR] [-journal FILE] [-scale N]
 //	           [-parallelism N] [-max-jobs N] [-max-queue N]
-//	           [-retries N] [-job-timeout D] [-drain-timeout D]
+//	           [-job-timeout D] [-drain-timeout D]
 //	           [-read-timeout D] [-write-timeout D] [-idle-timeout D]
 //	           [-quiet]
 //
@@ -49,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"avfstress/internal/sched"
 	"avfstress/internal/service"
 )
 
@@ -62,8 +62,7 @@ func main() {
 		par      = flag.Int("parallelism", 0, "per-job concurrency bound (0 = all cores)")
 		maxJobs  = flag.Int("max-jobs", 0, "concurrently running jobs; excess queue in order (0 = all cores)")
 		maxQueue = flag.Int("max-queue", 0, "admitted unfinished jobs; submissions beyond this get 429 (0 = 1024)")
-		retries  = flag.Int("retries", 0, "attempts per scheduler job that exceeds -job-timeout; 1 disables retries (0 = server default of 3)")
-		jobTO    = flag.Duration("job-timeout", 0, "deadline per scheduler job (simulation/search/render); exceeded deadlines are retried, then fail the job (0 = none)")
+		jobTO    = flag.Duration("job-timeout", 0, "deadline per submitted job, from leaving the queue to its report; a job that outlives it ends failed, not canceled (0 = none)")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM lets running jobs finish before they are suspended for restart")
 		readTO   = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout (0 = none)")
 		writeTO  = flag.Duration("write-timeout", 10*time.Minute, "HTTP write timeout; bounds streamed progress too (0 = none)")
@@ -80,9 +79,6 @@ func main() {
 		MaxJobs:     *maxJobs,
 		MaxQueue:    *maxQueue,
 		JobTimeout:  *jobTO,
-	}
-	if *retries > 0 {
-		opts.Retry = sched.RetryPolicy{MaxAttempts: *retries}
 	}
 	if !*quiet {
 		opts.Logf = func(f string, args ...interface{}) {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/codegen"
@@ -53,26 +52,17 @@ type Options struct {
 	// campaigns (see inject.Options.PruneStatic): ≥0 = enabled (0 is
 	// the default), <0 = disabled.
 	PruneStatic int
-	// Parallelism bounds each concurrency layer independently: the
-	// scheduler's concurrent scenario jobs (sched.Run), and a workload
+	// Parallelism bounds each CPU fan-out independently: a workload
 	// suite's concurrent simulations, a GA search's concurrent
 	// evaluations and a campaign's concurrent slice replays (each a
-	// sched.Each fan-out); 0 = GOMAXPROCS each. Layers compose, so
-	// transient peaks can exceed it; actual CPU parallelism stays
-	// capped by GOMAXPROCS.
+	// sched.Each fan-out); 0 = GOMAXPROCS each. Renders run one per
+	// requested scenario, unbounded — they mostly wait on shared
+	// studies. Fan-outs of different studies compose, so transient
+	// peaks can exceed it; actual CPU parallelism stays capped by
+	// GOMAXPROCS.
 	Parallelism int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...interface{})
-
-	// Retry bounds scheduler retries of jobs that exceeded JobTimeout
-	// (sched.IsTransient; zero value: no retries). Retries and
-	// deadlines never change results — every job is deterministic and
-	// memoised — only whether and when a run fails.
-	Retry sched.RetryPolicy
-	// OnRetry, when set, observes every scheduler retry decision.
-	OnRetry func(key string, attempt int, err error, backoff time.Duration)
-	// JobTimeout deadlines each scheduled job attempt (0 = none).
-	JobTimeout time.Duration
 
 	// Cache supplies the content-addressed simulation store shared by
 	// every experiment (nil: the context builds its own, with a disk
@@ -156,13 +146,14 @@ func (f *flight[T]) do(key string, compute func() (T, error)) (T, error) {
 var errFlightPanicked = errors.New("experiments: the shared computation panicked")
 
 // Context caches shared work across experiments at two levels: the
-// wl/sm flights memoise whole workload suites and stressmark searches
-// (keyed by configuration fingerprint, so configurations sharing a
-// Name can never alias; concurrent scenario jobs requesting one suite
-// share a single computation), and every individual simulation
-// underneath is routed through a content-addressed simcache.Store,
-// which also deduplicates work across contexts and — with a disk tier —
-// processes.
+// wl/sm/pv/fi flights memoise whole workload suites, stressmark
+// searches, the power virus and injection studies (keyed by
+// configuration fingerprint, so configurations sharing a Name can never
+// alias; concurrent renders requesting one study share a single
+// computation — the only scenario-level dedup), and every individual
+// simulation underneath is routed through a content-addressed
+// simcache.Store, which also deduplicates work across contexts and —
+// with a disk tier — processes.
 type Context struct {
 	Opts     Options
 	Baseline uarch.Config
@@ -225,10 +216,10 @@ func (c *Context) workloadBudget() pipe.RunConfig {
 // Workloads simulates (once, cached) the 33-proxy suite on cfg. The
 // suite is keyed by the configuration fingerprint — never by Name alone,
 // which two differently-scaled configurations could share — and
-// concurrent callers (scenario jobs) share one computation. Each proxy's
-// result is memoised in the simcache store under its generator inputs:
-// the configuration, the workloads.Profile (%#v, lossless) with the
-// seed, and the run budget. Profile.Build is a deterministic function of
+// concurrent callers (scenario renders) share one computation. Each
+// proxy's result is memoised in the simcache store under its generator
+// inputs: the configuration, the workloads.Profile (%#v, lossless) with
+// the seed, and the run budget. Profile.Build is a deterministic function of
 // exactly those, so the key is a content address of the program without
 // building it, and a memo hit builds nothing (the way codegen.Knobs keys
 // stressmarks). TestGeneratorOutputPinned guards that contract. The

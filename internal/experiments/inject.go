@@ -17,7 +17,6 @@ import (
 	"avfstress/internal/inject"
 	"avfstress/internal/pipe"
 	"avfstress/internal/report"
-	"avfstress/internal/scenario"
 	"avfstress/internal/uarch"
 	"avfstress/internal/workloads"
 )
@@ -100,10 +99,9 @@ func (c *Context) injectBudget() pipe.RunConfig {
 // FaultInjection runs (once, memoised) the injection validation study
 // for the named configuration and rate set: a campaign of trials
 // replays per panel workload and for the stressmark. The stressmark
-// search is the suite's shared memoised search (declare it as a job
-// dependency); campaigns fan their replay slices out through
-// internal/sched and memoise each slice's outcomes in the shared
-// simulation store.
+// search is the suite's shared memoised search; campaigns fan their
+// replay slices out through internal/sched and memoise each slice's
+// outcomes in the shared simulation store.
 func (c *Context) FaultInjection(ctx context.Context, configName, ratesName string, trials int) (*InjectionStudy, error) {
 	cfg, err := ResolveConfig(configName, c.Opts.Scale)
 	if err != nil {
@@ -166,19 +164,4 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 		study.Campaigns = append(study.Campaigns, res)
 		return study, nil
 	})
-}
-
-// faultInjectJob declares one injection study, keyed like the
-// FaultInjection memo.
-func (c *Context) faultInjectJob(configName, ratesName string, trials int, deps []string) scenario.Job {
-	cfg, _ := ResolveConfig(configName, c.Opts.Scale)
-	rates, _ := ResolveRates(ratesName)
-	return scenario.Job{
-		Key:  fmt.Sprintf("fi\x00%s\x00%s\x00%d", cfg.Fingerprint(), rates.Fingerprint(), trials),
-		Deps: deps,
-		Run: func(ctx context.Context) error {
-			_, err := c.FaultInjection(ctx, configName, ratesName, trials)
-			return err
-		},
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"avfstress/internal/scenario"
-	"avfstress/internal/sched"
 	"avfstress/internal/simcache"
 )
 
@@ -83,9 +82,9 @@ func TestResolveSpecRootCause(t *testing.T) {
 }
 
 // TestFaultInjectScenario runs a small faultinject scenario end to end
-// through the scheduler path and checks the declared-jobs purity
-// contract: after the declared jobs have run, rendering replays
-// nothing.
+// through the scenario path, then checks that a warm store reproduces
+// it byte-identically and that the rootcause view of the same
+// parameters reuses the memoised study.
 func TestFaultInjectScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("injection campaigns in -short mode")
@@ -95,20 +94,9 @@ func TestFaultInjectScenario(t *testing.T) {
 	opts.Cache = store
 	c := NewContext(opts)
 	name := "faultinject:baseline:uniform:20"
-	d, err := c.lookup(name)
+	out, err := c.Run(bg, name)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := sched.Run(bg, d.Jobs(), sched.Options{}); err != nil {
-		t.Fatalf("declared jobs: %v", err)
-	}
-	before := store.Stats().Simulated
-	out, err := d.Render(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := store.Stats().Simulated; after != before {
-		t.Errorf("render simulated %d times beyond the declared jobs", after-before)
 	}
 	for _, want := range []string{
 		"Fault-injection validation", "bit-weighted AVF, injection vs ACE", "derated (rate-weighted)",
@@ -131,19 +119,15 @@ func TestFaultInjectScenario(t *testing.T) {
 	}
 
 	// The rootcause view of the same parameters shares the memoised
-	// study: rendering it on the warm context replays nothing and emits
+	// study: running it on the warm context replays nothing and emits
 	// the attribution tables.
-	rd, err := c2.lookup("rootcause:baseline:uniform:20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = store.Stats().Simulated
-	rout, err := rd.Render(bg)
+	before := store.Stats().Simulated
+	rout, err := c2.Run(bg, "rootcause:baseline:uniform:20")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after := store.Stats().Simulated; after != before {
-		t.Errorf("rootcause render simulated %d times beyond the shared study", after-before)
+		t.Errorf("rootcause run simulated %d times beyond the shared study", after-before)
 	}
 	for _, want := range []string{
 		"Root-cause instruction analysis", "instantaneous worst case",

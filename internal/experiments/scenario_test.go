@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"avfstress/internal/scenario"
-	"avfstress/internal/sched"
 	"avfstress/internal/simcache"
 )
 
@@ -59,11 +58,11 @@ func TestUnknownNameDescriptiveError(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesSequential is the tentpole's byte-identity lock: the
-// concurrent, scheduler-driven RunAll must produce exactly the combined
-// report of the pre-refactor sequential path — each experiment rendered
-// in paper order between 72-char '=' rules, joined by blank lines —
-// whatever order the scheduler completes jobs in.
+// TestRunAllMatchesSequential is the byte-identity lock on concurrent
+// rendering: RunAll, which renders every scenario concurrently, must
+// produce exactly the combined report of the sequential path — each
+// experiment rendered in paper order between 72-char '=' rules, joined
+// by blank lines — whatever order the renders finish in.
 func TestRunAllMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation suite in -short mode")
@@ -85,7 +84,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 	}
 
 	conc := NewContext(opts)
-	conc.Opts.Parallelism = 8 // force real scheduler concurrency
+	conc.Opts.Parallelism = 8 // concurrent renders over wide inner fan-outs
 	got, err := conc.RunAll(bg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,43 +128,48 @@ func TestRunAllErrorPathReturnsEmptyReport(t *testing.T) {
 	}
 }
 
-// TestDeclaredJobsCoverRender locks the declared-jobs purity invariant
-// (DESIGN.md §8): once a scenario's declared jobs have run, rendering
-// performs no further simulation — so the scheduler can treat the
-// declarations as the complete work list.
-func TestDeclaredJobsCoverRender(t *testing.T) {
+// TestSharedStudiesPaidOnce locks the scenario-level dedup (DESIGN.md
+// §8): renders run concurrently and pull their studies through the
+// Context's flights, so a portfolio of scenarios sharing one search and
+// one workload suite simulates exactly what the first of them alone
+// does, and the rootcause view of an injection study adds no replays to
+// the faultinject view's.
+func TestSharedStudiesPaidOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation suite in -short mode")
 	}
-	for _, name := range Names() {
-		store := simcache.New(simcache.Options{})
+	simulated := func(names []string) int64 {
+		t.Helper()
 		opts := smallOpts()
-		opts.Cache = store
+		opts.Cache = simcache.New(simcache.Options{})
+		opts.Parallelism = 4
 		c := NewContext(opts)
-		d, err := c.lookup(name)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := c.RunScenarios(bg, names); err != nil {
+			t.Fatalf("%v: %v", names, err)
 		}
-		var jobs []scenario.Job
-		if d.Jobs != nil {
-			jobs = d.Jobs()
+		return c.CacheStats().Simulated
+	}
+	for _, tc := range []struct{ alone, shared []string }{
+		{[]string{"fig3"}, []string{"fig3", "fig4", "fig6", "worstcase", "hvf"}},
+		{[]string{"faultinject"}, []string{"faultinject", "rootcause"}},
+	} {
+		resolve := func(names []string) []string {
+			out, err := ResolveSpec(scenario.Spec{Scenarios: names, InjectTrials: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
 		}
-		if err := sched.Run(bg, jobs, sched.Options{}); err != nil {
-			t.Fatalf("%s jobs: %v", name, err)
-		}
-		before := store.Stats().Simulated
-		if _, err := d.Render(bg); err != nil {
-			t.Fatalf("%s render: %v", name, err)
-		}
-		if after := store.Stats().Simulated; after != before {
-			t.Errorf("%s render simulated %d times beyond its declared jobs",
-				name, after-before)
+		alone, shared := simulated(resolve(tc.alone)), simulated(resolve(tc.shared))
+		if alone == 0 || shared != alone {
+			t.Errorf("%v simulated %d times, %v alone %d: shared studies not paid once",
+				tc.shared, shared, tc.alone, alone)
 		}
 	}
 }
 
 // TestParametricScenarios: the stressmark/workloads parametric forms
-// resolve, run and render through the same scheduler path.
+// resolve, run and render through the same scenario path.
 func TestParametricScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation suite in -short mode")

@@ -228,9 +228,6 @@ func (c *Context) parametricScenario(name string) (scenario.Definition, bool) {
 		return scenario.Definition{
 			Name:  name,
 			Title: fmt.Sprintf("Stressmark study — %s under %s rates", cfg.Name, orDefault(args[1], "uniform")),
-			Jobs: func() []scenario.Job {
-				return []scenario.Job{c.stressmarkJob(key, cfg, rates)}
-			},
 			Render: func(ctx context.Context) (string, error) {
 				sm, err := c.Stressmark(ctx, key, cfg, rates)
 				if err != nil {
@@ -245,18 +242,13 @@ func (c *Context) parametricScenario(name string) (scenario.Definition, bool) {
 		return scenario.Definition{
 			Name:  name,
 			Title: fmt.Sprintf("Workload evaluation — %s on %s", orDefault(args[1], "all"), cfg.Name),
-			Jobs: func() []scenario.Job {
-				return []scenario.Job{c.workloadsJob(cfg)}
-			},
 			Render: func(ctx context.Context) (string, error) {
 				return c.renderWorkloads(ctx, cfg, suites, orDefault(args[1], "all"))
 			},
 		}, true
 	case "faultinject", "rootcause":
 		cfg, _ := ResolveConfig(args[0], c.Opts.Scale)
-		rates, _ := ResolveRates(args[1])
 		trials, _ := strconv.Atoi(args[2])
-		smKey := SearchKeyFor(args[0], args[1])
 		title := fmt.Sprintf("Fault-injection validation — %s under %s rates, %d trials",
 			cfg.Name, orDefault(args[1], "uniform"), trials)
 		if kind == "rootcause" {
@@ -266,15 +258,11 @@ func (c *Context) parametricScenario(name string) (scenario.Definition, bool) {
 		return scenario.Definition{
 			Name:  name,
 			Title: title,
-			Jobs: func() []scenario.Job {
-				// Both views replay against the suite's shared stressmark
-				// search, so the campaign job depends on the search job.
-				// The rootcause scenario shares the faultinject study's
-				// memoised campaigns — requesting both runs one study.
-				sm := c.stressmarkJob(smKey, cfg, rates)
-				return []scenario.Job{sm, c.faultInjectJob(args[0], args[1], trials, []string{sm.Key})}
-			},
 			Render: func(ctx context.Context) (string, error) {
+				// Both views replay against the suite's shared stressmark
+				// search, and the rootcause view shares the faultinject
+				// study's memoised campaigns — requesting both runs one
+				// study.
 				st, err := c.FaultInjection(ctx, args[0], args[1], trials)
 				if err != nil {
 					return "", err

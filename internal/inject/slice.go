@@ -43,8 +43,8 @@ func (g sliceGrid) cell(cycle int64) int64 {
 	return d / g.width
 }
 
-// faultSetHash content-addresses a slice's fault list for its blob and
-// its scheduler job: SHA-256 over each (structure, bit, cycle) in binary.
+// faultSetHash content-addresses a slice's fault list for its blob:
+// SHA-256 over each (structure, bit, cycle) in binary.
 func faultSetHash(faults []pipe.Fault) string {
 	buf := make([]byte, 0, 18*len(faults))
 	for _, f := range faults {

@@ -1,16 +1,12 @@
 // Package scenario is the declarative vocabulary of the orchestration
 // tier. A Definition describes one runnable scenario — a paper figure,
-// a table, or a parametric study — as the set of Jobs it needs plus a
-// Render step that assembles the report once those jobs are complete.
-// Definitions live in a Registry; internal/sched executes the combined
-// job DAG of any number of scenarios concurrently, deduplicating jobs
-// that scenarios share by Key.
-//
-// The contract between the layers (DESIGN.md §8) is declared-jobs
-// purity: Render must need no work beyond the declared Jobs — after the
-// jobs have run, rendering is pure assembly and triggers no further
-// simulation. Two jobs with the same Key must describe identical work,
-// so executing either one satisfies both declarations.
+// a table, or a parametric study — by its Render step, which produces
+// the scenario's report. Definitions live in a Registry; the
+// experiments Context renders any number of them concurrently, one
+// sched.Each item per requested scenario, and each render pulls the
+// workload suites, stressmark searches and injection studies it needs
+// through the Context's memoised flights — so scenarios sharing a study
+// pay for it once (DESIGN.md §8).
 package scenario
 
 import (
@@ -20,30 +16,15 @@ import (
 	"sync"
 )
 
-// Job is one unit of schedulable work a scenario declares: typically a
-// workload-suite simulation or a stressmark search. Key is the
-// content-derived dedup identity (scenarios sharing a Key share the
-// work); Deps lists Keys that must complete first; Run performs the
-// work and must honour ctx cancellation. A nil Run is a no-op
-// (pure grouping node).
-type Job struct {
-	Key  string
-	Deps []string
-	Run  func(ctx context.Context) error
-}
-
-// Definition declares one scenario: its identity, the jobs it needs and
-// the render step producing its report.
+// Definition declares one scenario: its identity and the render step
+// producing its report.
 type Definition struct {
 	// Name is the registry identity ("fig3", "table1", ...).
 	Name string
 	// Title is an optional human-readable description.
 	Title string
-	// Jobs returns the declared work. It must be cheap and side-effect
-	// free — declaring is not running. Nil means the scenario needs no
-	// jobs (static tables).
-	Jobs func() []Job
-	// Render assembles the report from the completed jobs' results.
+	// Render computes (through the shared memos) and assembles the
+	// report; it must honour ctx cancellation.
 	Render func(ctx context.Context) (string, error)
 }
 

@@ -1,6 +1,6 @@
 package sched
 
-// Tests for Each, the bounded parallel-for every flat fan-out in the
+// Tests for Each, the bounded parallel-for every fan-out in the
 // repository runs through: panic containment, exactly-once coverage,
 // the worker bound, stop-on-first-error and caller cancellation.
 
@@ -28,8 +28,8 @@ func TestEachPanicBecomesPanicError(t *testing.T) {
 			if !errors.As(err, &pe) {
 				t.Fatalf("want *PanicError, got %v", err)
 			}
-			if pe.Key != "3" || pe.Value != "injected item panic" {
-				t.Errorf("panic identity lost: key=%q value=%v", pe.Key, pe.Value)
+			if pe.Index != 3 || pe.Value != "injected item panic" {
+				t.Errorf("panic identity lost: index=%d value=%v", pe.Index, pe.Value)
 			}
 			if !strings.Contains(err.Error(), "each_test.go") {
 				t.Errorf("error carries no stack:\n%s", err)

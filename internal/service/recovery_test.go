@@ -2,7 +2,8 @@ package service
 
 // Service-level robustness tests (DESIGN.md §11): crash recovery with
 // byte-identical warm reports, restored history, idempotent
-// submission, queue backpressure, graceful drain and panic isolation.
+// submission, queue backpressure, graceful drain, panic isolation and
+// the per-job timeout.
 
 import (
 	"bytes"
@@ -299,8 +300,8 @@ func TestQueueBackpressure(t *testing.T) {
 	waitTerminal(t, hs, c.ID)
 }
 
-// TestPanicFailsOnlyThatJob: a panic inside a job's scheduled work is
-// contained by the scheduler — the job fails with the stack in its
+// TestPanicFailsOnlyThatJob: a panic inside a job's fanned-out work is
+// contained by sched.Each — the job fails with the stack in its
 // status, the daemon keeps serving (healthz 200/ok) and later jobs
 // succeed.
 func TestPanicFailsOnlyThatJob(t *testing.T) {
@@ -308,10 +309,8 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 	testRunJob = func(ctx context.Context, j *job) (string, error) {
 		calls++
 		if calls == 1 {
-			// Run the panic through the real scheduler containment path.
-			err := sched.Run(ctx, []scenario.Job{
-				{Key: "boom", Run: func(context.Context) error { panic("injected wreckage") }},
-			}, sched.Options{})
+			// Run the panic through the real fan-out containment path.
+			err := sched.Each(ctx, 1, 1, func(context.Context, int) error { panic("injected wreckage") })
 			return "", err
 		}
 		return "healthy report", nil
@@ -327,6 +326,16 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 		t.Errorf("status does not carry the panic stack: %q", bad.Error)
 	}
 	// The daemon is still healthy and still does work.
+	checkHealthy(t, hs)
+	good := waitTerminal(t, hs, submit(t, hs, `{"scenarios":["table1"]}`).ID)
+	if good.Status != StatusDone {
+		t.Errorf("job after a panic ended %s: %s", good.Status, good.Error)
+	}
+}
+
+// checkHealthy asserts GET /v1/healthz answers 200 with status ok.
+func checkHealthy(t *testing.T, hs *httptest.Server) {
+	t.Helper()
 	resp, err := http.Get(hs.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -335,50 +344,67 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&h)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
-		t.Errorf("healthz after a panic: %d %q, want 200 ok", resp.StatusCode, h.Status)
-	}
-	good := waitTerminal(t, hs, submit(t, hs, `{"scenarios":["table1"]}`).ID)
-	if good.Status != StatusDone {
-		t.Errorf("job after a panic ended %s: %s", good.Status, good.Error)
+		t.Errorf("healthz: %d %q, want 200 ok", resp.StatusCode, h.Status)
 	}
 }
 
-// TestRetriesSurfaceInStatus: attempts that outlive their per-job
-// deadline heal via the retry policy and the retry count lands in the
-// job status.
-func TestRetriesSurfaceInStatus(t *testing.T) {
+// TestJobTimeoutFailsJob: a job that outlives the server's JobTimeout
+// ends failed (not canceled) with an error naming the timeout, while a
+// job cancelled with DELETE under an armed timeout still ends canceled;
+// the daemon keeps serving and the next job completes.
+func TestJobTimeoutFailsJob(t *testing.T) {
+	started := make(chan struct{}, 1)
 	testRunJob = func(ctx context.Context, j *job) (string, error) {
-		attempts := 0
-		err := sched.Run(ctx, []scenario.Job{
-			{Key: "slow", Run: func(ctx context.Context) error {
-				attempts++
-				if attempts < 3 {
-					<-ctx.Done() // outlive the deadline
-					return ctx.Err()
-				}
-				return nil
-			}},
-		}, sched.Options{
-			JobTimeout: 20 * time.Millisecond,
-			Retry:      sched.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-			OnRetry: func(key string, attempt int, err error, backoff time.Duration) {
-				j.mu.Lock()
-				j.retries++
-				j.mu.Unlock()
-			},
-		})
-		return "slow report", err
+		if j.spec.Scenarios[0] == "table2" {
+			return "quick report", nil
+		}
+		started <- struct{}{}
+		<-ctx.Done() // outlive the timeout, or wait for the DELETE
+		return "", ctx.Err()
 	}
 	defer func() { testRunJob = nil }()
 
-	_, hs := testServer(t)
+	server := func(timeout time.Duration) *httptest.Server {
+		srv, err := New(Options{MaxJobs: 1, Parallelism: 1, JobTimeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv)
+		t.Cleanup(hs.Close)
+		return hs
+	}
+
+	hs := server(20 * time.Millisecond)
 	st := waitTerminal(t, hs, submit(t, hs, `{"scenarios":["table1"]}`).ID)
-	if st.Status != StatusDone {
-		t.Fatalf("slow job ended %s: %s", st.Status, st.Error)
+	<-started
+	if st.Status != StatusFailed {
+		t.Fatalf("job past its timeout ended %s (%s), want failed", st.Status, st.Error)
 	}
-	if st.Retries != 2 {
-		t.Errorf("status retries %d, want 2", st.Retries)
+	if !strings.Contains(st.Error, "20ms job timeout") {
+		t.Errorf("error does not name the timeout: %q", st.Error)
 	}
+	if st := waitTerminal(t, hs, submit(t, hs, `{"scenarios":["table2"]}`).ID); st.Status != StatusDone {
+		t.Errorf("job after a timeout ended %s: %s", st.Status, st.Error)
+	}
+	checkHealthy(t, hs)
+
+	// A generous timeout keeps the DELETE ahead of the deadline.
+	hs = server(time.Minute)
+	id := submit(t, hs, `{"scenarios":["table1"]}`).ID
+	<-started
+	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := waitTerminal(t, hs, id); st.Status != StatusCanceled {
+		t.Errorf("deleted job ended %s (%s), want canceled", st.Status, st.Error)
+	}
+	if st := waitTerminal(t, hs, submit(t, hs, `{"scenarios":["table2"]}`).ID); st.Status != StatusDone {
+		t.Errorf("job after a cancellation ended %s: %s", st.Status, st.Error)
+	}
+	checkHealthy(t, hs)
 }
 
 // TestDrainRefusesAndResumes: draining refuses new work with 503; a

@@ -1,5 +1,5 @@
 // Package service is the avfstressd job server: an HTTP surface over
-// the scenario registry and the concurrent DAG scheduler. Clients
+// the scenario registry and its concurrent renders. Clients
 // submit declarative scenario.Specs (POST /v1/jobs), follow progress
 // (GET /v1/jobs/{id}, optionally streamed), fetch rendered reports and
 // results (GET /v1/results/{id}) and cancel running work (DELETE
@@ -11,8 +11,8 @@
 // own store view, so per-job cache-effectiveness stats are exact even
 // under concurrency. Job execution is bounded by MaxJobs; each job's
 // context is cancelled by DELETE or its spec's timeout, and
-// cancellation propagates through the scheduler, the experiment
-// harness and the GA (DESIGN.md §8).
+// cancellation propagates through the renders, every sched.Each
+// fan-out and the GA (DESIGN.md §8).
 //
 // The server is built to survive failure (DESIGN.md §11): submissions
 // and terminal outcomes are journalled durably (JournalPath), so a
@@ -20,11 +20,11 @@
 // and because all simulation results are memoised content-addressed,
 // the recovered report is byte-identical to an uninterrupted run.
 // Panicking jobs fail alone (the status carries the stack; the daemon
-// keeps serving), work that outlives its per-job deadline (JobTimeout)
-// retries with exponential backoff,
-// admission is bounded (429 when the queue is full, 503 while
-// draining), duplicate submissions dedup via Idempotency-Key, and
-// GET /v1/healthz reports journal/queue/cache health.
+// keeps serving), a job that outlives the server's JobTimeout fails
+// with an error naming the timeout, admission is bounded (429 when the
+// queue is full, 503 while draining), duplicate submissions dedup via
+// Idempotency-Key, and GET /v1/healthz reports journal/queue/cache
+// health.
 //
 // Besides the registered paper experiments, specs may request the
 // parametric scenarios — stressmark, workloads, faultinject (the
@@ -51,7 +51,6 @@ import (
 
 	"avfstress/internal/experiments"
 	"avfstress/internal/scenario"
-	"avfstress/internal/sched"
 	"avfstress/internal/simcache"
 )
 
@@ -62,8 +61,8 @@ type Options struct {
 	// Scale is the default cache scale-down factor for jobs that do not
 	// set one (0 = the experiments default).
 	Scale int
-	// Parallelism bounds each job's concurrent jobs/simulations
-	// (0 = GOMAXPROCS).
+	// Parallelism bounds each of a job's CPU fan-outs — GA evaluations,
+	// suite simulations, campaign slices (0 = GOMAXPROCS).
 	Parallelism int
 	// MaxJobs bounds concurrently *running* jobs; excess submissions
 	// queue in order (0 = GOMAXPROCS).
@@ -81,15 +80,9 @@ type Options struct {
 	// the journal is replayed — terminal jobs come back as history,
 	// unfinished jobs are resubmitted — then compacted in place.
 	JournalPath string
-	// Retry is the per-job retry policy for scheduler jobs that exceed
-	// JobTimeout, the only failures that retry. The zero value means
-	// the server default (3 attempts, exponential backoff); set
-	// MaxAttempts to 1 to disable retries.
-	Retry sched.RetryPolicy
-	// JobTimeout bounds each scheduler job (one simulation / search /
-	// render) inside every submitted job; a deadline is transient and
-	// retried under Retry, and exhaustion fails the job rather than
-	// cancelling it (0 = no per-job deadline).
+	// JobTimeout bounds each submitted job's run, from taking a run
+	// slot to its report (0 = none). A job that outlives it ends
+	// failed — not canceled — with an error naming the timeout.
 	JobTimeout time.Duration
 	// Logf, when set, receives server-side log lines.
 	Logf func(format string, args ...interface{})
@@ -145,7 +138,6 @@ type job struct {
 	report      string
 	reportLost  bool // finished before a restart; report not retained
 	errMsg      string
-	retries     int
 	interrupted bool // daemon stopping: skip the terminal journal record
 	stats       simcache.Stats
 	created     time.Time
@@ -161,12 +153,14 @@ func (j *job) logf(format string, args ...interface{}) {
 
 // JobStatus is the wire form of a job's state.
 type JobStatus struct {
-	ID        string         `json:"id"`
-	Status    Status         `json:"status"`
-	Scenarios []string       `json:"scenarios"`
-	Spec      scenario.Spec  `json:"spec"`
-	Progress  []string       `json:"progress,omitempty"`
-	Error     string         `json:"error,omitempty"`
+	ID        string        `json:"id"`
+	Status    Status        `json:"status"`
+	Scenarios []string      `json:"scenarios"`
+	Spec      scenario.Spec `json:"spec"`
+	Progress  []string      `json:"progress,omitempty"`
+	Error     string        `json:"error,omitempty"`
+	// Retries is always zero: jobs are not retried. The field stays for
+	// clients built against it (perfbench's trace driver sums it).
 	Retries   int            `json:"retries,omitempty"`
 	Recovered bool           `json:"recovered,omitempty"`
 	Stats     simcache.Stats `json:"stats"`
@@ -180,7 +174,7 @@ func (j *job) snapshot(progress bool) JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, Status: j.status, Scenarios: j.scenarios, Spec: j.spec,
-		Error: j.errMsg, Retries: j.retries, Recovered: j.recovered,
+		Error: j.errMsg, Recovered: j.recovered,
 		Stats: j.stats, CreatedAt: j.created,
 	}
 	if progress {
@@ -208,9 +202,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 1024
-	}
-	if opts.Retry == (sched.RetryPolicy{}) {
-		opts.Retry = sched.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
 	}
 	s := &Server{
 		opts:    opts,
@@ -428,7 +419,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		j.mu.Unlock()
 		j.cancel()
 	}
-	// Cancellation propagates through the scheduler promptly; the grace
+	// Cancellation propagates through every fan-out promptly; the grace
 	// timer only guards against a wedged job.
 	grace := time.After(10 * time.Second)
 	for _, j := range interrupted {
@@ -604,8 +595,9 @@ func (s *Server) evictLocked() {
 var testRunJob func(ctx context.Context, j *job) (string, error)
 
 // run executes one job against a fresh experiments context sharing the
-// server's store through a per-job view. A panic anywhere in the job
-// (contained per scheduler job by internal/sched) fails only this job.
+// server's store through a per-job view, under the server's JobTimeout.
+// A panic anywhere in the job (contained per item by sched.Each) fails
+// only this job.
 func (s *Server) run(ctx context.Context, j *job) {
 	defer close(j.done)
 	defer j.cancel()
@@ -624,20 +616,21 @@ func (s *Server) run(ctx context.Context, j *job) {
 	j.started = time.Now()
 	j.mu.Unlock()
 
+	// A job that outlives JobTimeout gets the timeout as its error rather
+	// than the bare context.DeadlineExceeded, so it ends failed, not
+	// canceled.
+	timeout := fmt.Errorf("service: job exceeded the %v job timeout", s.opts.JobTimeout)
+	if s.opts.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, s.opts.JobTimeout, timeout)
+		defer cancel()
+	}
 	view := s.store.View()
 	base := experiments.Options{
 		Scale:       s.opts.Scale,
 		Parallelism: s.opts.Parallelism,
 		Cache:       view,
 		Logf:        j.logf,
-		Retry:       s.opts.Retry,
-		JobTimeout:  s.opts.JobTimeout,
-		OnRetry: func(key string, attempt int, err error, backoff time.Duration) {
-			j.mu.Lock()
-			j.retries++
-			j.mu.Unlock()
-			j.logf("retrying %q (attempt %d failed: %v; backing off %v)", key, attempt, err, backoff)
-		},
 	}
 	var report string
 	var err error
@@ -650,6 +643,9 @@ func (s *Server) run(ctx context.Context, j *job) {
 		if err == nil {
 			report, err = c.RunScenarios(ctx, names)
 		}
+	}
+	if err != nil && context.Cause(ctx) == timeout {
+		err = timeout
 	}
 	s.finishJob(j, report, err, view.LocalStats())
 	s.logf("%s finished: %s (cache %s)", j.id, j.snapshot(false).Status, view.LocalStats())

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -344,5 +347,62 @@ func TestHistoryEviction(t *testing.T) {
 		if st := getStatus(t, hs, id); st.Status != StatusDone {
 			t.Errorf("job %s lost: %+v", id, st)
 		}
+	}
+}
+
+// TestHealthzLatencyOneCPU locks the control plane's latency on one P:
+// while a busy reference-mode job (fig3 plus a fault-injection
+// campaign) runs every fan-out through sched.Each, GET /v1/healthz —
+// probed every 5 ms — must keep its p99 under 100 ms.
+func TestHealthzLatencyOneCPU(t *testing.T) {
+	if testing.Short() {
+		t.Skip("busy job in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's slowdown is not the control plane's latency")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+
+	srv, hs := testServer(t)
+	// Sized to run about 6 s on one P: the probe's client shares that P,
+	// so a probe takes ~40 ms, and the p99 needs at least 100 samples.
+	id := submit(t, hs, `{"scenarios":["fig3","faultinject"],"mode":"reference","inject_trials":5000,"workload_instr":400000,"workload_warmup":100000}`).ID
+	srv.mu.Lock()
+	done := srv.jobs[id].done
+	srv.mu.Unlock()
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	var lat []time.Duration
+	for running := true; running; {
+		t0 := time.Now()
+		resp, err := http.Get(hs.URL + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		lat = append(lat, time.Since(t0))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz: %s", resp.Status)
+		}
+		select {
+		case <-done:
+			running = false
+		case <-tick.C:
+		}
+	}
+	if st := getStatus(t, hs, id); st.Status != StatusDone {
+		t.Fatalf("busy job ended %s: %s", st.Status, st.Error)
+	}
+	slices.Sort(lat)
+	if len(lat) < 100 {
+		t.Fatalf("only %d healthz samples (p50 %v): the busy job is too short to measure", len(lat), lat[len(lat)/2])
+	}
+	p99 := lat[(len(lat)*99+99)/100-1]
+	t.Logf("%d healthz samples: p50 %v, p90 %v, p99 %v, max %v",
+		len(lat), lat[len(lat)/2], lat[len(lat)*9/10], p99, lat[len(lat)-1])
+	if p99 >= 100*time.Millisecond {
+		t.Errorf("healthz p99 %v on one P, want < 100ms", p99)
 	}
 }
