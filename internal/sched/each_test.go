@@ -2,12 +2,14 @@ package sched
 
 // Tests for Each, the bounded parallel-for every fan-out in the
 // repository runs through: panic containment, exactly-once coverage,
-// the worker bound, stop-on-first-error and caller cancellation.
+// the worker bound (explicit and default), stop-on-first-error, caller
+// cancellation and caller deadlines.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,5 +173,189 @@ func TestEachCallerCancellationWins(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
+	}
+}
+
+// peakTracker records the most items running at once.
+type peakTracker struct{ cur, peak atomic.Int32 }
+
+func (p *peakTracker) enter() {
+	c := p.cur.Add(1)
+	for {
+		old := p.peak.Load()
+		if c <= old || p.peak.CompareAndSwap(old, c) {
+			return
+		}
+	}
+}
+
+func (p *peakTracker) leave() { p.cur.Add(-1) }
+
+// TestWorkerBound checks the default bound: workers ≤ 0 means
+// GOMAXPROCS, and more workers than items never runs more than n.
+func TestWorkerBound(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, tc := range []struct{ n, workers, bound int }{
+		{n: 20, workers: 0, bound: 2},
+		{n: 20, workers: -1, bound: 2},
+		{n: 3, workers: 64, bound: 3},
+	} {
+		var p peakTracker
+		if err := Each(context.Background(), tc.n, tc.workers, func(context.Context, int) error {
+			p.enter()
+			defer p.leave()
+			time.Sleep(2 * time.Millisecond)
+			return nil
+		}); err != nil {
+			t.Fatalf("n=%d workers=%d: %v", tc.n, tc.workers, err)
+		}
+		if got := p.peak.Load(); got > int32(tc.bound) {
+			t.Errorf("n=%d workers=%d: %d items ran at once, bound is %d", tc.n, tc.workers, got, tc.bound)
+		}
+	}
+}
+
+// TestErrorCancelsRemaining checks that an item error cancels the
+// context of the items still in flight, leaves the caller's context
+// alone, and is what Each returns even though the cancelled items
+// return the cancellation.
+func TestErrorCancelsRemaining(t *testing.T) {
+	boom := errors.New("boom")
+	const workers = 3
+	var (
+		barrier   sync.WaitGroup
+		cancelled atomic.Int32
+	)
+	barrier.Add(workers)
+	ctx := context.Background()
+	err := Each(ctx, workers, workers, func(ctx context.Context, i int) error {
+		barrier.Done()
+		barrier.Wait()
+		if i == 1 {
+			return boom
+		}
+		select {
+		case <-ctx.Done():
+			cancelled.Add(1)
+			return ctx.Err()
+		case <-time.After(10 * time.Second):
+			return errors.New("in-flight item never saw the cancellation")
+		}
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("want boom, got %v", err)
+	}
+	if n := cancelled.Load(); n != workers-1 {
+		t.Errorf("%d in-flight items saw the cancellation, want %d", n, workers-1)
+	}
+	if ctx.Err() != nil {
+		t.Errorf("caller's context cancelled: %v", ctx.Err())
+	}
+}
+
+// TestCancellationStopsNewJobs cancels the caller's context from
+// outside while an item runs: that item sees it, no later item starts,
+// and Each returns context.Canceled.
+func TestCancellationStopsNewJobs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	var ran atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		done <- Each(ctx, 100, 1, func(ctx context.Context, i int) error {
+			ran.Add(1)
+			if i == 5 {
+				close(started)
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			return nil
+		})
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Each did not return after the caller cancelled")
+	}
+	if n := ran.Load(); n != 6 {
+		t.Errorf("%d items ran, want 6 (none after the cancellation)", n)
+	}
+}
+
+// TestPanicFailsJobNotProcess checks that a panic fails only its own
+// item: items already running finish normally, a non-string panic
+// value survives, and the package stays usable afterwards.
+func TestPanicFailsJobNotProcess(t *testing.T) {
+	const workers = 3
+	var (
+		barrier  sync.WaitGroup
+		finished atomic.Int32
+	)
+	barrier.Add(workers)
+	cause := errors.New("injected error value")
+	err := Each(context.Background(), workers, workers, func(_ context.Context, i int) error {
+		barrier.Done()
+		barrier.Wait()
+		if i == 2 {
+			panic(cause)
+		}
+		time.Sleep(5 * time.Millisecond)
+		finished.Add(1)
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want *PanicError, got %v", err)
+	}
+	if pe.Index != 2 || pe.Value != cause {
+		t.Errorf("panic identity lost: index=%d value=%v", pe.Index, pe.Value)
+	}
+	if n := finished.Load(); n != workers-1 {
+		t.Errorf("%d in-flight items finished, want %d", n, workers-1)
+	}
+	var ran atomic.Int32
+	if err := Each(context.Background(), 10, workers, func(context.Context, int) error {
+		ran.Add(1)
+		return nil
+	}); err != nil || ran.Load() != 10 {
+		t.Errorf("Each after a panic: err=%v, %d of 10 items ran", err, ran.Load())
+	}
+}
+
+// TestJobDeadline runs Each under a caller deadline: the item blocked
+// on its context is released when the deadline passes, no later item
+// starts, and Each returns context.DeadlineExceeded.
+func TestJobDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	var ran atomic.Int32
+	start := time.Now()
+	err := Each(ctx, 50, 1, func(ctx context.Context, i int) error {
+		ran.Add(1)
+		if i == 1 {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(10 * time.Second):
+				return errors.New("deadline never reached the item")
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if n := ran.Load(); n != 2 {
+		t.Errorf("%d items ran, want 2 (none after the deadline)", n)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("Each took %v to honour a 20ms deadline", d)
 	}
 }
