@@ -26,7 +26,7 @@ test:
 # simcache/persist quarantine paths and the pipeline/cache
 # snapshot-restore paths that fork-replay shares across workers.
 race:
-	$(GO) test -race ./internal/sched ./internal/ga ./internal/core ./internal/service ./internal/scenario ./internal/experiments ./internal/inject ./internal/rootcause ./internal/liveness ./internal/simcache ./internal/persist ./internal/pipe ./internal/cache
+	$(GO) test -race ./internal/sched ./internal/ga ./internal/core ./internal/service ./internal/experiments ./internal/inject ./internal/rootcause ./internal/liveness ./internal/simcache ./internal/persist ./internal/pipe ./internal/cache
 
 # rootcause-diff runs the attribution differential suite twice over
 # (DESIGN.md §14): the replay-vs-static soundness sweep plus the
@@ -97,9 +97,9 @@ profile:
 	rm -rf $(PROFILE_DIR)
 
 # cache-smoke proves the simcache determinism contract end-to-end: the
-# full experiment suite must render byte-identically with the cache
-# disabled, with a cold disk tier, and warm-from-disk — and the warm run
-# must actually be served from disk (>0 disk hits in the stats line).
+# full experiment suite must render byte-identically memory-only (no
+# -cache-dir), with a cold disk tier, and warm-from-disk — and the warm
+# run must actually be served from disk (>0 disk hits in the stats line).
 CACHE_SMOKE_DIR ?= $(CURDIR)/.cache-smoke
 cache-smoke:
 	rm -rf $(CACHE_SMOKE_DIR)

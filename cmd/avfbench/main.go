@@ -12,8 +12,8 @@
 // -memprofile write pprof profiles of the run, so hot-path hunts don't
 // need ad-hoc harnesses.
 //
-// avfbench is a thin client of the scenario registry (the same path
-// avfstressd serves): the requested scenarios render concurrently,
+// avfbench is a thin client of the experiments scenario table (the same
+// path avfstressd serves): the requested scenarios render concurrently,
 // sharing the searches and workload suites they have in common, and
 // the combined report is assembled in request order — byte-identical to
 // a sequential run. Ctrl-C cancels cleanly between simulations.
@@ -32,6 +32,7 @@ import (
 	"syscall"
 
 	"avfstress/internal/experiments"
+	"avfstress/internal/simcache"
 )
 
 func main() {
@@ -79,7 +80,7 @@ func main() {
 	}
 	opts := experiments.Options{
 		Scale: *scale, Seed: *seed, GAPop: *pop, GAGens: *gens,
-		UseReferenceKnobs: *ref, CacheDir: *cacheDir,
+		UseReferenceKnobs: *ref, Cache: simcache.New(simcache.Options{Dir: *cacheDir}),
 	}
 	if !*quiet {
 		opts.Logf = func(f string, args ...interface{}) {

@@ -10,12 +10,12 @@
 //
 //	avfinject [-config baseline|configA] [-rates uniform|rhc|edr]
 //	          [-trials 1000] [-scale 32] [-seed 1] [-mode reference|search]
-//	          [-checkpoint-interval N] [-prune-static N] [-root-cause]
+//	          [-prune-static N] [-root-cause]
 //	          [-cache-dir DIR] [-cpuprofile f] [-v]
 //
 // avfinject is a thin client of the same scenario path avfstressd
 // serves: the flags build a declarative scenario.Spec whose parametric
-// faultinject scenario runs through the scenario registry, so the
+// faultinject scenario runs through the experiments scenario path, so the
 // campaign shares the suite's stressmark search, per-slice memoisation
 // and cancellation semantics with the daemon (POST /v1/jobs with
 // {"scenarios": ["faultinject"], ...} runs the identical study).
@@ -38,6 +38,7 @@ import (
 
 	"avfstress/internal/experiments"
 	"avfstress/internal/scenario"
+	"avfstress/internal/simcache"
 )
 
 func main() {
@@ -48,7 +49,6 @@ func main() {
 		scale     = flag.Int("scale", 32, "cache scale-down factor (1 = paper-exact)")
 		seed      = flag.Int64("seed", 1, "sampling and search seed (campaigns are byte-deterministic per seed)")
 		mode      = flag.String("mode", "reference", "stressmark provenance: reference (published knobs) or search (run the GA)")
-		ckptIval  = flag.Int64("checkpoint-interval", 0, "golden-run checkpoint interval in cycles for fork-replay: 0 = auto, <0 = disabled (replay speed only; reports are byte-identical)")
 		pruneSt   = flag.Int("prune-static", 0, "static liveness pruning of the injection space: 0 or >0 = enabled, <0 = disabled (pruned targets classify as masked analytically, freeing their replays for the live subspace)")
 		rootCause = flag.Bool("root-cause", false, "also report root-cause attribution tables: the instructions whose values SDC/DUE trials corrupted, ranked (shares the campaign's replays)")
 		cacheDir  = flag.String("cache-dir", "", "persist simulations and per-slice outcome tables under this directory (shared across runs; results are bit-identical)")
@@ -87,17 +87,16 @@ func main() {
 		scenarios = append(scenarios, "rootcause")
 	}
 	spec := scenario.Spec{
-		Scenarios:          scenarios,
-		Config:             *config,
-		Rates:              *rates,
-		InjectTrials:       *trials,
-		Mode:               *mode,
-		Scale:              *scale,
-		Seed:               *seed,
-		CheckpointInterval: *ckptIval,
-		PruneStatic:        *pruneSt,
+		Scenarios:    scenarios,
+		Config:       *config,
+		Rates:        *rates,
+		InjectTrials: *trials,
+		Mode:         *mode,
+		Scale:        *scale,
+		Seed:         *seed,
+		PruneStatic:  *pruneSt,
 	}
-	base := experiments.Options{CacheDir: *cacheDir}
+	base := experiments.Options{Cache: simcache.New(simcache.Options{Dir: *cacheDir})}
 	if *verbose {
 		base.Logf = func(f string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, "# "+f+"\n", args...)

@@ -30,6 +30,7 @@ import (
 	"avfstress/internal/experiments"
 	"avfstress/internal/persist"
 	"avfstress/internal/scenario"
+	"avfstress/internal/simcache"
 )
 
 func main() {
@@ -57,7 +58,7 @@ func main() {
 		GAPop:     *pop,
 		GAGens:    *gens,
 	}
-	base := experiments.Options{CacheDir: *cacheDir}
+	base := experiments.Options{Cache: simcache.New(simcache.Options{Dir: *cacheDir})}
 	if *verbose {
 		base.Logf = func(f string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, "# "+f+"\n", args...)

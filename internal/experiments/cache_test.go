@@ -105,8 +105,7 @@ func TestRunByteIdenticalAcrossCacheStates(t *testing.T) {
 		t.Skip("simulation suite in -short mode")
 	}
 	dir := t.TempDir()
-	render := func(opts Options) string {
-		ctx := NewContext(opts)
+	render := func(ctx *Context) string {
 		out := ""
 		for _, name := range []string{"fig3", "fig6", "worstcase"} {
 			s, err := ctx.Run(bg, name)
@@ -118,19 +117,19 @@ func TestRunByteIdenticalAcrossCacheStates(t *testing.T) {
 		return out
 	}
 
-	off := smallOpts()
-	off.DisableCache = true
+	off := NewContext(smallOpts())
+	off.cache = nil // per-simulation memoisation off entirely
 	plain := render(off)
 
 	cold := smallOpts()
-	cold.CacheDir = dir
-	first := render(cold)
+	cold.Cache = simcache.New(simcache.Options{Dir: dir})
+	first := render(NewContext(cold))
 	if first != plain {
 		t.Fatal("cache-enabled output differs from cache-disabled output")
 	}
 
 	warm := smallOpts()
-	warm.CacheDir = dir
+	warm.Cache = simcache.New(simcache.Options{Dir: dir})
 	warmCtx := NewContext(warm)
 	out := ""
 	for _, name := range []string{"fig3", "fig6", "worstcase"} {

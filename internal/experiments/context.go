@@ -19,7 +19,6 @@ import (
 	"avfstress/internal/ga"
 	"avfstress/internal/pipe"
 	"avfstress/internal/prog"
-	"avfstress/internal/scenario"
 	"avfstress/internal/sched"
 	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
@@ -43,11 +42,6 @@ type Options struct {
 	// WorkloadInstr/WorkloadWarmup budget each workload simulation;
 	// zero derives them from the scaled configuration.
 	WorkloadInstr, WorkloadWarmup int64
-	// CheckpointInterval tunes fault-injection fork-replay (see
-	// inject.Options.CheckpointInterval): 0 = automatic, >0 = a fixed
-	// cycle interval, <0 = disabled. Replay speed only; results are
-	// identical at any setting.
-	CheckpointInterval int64
 	// PruneStatic toggles static liveness pruning of fault-injection
 	// campaigns (see inject.Options.PruneStatic): ≥0 = enabled (0 is
 	// the default), <0 = disabled.
@@ -65,14 +59,10 @@ type Options struct {
 	Logf func(format string, args ...interface{})
 
 	// Cache supplies the content-addressed simulation store shared by
-	// every experiment (nil: the context builds its own, with a disk
-	// tier under CacheDir when set). Cached results are bit-identical to
-	// fresh simulations, so experiment output does not depend on cache
-	// state. DisableCache turns per-simulation memoisation off entirely
-	// (differential tests).
-	Cache        *simcache.Store
-	CacheDir     string
-	DisableCache bool
+	// every experiment (nil: the context builds its own, memory only).
+	// Cached results are bit-identical to fresh simulations, so
+	// experiment output does not depend on cache state.
+	Cache *simcache.Store
 }
 
 func (o Options) withDefaults() Options {
@@ -165,19 +155,14 @@ type Context struct {
 	sm flight[*core.SearchResult]
 	pv flight[*avf.Result]
 	fi flight[*InjectionStudy]
-
-	regOnce sync.Once
-	reg     *scenario.Registry
 }
 
 // NewContext prepares a context for the given options.
 func NewContext(opts Options) *Context {
 	opts = opts.withDefaults()
 	cache := opts.Cache
-	if opts.DisableCache {
-		cache = nil // wins over an injected store: "off entirely"
-	} else if cache == nil {
-		cache = simcache.New(simcache.Options{Dir: opts.CacheDir})
+	if cache == nil {
+		cache = simcache.New(simcache.Options{})
 	}
 	return &Context{
 		Opts:     opts,
@@ -187,10 +172,10 @@ func NewContext(opts Options) *Context {
 	}
 }
 
-// Cache returns the context's simulation store (nil when disabled).
+// Cache returns the context's simulation store.
 func (c *Context) Cache() *simcache.Store { return c.cache }
 
-// CacheStats reports the store's traffic counters (zero when disabled).
+// CacheStats reports the store's traffic counters.
 func (c *Context) CacheStats() simcache.Stats { return c.cache.Stats() }
 
 func (c *Context) logf(format string, args ...interface{}) {

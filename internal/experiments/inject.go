@@ -16,16 +16,17 @@ import (
 	"avfstress/internal/analysis"
 	"avfstress/internal/inject"
 	"avfstress/internal/pipe"
+	"avfstress/internal/prog"
 	"avfstress/internal/report"
 	"avfstress/internal/uarch"
 	"avfstress/internal/workloads"
 )
 
-// injectionPanel lists the workload proxies campaigns validate against:
-// one representative per suite. Kept small deliberately — each entry
-// costs Trials replays — while still spanning the three workload
-// families' occupancy regimes.
-var injectionPanel = []string{"403.gcc", "433.milc", "qsort"}
+// injectionPanel lists a study's campaigns in report order: one
+// representative workload proxy per suite, then the stressmark. Kept
+// small deliberately — each entry costs Trials replays — while still
+// spanning the three workload families' occupancy regimes.
+var injectionPanel = []string{"403.gcc", "433.milc", "qsort", "stressmark"}
 
 // InjectionStudy is the faultinject scenario's result: one campaign per
 // panel workload plus one on the stressmark, all on one configuration
@@ -119,21 +120,28 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 		rc := c.injectBudget()
 		study := &InjectionStudy{Config: cfg, RatesName: orDefault(ratesName, "uniform"), Trials: trials}
 		for _, name := range injectionPanel {
-			pf, err := workloads.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			p, err := pf.Build(cfg, c.Opts.Seed)
-			if err != nil {
-				return nil, err
+			var p *prog.Program
+			if name == "stressmark" {
+				sm, err := c.Stressmark(ctx, SearchKeyFor(configName, ratesName), cfg, rates)
+				if err != nil {
+					return nil, err
+				}
+				p = sm.Program
+			} else {
+				pf, err := workloads.ByName(name)
+				if err != nil {
+					return nil, err
+				}
+				if p, err = pf.Build(cfg, c.Opts.Seed); err != nil {
+					return nil, err
+				}
 			}
 			res, err := inject.Run(ctx, inject.Options{
 				Config: cfg, Program: p, Run: rc, Rates: rates,
 				Trials: trials, Seed: c.Opts.Seed,
 				Parallelism: c.Opts.Parallelism, Cache: c.cache,
-				CheckpointInterval: c.Opts.CheckpointInterval,
-				PruneStatic:        c.Opts.PruneStatic,
-				RootCause:          true,
+				PruneStatic: c.Opts.PruneStatic,
+				RootCause:   true,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: injection campaign %s: %w", name, err)
@@ -143,25 +151,6 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 			c.logf("injection campaign %s: %s", name, res.PruneLine())
 			study.Campaigns = append(study.Campaigns, res)
 		}
-		sm, err := c.Stressmark(ctx, SearchKeyFor(configName, ratesName), cfg, rates)
-		if err != nil {
-			return nil, err
-		}
-		res, err := inject.Run(ctx, inject.Options{
-			Config: cfg, Program: sm.Program, Run: rc, Rates: rates,
-			Trials: trials, Seed: c.Opts.Seed,
-			Parallelism: c.Opts.Parallelism, Cache: c.cache,
-			CheckpointInterval: c.Opts.CheckpointInterval,
-			PruneStatic:        c.Opts.PruneStatic,
-			RootCause:          true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: injection campaign stressmark: %w", err)
-		}
-		c.logf("injection campaign stressmark: AVF %.4f [%.4f, %.4f] vs ACE %.4f",
-			res.DeratedAVF, res.DeratedCI.Lo, res.DeratedCI.Hi, res.DeratedACE)
-		c.logf("injection campaign stressmark: %s", res.PruneLine())
-		study.Campaigns = append(study.Campaigns, res)
 		return study, nil
 	})
 }

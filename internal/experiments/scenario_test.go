@@ -13,27 +13,23 @@ import (
 	"avfstress/internal/simcache"
 )
 
-// TestRegistryCoversNames: every published experiment name resolves to
-// a registered scenario, and the registry preserves paper order.
+// TestRegistryCoversNames: the scenario table lists the published
+// experiments in paper order, once each, and every name resolves to a
+// render step. Registered names carry no ':', so none can shadow a
+// parametric form.
 func TestRegistryCoversNames(t *testing.T) {
-	c := NewContext(smallOpts())
-	reg := c.Registry()
-	regNames := reg.Names()
-	names := Names()
-	if len(regNames) != len(names) {
-		t.Fatalf("registry has %d scenarios, Names() has %d", len(regNames), len(names))
+	want := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6",
+		"fig7", "fig8", "fig9", "table3", "worstcase", "powercontrast", "hvf",
+		"rootcause"}
+	if names := Names(); !slices.Equal(names, want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
-	for i, n := range names {
-		if regNames[i] != n {
-			t.Errorf("registry order diverges at %d: %q vs %q", i, regNames[i], n)
+	for _, n := range Names() {
+		if strings.Contains(n, ":") {
+			t.Errorf("registered name %q contains ':'", n)
 		}
-		d, err := reg.Lookup(n)
-		if err != nil {
-			t.Errorf("%s: %v", n, err)
-			continue
-		}
-		if d.Render == nil {
-			t.Errorf("%s has no render step", n)
+		if r, err := scenarioRender(n); err != nil || r == nil {
+			t.Errorf("%s: no render step (%v)", n, err)
 		}
 	}
 }
@@ -101,15 +97,16 @@ func TestRunAllMatchesSequential(t *testing.T) {
 func TestRunAllErrorPathReturnsEmptyReport(t *testing.T) {
 	c := NewContext(smallOpts())
 	boom := errors.New("boom")
-	if err := c.Registry().Register(scenario.Definition{
-		Name: "boom",
-		Render: func(context.Context) (string, error) {
-			return "partial output that must not leak", boom
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	// The failing render enters through the in-package table.
+	saved := registered
+	registered = append(saved[:len(saved):len(saved)], struct {
+		name   string
+		render renderFunc
+	}{"boom", func(*Context, context.Context) (string, error) {
+		return "partial output that must not leak", boom
+	}})
 	out, err := c.RunScenarios(bg, []string{"table1", "boom"})
+	registered = saved
 	if !errors.Is(err, boom) {
 		t.Fatalf("error lost: %v", err)
 	}
@@ -222,6 +219,20 @@ func TestResolveSpec(t *testing.T) {
 	}
 	if _, err := ResolveSpec(scenario.Spec{Scenarios: []string{"nope"}}); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+	// Trial counts are capped in the name and in the field alike.
+	if _, err := ResolveSpec(scenario.Spec{Scenarios: []string{"faultinject:baseline:uniform:1000000"}}); err != nil {
+		t.Errorf("largest trial count rejected: %v", err)
+	}
+	for _, sp := range []scenario.Spec{
+		{Scenarios: []string{"faultinject:baseline:uniform:1000001"}},
+		{Scenarios: []string{"rootcause:configA:edr:999999999999"}},
+		{Scenarios: []string{"faultinject:baseline:uniform:0"}},
+		{Scenarios: []string{"faultinject"}, InjectTrials: 1_000_001},
+	} {
+		if _, err := ResolveSpec(sp); err == nil {
+			t.Errorf("oversized or empty campaign accepted: %+v", sp)
+		}
 	}
 	if _, err := ResolveSpec(scenario.Spec{Mode: "guess"}); err == nil {
 		t.Error("invalid spec accepted")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"avfstress/internal/avf"
@@ -77,11 +76,12 @@ func SearchKeyFor(config, rates string) string {
 }
 
 // ResolveSpec validates sp and returns the canonical scenario names it
-// runs: registered names pass through, the parametric short forms
-// ("stressmark", "workloads") are expanded with the spec's
-// config/rates/suite fields, and an empty list means the full suite in
-// paper order. It is pure — no simulation state is touched — so
-// services can reject bad submissions before scheduling anything.
+// runs: the short forms ("stressmark", "workloads", "faultinject",
+// "rootcause") are expanded with the spec's config/rates/suite/trials
+// fields, an empty list means the full suite in paper order, and every
+// resulting name must parse (scenarioRender). It is pure — no
+// simulation state is touched — so services can reject bad submissions
+// before scheduling anything.
 func ResolveSpec(sp scenario.Spec) ([]string, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -89,10 +89,6 @@ func ResolveSpec(sp scenario.Spec) ([]string, error) {
 	names := sp.Scenarios
 	if len(names) == 0 {
 		names = Names()
-	}
-	known := map[string]bool{}
-	for _, n := range Names() {
-		known[n] = true
 	}
 	out := make([]string, len(names))
 	for i, n := range names {
@@ -117,10 +113,8 @@ func ResolveSpec(sp scenario.Spec) ([]string, error) {
 			n = fmt.Sprintf("%s:%s:%s:%d",
 				n, orDefault(sp.Config, "baseline"), orDefault(sp.Rates, "uniform"), trials)
 		}
-		if !known[n] {
-			if _, _, err := parseParametric(n, 0); err != nil {
-				return nil, unknownExperiment(n)
-			}
+		if _, err := scenarioRender(n); err != nil {
+			return nil, err
 		}
 		out[i] = n
 	}
@@ -134,45 +128,9 @@ func orDefault(v, d string) string {
 	return v
 }
 
-// parseParametric recognises the parametric scenario name forms and
-// validates their arguments. kind is "stressmark", "workloads",
-// "faultinject" or "rootcause".
-func parseParametric(name string, scale int) (kind string, args []string, err error) {
-	parts := strings.Split(name, ":")
-	switch {
-	case len(parts) == 3 && parts[0] == "stressmark":
-		if _, err := ResolveConfig(parts[1], scale); err != nil {
-			return "", nil, err
-		}
-		if _, err := ResolveRates(parts[2]); err != nil {
-			return "", nil, err
-		}
-	case len(parts) == 3 && parts[0] == "workloads":
-		if _, err := ResolveConfig(parts[1], scale); err != nil {
-			return "", nil, err
-		}
-		if _, err := resolveSuites(parts[2]); err != nil {
-			return "", nil, err
-		}
-	case len(parts) == 4 && (parts[0] == "faultinject" || parts[0] == "rootcause"):
-		if _, err := ResolveConfig(parts[1], scale); err != nil {
-			return "", nil, err
-		}
-		if _, err := ResolveRates(parts[2]); err != nil {
-			return "", nil, err
-		}
-		if n, err := strconv.Atoi(parts[3]); err != nil || n <= 0 {
-			return "", nil, fmt.Errorf("experiments: %s trial count %q must be a positive integer", parts[0], parts[3])
-		}
-	default:
-		return "", nil, fmt.Errorf("experiments: %q is not a parametric scenario", name)
-	}
-	return parts[0], parts[1:], nil
-}
-
 // NewSpecContext builds a Context for sp layered over base options (the
-// caller injects infrastructure: cache store or directory, progress
-// sink, parallelism defaults) and returns it with the resolved scenario
+// caller injects infrastructure: cache store, progress sink,
+// parallelism defaults) and returns it with the resolved scenario
 // names. Spec fields, when set, win over base.
 func NewSpecContext(sp scenario.Spec, base Options) (*Context, []string, error) {
 	names, err := ResolveSpec(sp)
@@ -201,9 +159,6 @@ func NewSpecContext(sp scenario.Spec, base Options) (*Context, []string, error) 
 	if sp.Parallelism > 0 {
 		opts.Parallelism = sp.Parallelism
 	}
-	if sp.CheckpointInterval != 0 {
-		opts.CheckpointInterval = sp.CheckpointInterval
-	}
 	if sp.PruneStatic != 0 {
 		opts.PruneStatic = sp.PruneStatic
 	}
@@ -211,70 +166,6 @@ func NewSpecContext(sp scenario.Spec, base Options) (*Context, []string, error) 
 		opts.UseReferenceKnobs = sp.Mode == "reference"
 	}
 	return NewContext(opts), names, nil
-}
-
-// parametricScenario builds the on-the-fly definition for a parametric
-// name ("stressmark:<config>:<rates>" or "workloads:<config>:<suite>").
-func (c *Context) parametricScenario(name string) (scenario.Definition, bool) {
-	kind, args, err := parseParametric(name, c.Opts.Scale)
-	if err != nil {
-		return scenario.Definition{}, false
-	}
-	switch kind {
-	case "stressmark":
-		cfg, _ := ResolveConfig(args[0], c.Opts.Scale)
-		rates, _ := ResolveRates(args[1])
-		key := SearchKeyFor(args[0], args[1])
-		return scenario.Definition{
-			Name:  name,
-			Title: fmt.Sprintf("Stressmark study — %s under %s rates", cfg.Name, orDefault(args[1], "uniform")),
-			Render: func(ctx context.Context) (string, error) {
-				sm, err := c.Stressmark(ctx, key, cfg, rates)
-				if err != nil {
-					return "", err
-				}
-				return renderStressmark(sm, cfg, rates, orDefault(args[1], "uniform")), nil
-			},
-		}, true
-	case "workloads":
-		cfg, _ := ResolveConfig(args[0], c.Opts.Scale)
-		suites, _ := resolveSuites(args[1])
-		return scenario.Definition{
-			Name:  name,
-			Title: fmt.Sprintf("Workload evaluation — %s on %s", orDefault(args[1], "all"), cfg.Name),
-			Render: func(ctx context.Context) (string, error) {
-				return c.renderWorkloads(ctx, cfg, suites, orDefault(args[1], "all"))
-			},
-		}, true
-	case "faultinject", "rootcause":
-		cfg, _ := ResolveConfig(args[0], c.Opts.Scale)
-		trials, _ := strconv.Atoi(args[2])
-		title := fmt.Sprintf("Fault-injection validation — %s under %s rates, %d trials",
-			cfg.Name, orDefault(args[1], "uniform"), trials)
-		if kind == "rootcause" {
-			title = fmt.Sprintf("Root-cause instruction analysis — %s under %s rates, %d trials",
-				cfg.Name, orDefault(args[1], "uniform"), trials)
-		}
-		return scenario.Definition{
-			Name:  name,
-			Title: title,
-			Render: func(ctx context.Context) (string, error) {
-				// Both views replay against the suite's shared stressmark
-				// search, and the rootcause view shares the faultinject
-				// study's memoised campaigns — requesting both runs one
-				// study.
-				st, err := c.FaultInjection(ctx, args[0], args[1], trials)
-				if err != nil {
-					return "", err
-				}
-				if kind == "rootcause" {
-					return st.RootCauseReport(), nil
-				}
-				return st.String(), nil
-			},
-		}, true
-	}
-	return scenario.Definition{}, false
 }
 
 // renderStressmark reports one stressmark study: final knobs,

@@ -3,19 +3,59 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"avfstress/internal/scenario"
 	"avfstress/internal/sched"
 )
 
+// renderFunc produces one scenario's report, pulling the workload
+// suites, searches and injection studies it needs through c's memos; it
+// must honour ctx cancellation.
+type renderFunc func(c *Context, ctx context.Context) (string, error)
+
+// registered is the scenario table: the paper figures/tables in paper
+// order, then the harness extras (worst-case bound, power contrast, HVF
+// bounds, root-cause attribution).
+var registered = []struct {
+	name   string
+	render renderFunc
+}{
+	{"table1", func(c *Context, _ context.Context) (string, error) {
+		return "Table I — " + ConfigTable(c.Baseline), nil
+	}},
+	{"table2", func(c *Context, _ context.Context) (string, error) {
+		return "Table II — " + ConfigTable(c.ConfigA), nil
+	}},
+	{"fig3", stringer((*Context).Fig3)},
+	{"fig4", stringer((*Context).Fig4)},
+	{"fig5", stringer((*Context).Fig5)},
+	{"fig6", stringer((*Context).Fig6)},
+	{"fig7", stringer((*Context).Fig7)},
+	{"fig8", stringer((*Context).Fig8)},
+	{"fig9", stringer((*Context).Fig9)},
+	{"table3", stringer((*Context).Table3)},
+	{"worstcase", stringer((*Context).WorstCase)},
+	{"powercontrast", stringer((*Context).PowerContrast)},
+	{"hvf", stringer((*Context).HVFStudy)},
+	// The default view of the parametric rootcause:<config>:<rates>:
+	// <trials> form.
+	{"rootcause", injectionView("rootcause", "baseline", "uniform", defaultInjectTrials)},
+}
+
+// defaultInjectTrials sizes the default fault-injection campaigns (the
+// registered rootcause experiment and the short parametric forms).
+const defaultInjectTrials = 1000
+
 // Names lists the runnable experiments: the paper figures/tables in
-// paper order, then the harness extras (worst-case bound, power
-// contrast, HVF bounds, root-cause attribution).
+// paper order, then the harness extras.
 func Names() []string {
-	return []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6",
-		"fig7", "fig8", "fig9", "table3", "worstcase", "powercontrast", "hvf",
-		"rootcause"}
+	names := make([]string, len(registered))
+	for i, e := range registered {
+		names[i] = e.name
+	}
+	return names
 }
 
 func unknownExperiment(name string) error {
@@ -23,168 +63,129 @@ func unknownExperiment(name string) error {
 		name, strings.Join(Names(), ", "))
 }
 
-// --- the registry --------------------------------------------------
-
-// Registry returns the scenario registry bound to this context: the
-// paper experiments and harness extras in Names order, each a render
-// step that pulls its workload suites and searches through the
-// context's memos.
-func (c *Context) Registry() *scenario.Registry {
-	c.regOnce.Do(func() { c.reg = c.buildRegistry() })
-	return c.reg
+// stringer adapts an experiment method to a renderFunc.
+func stringer[R fmt.Stringer](run func(*Context, context.Context) (R, error)) renderFunc {
+	return func(c *Context, ctx context.Context) (string, error) {
+		r, err := run(c, ctx)
+		if err != nil {
+			return "", err
+		}
+		return r.String(), nil
+	}
 }
 
-func (c *Context) buildRegistry() *scenario.Registry {
-	r := scenario.NewRegistry()
-	static := func(render func() string) func(context.Context) (string, error) {
-		return func(context.Context) (string, error) { return render(), nil }
+// injectionView renders the faultinject or rootcause view of one
+// injection study. Both views share the study's memoised campaigns, so
+// requesting both costs one set of replays.
+func injectionView(kind, config, rates string, trials int) renderFunc {
+	return func(c *Context, ctx context.Context) (string, error) {
+		st, err := c.FaultInjection(ctx, config, rates, trials)
+		if err != nil {
+			return "", err
+		}
+		if kind == "rootcause" {
+			return st.RootCauseReport(), nil
+		}
+		return st.String(), nil
 	}
+}
 
-	r.MustRegister(scenario.Definition{
-		Name: "table1", Title: "Table I — baseline configuration",
-		Render: static(func() string { return "Table I — " + ConfigTable(c.Baseline) }),
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "table2", Title: "Table II — Configuration A",
-		Render: static(func() string { return "Table II — " + ConfigTable(c.ConfigA) }),
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "fig3", Title: "Figure 3 — stressmark vs SPEC CPU2006 proxies",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Fig3(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "fig4", Title: "Figure 4 — stressmark vs MiBench proxies",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Fig4(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "fig5", Title: "Figure 5 — GA knobs and convergence",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Fig5(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "fig6", Title: "Figure 6 — per-structure AVFs by suite",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Fig6(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "fig7", Title: "Figure 7 — workloads under RHC/EDR rates",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Fig7(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "fig8", Title: "Figure 8 — fault-rate adaptation",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Fig8(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "fig9", Title: "Figure 9 — Configuration A adaptation",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Fig9(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "table3", Title: "Table III — worst-case estimator comparison",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.Table3(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "worstcase", Title: "§VI — instantaneous bound vs sustained stressmark",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.WorstCase(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "powercontrast", Title: "§IV-B — power viruses are not AVF stressmarks",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.PowerContrast(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name: "hvf", Title: "§VIII — HVF bounds vs measured AVF",
-		Render: func(ctx context.Context) (string, error) {
-			r, err := c.HVFStudy(ctx)
-			return render(r, err)
-		},
-	})
-	r.MustRegister(scenario.Definition{
-		Name:  "rootcause",
-		Title: "Root-cause instruction analysis — baseline under uniform rates",
-		Render: func(ctx context.Context) (string, error) {
-			// The default view of the parametric rootcause:<config>:
-			// <rates>:<trials> form. It shares the faultinject study's
-			// memoised campaigns, so running both scenarios costs one
-			// set of replays.
-			st, err := c.FaultInjection(ctx, "baseline", "uniform", defaultInjectTrials)
+// scenarioRender maps a canonical scenario name to its render step. It
+// is the one parser of scenario names: a registered name resolves
+// through the registered table; a parametric name
+//
+//	stressmark:<config>:<rates>
+//	workloads:<config>:<suite>
+//	faultinject:<config>:<rates>:<trials>
+//	rootcause:<config>:<rates>:<trials>
+//
+// has its arguments validated here, while its configuration is resolved
+// at render time at the rendering Context's scale.
+func scenarioRender(name string) (renderFunc, error) {
+	for _, e := range registered {
+		if e.name == name {
+			return e.render, nil
+		}
+	}
+	parts := strings.Split(name, ":")
+	var render renderFunc
+	switch kind := parts[0]; {
+	case len(parts) == 3 && kind == "stressmark":
+		config, ratesName := parts[1], parts[2]
+		rates, err := ResolveRates(ratesName)
+		if err != nil {
+			return nil, err
+		}
+		render = func(c *Context, ctx context.Context) (string, error) {
+			cfg, err := ResolveConfig(config, c.Opts.Scale)
 			if err != nil {
 				return "", err
 			}
-			return st.RootCauseReport(), nil
-		},
-	})
-	return r
-}
-
-// defaultInjectTrials sizes the default fault-injection campaigns (the
-// registered rootcause experiment and the short parametric forms).
-const defaultInjectTrials = 1000
-
-// lookup resolves a scenario name: registered experiments first, then
-// the parametric forms; unknown names keep the historical descriptive
-// error.
-func (c *Context) lookup(name string) (scenario.Definition, error) {
-	if d, err := c.Registry().Lookup(name); err == nil {
-		return d, nil
+			sm, err := c.Stressmark(ctx, SearchKeyFor(config, ratesName), cfg, rates)
+			if err != nil {
+				return "", err
+			}
+			return renderStressmark(sm, cfg, rates, orDefault(ratesName, "uniform")), nil
+		}
+	case len(parts) == 3 && kind == "workloads":
+		config, suiteName := parts[1], parts[2]
+		suites, err := resolveSuites(suiteName)
+		if err != nil {
+			return nil, err
+		}
+		render = func(c *Context, ctx context.Context) (string, error) {
+			cfg, err := ResolveConfig(config, c.Opts.Scale)
+			if err != nil {
+				return "", err
+			}
+			return c.renderWorkloads(ctx, cfg, suites, orDefault(suiteName, "all"))
+		}
+	case len(parts) == 4 && (kind == "faultinject" || kind == "rootcause"):
+		if _, err := ResolveRates(parts[2]); err != nil {
+			return nil, err
+		}
+		trials, err := strconv.Atoi(parts[3])
+		if err != nil || trials <= 0 || trials > scenario.MaxInjectTrials {
+			return nil, fmt.Errorf("experiments: %s trial count %q must be an integer in 1..%d",
+				kind, parts[3], scenario.MaxInjectTrials)
+		}
+		render = injectionView(kind, parts[1], parts[2], trials)
+	default:
+		return nil, unknownExperiment(name)
 	}
-	if d, ok := c.parametricScenario(name); ok {
-		return d, nil
+	if _, err := ResolveConfig(parts[1], 0); err != nil {
+		return nil, err
 	}
-	return scenario.Definition{}, unknownExperiment(name)
-}
-
-func render(r fmt.Stringer, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return r.String(), nil
+	return render, nil
 }
 
 // --- execution -----------------------------------------------------
 
-// runDefs renders defs concurrently, one sched.Each item per
-// definition, and returns each rendered report in input order. Renders
-// are deliberately not bounded by Parallelism: a render spends most of
-// its life waiting on a study another render is computing (fig4 on
-// fig3's search), so a bounded pool would serialise the portfolio. The
-// flights (wl/sm/pv/fi) dedup the studies renders share, and CPU stays
-// bounded by the fan-outs inside them — GA evaluations, suite
-// simulations and campaign slices — each at Parallelism.
-func (c *Context) runDefs(ctx context.Context, defs []scenario.Definition) ([]string, error) {
-	outs := make([]string, len(defs))
-	err := sched.Each(ctx, len(defs), len(defs), func(ctx context.Context, i int) error {
-		s, err := defs[i].Render(ctx)
+// runNames renders names concurrently, one sched.Each item per name,
+// and returns each rendered report in input order. Every name is
+// resolved before anything renders. Renders are deliberately not
+// bounded by Parallelism: a render spends most of its life waiting on a
+// study another render is computing (fig4 on fig3's search), so a
+// bounded pool would serialise the portfolio. The flights (wl/sm/pv/fi)
+// dedup the studies renders share, and CPU stays bounded by the
+// fan-outs inside them — GA evaluations, suite simulations and campaign
+// slices — each at Parallelism.
+func (c *Context) runNames(ctx context.Context, names []string) ([]string, error) {
+	renders := make([]renderFunc, len(names))
+	for i, n := range names {
+		r, err := scenarioRender(n)
+		if err != nil {
+			return nil, err
+		}
+		renders[i] = r
+	}
+	outs := make([]string, len(names))
+	err := sched.Each(ctx, len(names), len(names), func(ctx context.Context, i int) error {
+		s, err := renders[i](c, ctx)
 		if err != nil {
 			// The scenario name is the user-facing error context (the
 			// historical "fig5: ..." shape).
-			return fmt.Errorf("%s: %w", defs[i].Name, err)
+			return fmt.Errorf("%s: %w", names[i], err)
 		}
 		outs[i] = s
 		return nil
@@ -197,11 +198,7 @@ func (c *Context) runDefs(ctx context.Context, defs []scenario.Definition) ([]st
 
 // Run executes one named experiment and returns its rendered report.
 func (c *Context) Run(ctx context.Context, name string) (string, error) {
-	d, err := c.lookup(name)
-	if err != nil {
-		return "", err
-	}
-	outs, err := c.runDefs(ctx, []scenario.Definition{d})
+	outs, err := c.runNames(ctx, []string{name})
 	if err != nil {
 		return "", err
 	}
@@ -214,15 +211,7 @@ func (c *Context) Run(ctx context.Context, name string) (string, error) {
 // finished in. On any error the combined report is
 // empty.
 func (c *Context) RunScenarios(ctx context.Context, names []string) (string, error) {
-	defs := make([]scenario.Definition, len(names))
-	for i, n := range names {
-		d, err := c.lookup(n)
-		if err != nil {
-			return "", err
-		}
-		defs[i] = d
-	}
-	outs, err := c.runDefs(ctx, defs)
+	outs, err := c.runNames(ctx, names)
 	if err != nil {
 		return "", err
 	}

@@ -193,7 +193,7 @@ func (c *campaign) ckptSource(info pipe.GoldenInfo, set *pipe.CheckpointSet) *ck
 // cached golden info.
 func (cs *ckptSource) recapture() {
 	o := cs.c.o
-	_, gi, set, err := cs.c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, nil)
+	_, gi, set, err := cs.c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.checkpointInterval, nil)
 	w := cs.want
 	switch {
 	case err != nil:

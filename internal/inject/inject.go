@@ -71,24 +71,24 @@ type Options struct {
 	// Cache, when set, memoises the golden run and one outcome table per
 	// replay slice; nil replays every slice.
 	Cache *simcache.Store
-	// CheckpointInterval controls golden-run checkpoint capture for
+	// checkpointInterval controls golden-run checkpoint capture for
 	// fork-replay: 0 (the default) picks the interval automatically, a
 	// positive value checkpoints every that many measured cycles, and a
 	// negative value disables checkpointing so every slice replays from
 	// cycle zero. Checkpoints only accelerate replays — outcomes, slice
 	// cache keys and the rendered report are byte-identical at any
-	// setting.
-	CheckpointInterval int64
+	// setting. It is unexported because no caller needs another value;
+	// the in-package tests vary it to check that invariance.
+	checkpointInterval int64
 	// PruneStatic controls static liveness pruning of the injection
 	// space (DESIGN.md §12): 0 (the default) and any positive value
-	// enable it, a negative value disables it (the benchmark baseline,
-	// mirroring CheckpointInterval). When enabled, campaign setup
-	// intersects every sampled target with the statically proven dead
-	// set — capped queue entries, never-popped physical registers and
-	// recorded dead-definition occupancies — classifies those targets
-	// as masked analytically with zero replays, and re-allocates the
-	// freed trial budget across the live subspace, so the same budget
-	// buys a tighter confidence interval. Pruning changes which targets
+	// enable it, a negative value disables it (the benchmark baseline).
+	// When enabled, campaign setup intersects every sampled target with
+	// the statically proven dead set — capped queue entries, never-popped
+	// physical registers and recorded dead-definition occupancies —
+	// classifies those targets as masked analytically with zero
+	// replays, and re-allocates the freed trial budget across the live
+	// subspace, so the same budget buys a tighter confidence interval. Pruning changes which targets
 	// replay, never any replay's outcome; with it disabled the campaign
 	// is byte-identical to the legacy sampler.
 	PruneStatic int
@@ -352,7 +352,7 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error
 	o := c.o
 	var cks *pipe.CheckpointSet
 	g, err := simcache.Do(o.Cache, c.key("golden"), goldenCodec, func() (golden, error) {
-		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.CheckpointInterval, c.live.DeadDefs)
+		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.checkpointInterval, c.live.DeadDefs)
 		cks = set
 		return golden{res, gi}, err
 	})
@@ -362,7 +362,7 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error
 	if g.info.Cycles <= 0 {
 		return nil, g.info, nil, fmt.Errorf("inject: golden run measured no cycles")
 	}
-	if o.CheckpointInterval < 0 {
+	if o.checkpointInterval < 0 {
 		return g.res, g.info, nil, nil
 	}
 	return g.res, g.info, c.ckptSource(g.info, cks), nil

@@ -177,7 +177,7 @@ func TestCampaignCheckpointIntervalInvariance(t *testing.T) {
 		t.Skip("campaign in -short mode")
 	}
 	o := testOptions(t, 200)
-	o.CheckpointInterval = -1
+	o.checkpointInterval = -1
 	o.Parallelism = 1
 	base, err := Run(bg, o)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestCampaignCheckpointIntervalInvariance(t *testing.T) {
 		interval int64
 		workers  int
 	}{{0, 1}, {0, 4}, {1024, 2}, {16384, 4}} {
-		o.CheckpointInterval = tc.interval
+		o.checkpointInterval = tc.interval
 		o.Parallelism = tc.workers
 		got, err := Run(bg, o)
 		if err != nil {
@@ -222,7 +222,7 @@ func TestCampaignWarmNoGoldenRerun(t *testing.T) {
 
 	for _, interval := range []int64{0, 1024, 16384, -1} {
 		o.Cache = simcache.New(simcache.Options{Dir: dir})
-		o.CheckpointInterval = interval
+		o.checkpointInterval = interval
 		warm, err := Run(bg, o)
 		if err != nil {
 			t.Fatalf("interval %d: %v", interval, err)

@@ -20,7 +20,7 @@ func TestRootCauseByteDeterministic(t *testing.T) {
 	}
 	o := testOptions(t, 200)
 	o.RootCause = true
-	o.CheckpointInterval = -1
+	o.checkpointInterval = -1
 	o.Parallelism = 1
 	base, err := Run(bg, o)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestRootCauseByteDeterministic(t *testing.T) {
 		{"warm-cache-nockpt", 4, -1, true},
 	} {
 		o.Parallelism = tc.workers
-		o.CheckpointInterval = tc.interval
+		o.checkpointInterval = tc.interval
 		o.Cache = nil
 		if tc.cache {
 			o.Cache = simcache.New(simcache.Options{Dir: dir})

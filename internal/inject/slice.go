@@ -4,7 +4,7 @@ package inject
 // (DESIGN.md §10): cells of a fixed grid over the golden window, each
 // replayed as one forked job whose outcomes persist as one binary table
 // keyed by the cell's fault set. The grid depends on GoldenInfo and the
-// configuration only — never on Options.CheckpointInterval — so a cache
+// configuration only — never on the checkpoint interval — so a cache
 // warmed at one interval serves campaigns at every other.
 
 import (

@@ -1,3 +1,10 @@
+// Package scenario is the declarative vocabulary of the orchestration
+// tier: a Spec names the scenarios to run — paper figures, tables and
+// parametric studies — and the configuration to run them under. The
+// experiments package resolves every scenario name and renders the
+// requested scenarios concurrently, each pulling the studies it needs
+// through the Context's memoised flights, so scenarios sharing a study
+// pay for it once (DESIGN.md §8).
 package scenario
 
 import (
@@ -45,21 +52,20 @@ type Spec struct {
 	Scale int `json:"scale,omitempty"`
 	// Seed drives every stochastic component (0 = default).
 	Seed int64 `json:"seed,omitempty"`
-	// GAPop and GAGens size the stressmark searches (0 = defaults).
+	// GAPop and GAGens size the stressmark searches (0 = defaults;
+	// GAPop at most MaxGAPop).
 	GAPop  int `json:"ga_pop,omitempty"`
 	GAGens int `json:"ga_gens,omitempty"`
 	// WorkloadInstr/WorkloadWarmup budget each workload simulation.
 	WorkloadInstr  int64 `json:"workload_instr,omitempty"`
 	WorkloadWarmup int64 `json:"workload_warmup,omitempty"`
 	// InjectTrials sizes each Monte Carlo fault-injection campaign of
-	// the parametric faultinject and rootcause scenarios (0 = 1000).
+	// the parametric faultinject and rootcause scenarios (0 = 1000; at
+	// most MaxInjectTrials, as is the <trials> of a parametric name).
 	InjectTrials int `json:"inject_trials,omitempty"`
-	// CheckpointInterval tunes golden-run checkpoint capture for
-	// fault-injection fork-replay: 0 = automatic, >0 = checkpoint every
-	// that many measured cycles, <0 = disabled (replays start at cycle
-	// zero). A replay-speed knob only — campaign reports are
-	// byte-identical at any setting, so it is deliberately absent from
-	// all result cache keys.
+	// CheckpointInterval is accepted and ignored: it once tuned
+	// fork-replay checkpoint capture, which never changes a report. It
+	// stays so submissions and journals that carry it still decode.
 	CheckpointInterval int64 `json:"checkpoint_interval,omitempty"`
 	// PruneStatic toggles static liveness pruning of each campaign's
 	// injection space: 0 or >0 = enabled (the default), <0 = disabled.
@@ -68,12 +74,22 @@ type Spec struct {
 	// targets replay and how the budget is spent — reports carry a
 	// separate pruned outcome column that keeps totals reconciling.
 	PruneStatic int `json:"prune_static,omitempty"`
-	// Parallelism bounds each concurrency layer — scheduled jobs, and
-	// each job's simulations — independently (0 = all cores).
+	// Parallelism bounds each CPU fan-out independently — a workload
+	// suite's simulations, a GA search's evaluations and a campaign's
+	// slice replays (0 = all cores).
 	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutSec deadlines the whole request (0 = none).
 	TimeoutSec int `json:"timeout_sec,omitempty"`
 }
+
+// Admission caps on the request sizes that allocate up front: a
+// campaign preallocates its sampled faults and a GA search its
+// population. The largest trial count in use is 20,000; the paper's
+// population is 50.
+const (
+	MaxInjectTrials = 1_000_000
+	MaxGAPop        = 10_000
+)
 
 // enum validates a one-of field, treating "" as the default.
 func enum(field, v string, allowed ...string) error {
@@ -89,8 +105,7 @@ func enum(field, v string, allowed ...string) error {
 }
 
 // Validate checks the spec's enumerated and numeric fields. Scenario
-// name resolution is registry-dependent and is checked by the layer
-// that owns the registry (internal/experiments).
+// names are resolved, and checked, by internal/experiments.
 func (s Spec) Validate() error {
 	if err := enum("config", s.Config, "baseline", "configA"); err != nil {
 		return err
@@ -114,10 +129,12 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: spec scale %d negative", s.Scale)
 	case s.GAPop < 0 || s.GAGens < 0:
 		return fmt.Errorf("scenario: spec GA sizing (%d×%d) negative", s.GAGens, s.GAPop)
+	case s.GAPop > MaxGAPop:
+		return fmt.Errorf("scenario: spec GA population %d above %d", s.GAPop, MaxGAPop)
 	case s.WorkloadInstr < 0 || s.WorkloadWarmup < 0:
 		return fmt.Errorf("scenario: spec workload budget negative")
-	case s.InjectTrials < 0:
-		return fmt.Errorf("scenario: spec inject trials %d negative", s.InjectTrials)
+	case s.InjectTrials < 0 || s.InjectTrials > MaxInjectTrials:
+		return fmt.Errorf("scenario: spec inject trials %d outside 0..%d", s.InjectTrials, MaxInjectTrials)
 	case s.Parallelism < 0:
 		return fmt.Errorf("scenario: spec parallelism %d negative", s.Parallelism)
 	case s.TimeoutSec < 0:

@@ -120,12 +120,22 @@ func TestSubmitRunFetch(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
+	// Nothing here may run: a request that slipped past admission would
+	// otherwise allocate its whole campaign or population.
+	testRunJob = func(context.Context, *job) (string, error) {
+		t.Error("a bad request was admitted and started")
+		return "", nil
+	}
+	defer func() { testRunJob = nil }()
 	_, hs := testServer(t)
 	for _, tc := range []struct {
 		spec string
 		code int
 	}{
 		{`{"scenarios":["bogus"]}`, http.StatusBadRequest},
+		{`{"scenarios":["faultinject"],"inject_trials":1000000001}`, http.StatusBadRequest},
+		{`{"scenarios":["faultinject:baseline:uniform:1000000001"]}`, http.StatusBadRequest},
+		{`{"scenarios":["fig5"],"ga_pop":1000000001}`, http.StatusBadRequest},
 		{`{"mode":"guess"}`, http.StatusBadRequest},
 		{`{"unknown_field":1}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
@@ -148,6 +158,25 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job id: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCheckpointIntervalAcceptedAndIgnored: checkpoint_interval still
+// decodes — old clients and journalled jobs carry it — and changes no
+// report.
+func TestCheckpointIntervalAcceptedAndIgnored(t *testing.T) {
+	_, hs := testServer(t)
+	const tail = `"scenarios":["faultinject:baseline:uniform:50"],` + fastSpecTail + `}`
+	var reports []string
+	for _, spec := range []string{`{` + tail, `{"checkpoint_interval":1024,` + tail} {
+		st := waitTerminal(t, hs, submit(t, hs, spec).ID)
+		if st.Status != StatusDone {
+			t.Fatalf("%s: job ended %s: %s", spec, st.Status, st.Error)
+		}
+		reports = append(reports, fetchReport(t, hs, st.ID))
+	}
+	if reports[0] != reports[1] {
+		t.Error("checkpoint_interval changed the report")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // resolves) and from the names alone. Jobs run through the testRunJob
 // seam, so no input simulates. The seed corpus (testdata/fuzz) holds
 // valid registered, parametric and empty specs plus unknown fields, bad
-// enums, negative budgets, trailing garbage, a trailing second value
+// enums, negative and oversized budgets, trailing garbage, a trailing second value
 // and non-JSON.
 func FuzzSubmitBody(f *testing.F) {
 	testRunJob = func(context.Context, *job) (string, error) { return "fuzz report", nil }
