@@ -130,7 +130,8 @@ chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
 # docs-check keeps the documentation honest: gofmt, vet, every example
-# builds, and no README/DESIGN reference points at a repo path that no
-# longer exists.
+# builds, and no README/DESIGN reference points at a repo path, or (via
+# go doc) at an internal package's function, type, field or method, that
+# no longer exists.
 docs-check:
 	sh scripts/docs_check.sh

@@ -376,7 +376,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func ablationEval(b *testing.B, k codegen.Knobs) float64 {
 	b.Helper()
 	cfg := uarch.Scaled(uarch.Baseline(), 32)
-	f, err := core.EvaluateKnobs(context.Background(), cfg, uarch.UniformRates(1), avf.DefaultWeights(), k,
+	ev, err := core.NewEvaluator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := ev.EvaluateKnobs(context.Background(), uarch.UniformRates(1), avf.DefaultWeights(), k,
 		pipe.RunConfig{MaxInstructions: 100_000, WarmupInstructions: 40_000})
 	if err != nil {
 		b.Fatal(err)

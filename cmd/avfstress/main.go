@@ -11,10 +11,11 @@
 //
 // avfstress is a thin client of the same scenario path avfstressd
 // serves: the flags build a declarative scenario.Spec whose parametric
-// "stressmark" scenario runs through the scenario registry, so the
-// search shares its weighting, memoisation and cancellation semantics
-// with the daemon and the experiment suite (the RHC/EDR studies use the
-// paper's core-only fitness). Ctrl-C cancels the search between
+// "stressmark" scenario resolves through the experiments' one scenario
+// parser like every other name, so the search shares its weighting,
+// memoisation and cancellation semantics with the daemon and the
+// experiment suite (the RHC/EDR studies use the paper's core-only
+// fitness). Ctrl-C cancels the search between
 // simulations; -v streams per-generation GA convergence.
 package main
 

@@ -131,26 +131,6 @@ func SumOfRawRates(cfg uarch.Config, rates uarch.FaultRates, c avf.Class) float6
 	return num / bits
 }
 
-// TightenedWorstCase is SumOfRawRates with the statically proven dead
-// fraction of each structure's bit-cycle space subtracted (AVF ≤
-// 1−deadFrac instead of AVF = 1): the tightened static upper bound the
-// liveness pass (internal/liveness, DESIGN.md §12) buys without any
-// derating data. deadFrac maps structures to their dead fractions;
-// absent structures keep the pessimistic AVF = 1, so a nil map reduces
-// to SumOfRawRates and the result can never exceed it.
-func TightenedWorstCase(cfg uarch.Config, rates uarch.FaultRates, c avf.Class, deadFrac map[uarch.Structure]float64) float64 {
-	var num, bits float64
-	for _, s := range c.Structures() {
-		b := float64(uarch.Bits(cfg, s))
-		num += b * rates[s] * (1 - deadFrac[s])
-		bits += b
-	}
-	if bits == 0 {
-		return 0
-	}
-	return num / bits
-}
-
 // Coverage quantifies the SER coverage of a workload suite against a
 // known worst case, formalising the paper's Figure 1 discussion.
 type Coverage struct {

@@ -96,33 +96,6 @@ func TestSumOfRawRates(t *testing.T) {
 	}
 }
 
-func TestTightenedWorstCase(t *testing.T) {
-	cfg := uarch.Baseline()
-	rates := uarch.UniformRates(1)
-	raw := SumOfRawRates(cfg, rates, avf.ClassQSRF)
-	// A nil dead-fraction map is the pessimistic bound itself.
-	if got := TightenedWorstCase(cfg, rates, avf.ClassQSRF, nil); got != raw {
-		t.Errorf("nil dead fractions: %f != raw %f", got, raw)
-	}
-	// Proven-dead IQ entries tighten the bound, but never below zero and
-	// never above the raw bound.
-	dead := map[uarch.Structure]float64{uarch.IQ: 0.25, uarch.SQData: 0.5}
-	got := TightenedWorstCase(cfg, rates, avf.ClassQSRF, dead)
-	if got >= raw || got <= 0 {
-		t.Errorf("tightened bound %f not in (0, %f)", got, raw)
-	}
-	// The tightening equals the dead bits' share of the weighted space.
-	var bits, deadW float64
-	for _, s := range avf.ClassQSRF.Structures() {
-		b := float64(uarch.Bits(cfg, s))
-		bits += b
-		deadW += b * rates[s] * dead[s]
-	}
-	if want := raw - deadW/bits; math.Abs(got-want) > 1e-12 {
-		t.Errorf("tightened bound %f, want %f", got, want)
-	}
-}
-
 func TestSuiteCoverage(t *testing.T) {
 	cfg := uarch.Baseline()
 	rates := uarch.UniformRates(1)

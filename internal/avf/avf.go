@@ -118,15 +118,6 @@ func (r *Result) SER(cfg uarch.Config, rates uarch.FaultRates, c Class) float64 
 	return num / bits
 }
 
-// RawSER returns the un-normalised SER summed over the given structures.
-func (r *Result) RawSER(cfg uarch.Config, rates uarch.FaultRates, structs []uarch.Structure) float64 {
-	var num float64
-	for _, s := range structs {
-		num += r.StructureSER(cfg, rates, s)
-	}
-	return num
-}
-
 // Fitness is the GA objective: the mean of the class-normalised SERs over
 // the core (QS+RF), DL1+DTLB and L2 classes. Class normalisation keeps
 // the ~20k-bit core relevant against the multi-megabit caches, matching

@@ -82,9 +82,6 @@ func TestStructureSER(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("StructureSER = %f, want %f", got, want)
 	}
-	if raw := r.RawSER(cfg, rates, uarch.QueueStructures[:2]); raw <= 0 {
-		t.Error("RawSER should be positive")
-	}
 }
 
 func TestFitnessWeights(t *testing.T) {

@@ -274,18 +274,6 @@ func TestKnobsString(t *testing.T) {
 	}
 }
 
-func TestEffectiveChainLength(t *testing.T) {
-	cfg := uarch.Baseline()
-	k := baseKnobs().Normalize(cfg)
-	got := k.EffectiveChainLength()
-	if got < 0 || got > 16 {
-		t.Errorf("effective chain length %f out of range", got)
-	}
-	if k.loadChains() == 0 {
-		t.Fatal("baseline knobs must have load chains")
-	}
-}
-
 func TestValidateDetectsUnnormalised(t *testing.T) {
 	cfg := uarch.Baseline()
 	k := baseKnobs()

@@ -204,17 +204,6 @@ func (k Knobs) ChainArith() int {
 		k.NumIndepArith - k.MissDependent
 }
 
-// EffectiveChainLength reports the realised average dependence-chain
-// length (chain arithmetic per load chain), the quantity the paper
-// reports in its knob tables.
-func (k Knobs) EffectiveChainLength() float64 {
-	c := k.loadChains()
-	if c == 0 {
-		return 0
-	}
-	return float64(k.ChainArith()) / float64(c)
-}
-
 // Validate reports whether the knobs are feasible for cfg without
 // repair. Normalize(cfg) always yields a valid set.
 func (k Knobs) Validate(cfg uarch.Config) error {

@@ -25,7 +25,6 @@ import (
 	"avfstress/internal/ga"
 	"avfstress/internal/pipe"
 	"avfstress/internal/prog"
-	"avfstress/internal/rootcause"
 	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
 )
@@ -84,25 +83,6 @@ func KnobsFromGenome(g ga.Genome) codegen.Knobs {
 	}
 }
 
-// GenomeFromKnobs encodes knobs as a genome (for seeding searches).
-func GenomeFromKnobs(k codegen.Knobs) ga.Genome {
-	g := make(ga.Genome, numGenes)
-	g[gLoopSize] = float64(k.LoopSize)
-	g[gNumLoads] = float64(k.NumLoads)
-	g[gNumStores] = float64(k.NumStores)
-	g[gNumIndepArith] = float64(k.NumIndepArith)
-	g[gMissDependent] = float64(k.MissDependent)
-	g[gAvgChainLength] = k.AvgChainLength
-	g[gDepDistance] = float64(k.DepDistance)
-	g[gFracLongLatency] = k.FracLongLatency
-	g[gFracRegReg] = k.FracRegReg
-	g[gSeed] = float64(k.Seed)
-	if k.L2Hit {
-		g[gL2Hit] = 1
-	}
-	return g
-}
-
 // SearchSpec parameterises a stressmark search.
 type SearchSpec struct {
 	// Config is the target microarchitecture.
@@ -121,9 +101,6 @@ type SearchSpec struct {
 	// GA controls the search (Genes are filled in by Search).
 	GA ga.Config
 
-	// SeedKnobs optionally seed the initial population.
-	SeedKnobs []codegen.Knobs
-
 	// Logf, when set, receives search progress lines (one per GA
 	// generation: best/avg fitness and cataclysm events). GA.Logf, when
 	// set directly, wins.
@@ -134,16 +111,6 @@ type SearchSpec struct {
 	// searches, GA generations and — with a disk tier — processes. Nil
 	// disables sharing; results are bit-identical either way.
 	Cache *simcache.Store
-
-	// RootCauseRank, when set, runs once after the final evaluation with
-	// the winning stressmark: a diagnostic hook producing the
-	// instruction-level root-cause ranking of the program the search
-	// converged on (typically a thin closure over inject.Run with
-	// Options.RootCause — DESIGN.md §14). Its result lands in
-	// SearchResult.RootCause. A hook error fails the search: the hook is
-	// opt-in, so a failing diagnostic is a configuration bug, not noise
-	// to swallow.
-	RootCauseRank func(context.Context, *prog.Program) (*rootcause.Result, error)
 }
 
 // DefaultEvalBudget sizes a fitness run for cfg: warmup long enough to
@@ -199,10 +166,6 @@ type SearchResult struct {
 	Evaluations int64
 	FailedEvals int64
 	Cataclysms  int
-	// RootCause is the instruction-level attribution of the winning
-	// stressmark, produced by SearchSpec.RootCauseRank; nil when no hook
-	// was set.
-	RootCause *rootcause.Result
 }
 
 // Search runs the full methodology of Figure 2 and returns the
@@ -220,9 +183,6 @@ func Search(ctx context.Context, spec SearchSpec) (*SearchResult, error) {
 	gacfg.Genes = Genes(spec.Config)
 	if gacfg.Logf == nil {
 		gacfg.Logf = spec.Logf
-	}
-	for _, k := range spec.SeedKnobs {
-		gacfg.InitialPopulation = append(gacfg.InitialPopulation, GenomeFromKnobs(k))
 	}
 
 	ev, err := NewEvaluator(spec.Config)
@@ -296,12 +256,6 @@ func Search(ctx context.Context, spec SearchSpec) (*SearchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: final evaluation: %w", err)
 	}
-	var rc *rootcause.Result
-	if spec.RootCauseRank != nil {
-		if rc, err = spec.RootCauseRank(ctx, p); err != nil {
-			return nil, fmt.Errorf("core: root-cause ranking: %w", err)
-		}
-	}
 	return &SearchResult{
 		Knobs:       best,
 		Program:     p,
@@ -311,7 +265,6 @@ func Search(ctx context.Context, spec SearchSpec) (*SearchResult, error) {
 		Evaluations: evals.Load(),
 		FailedEvals: fails.Load(),
 		Cataclysms:  gres.Cataclysms,
-		RootCause:   rc,
 	}, nil
 }
 
@@ -373,16 +326,4 @@ func (e *Evaluator) EvaluateKnobs(ctx context.Context, rates uarch.FaultRates, w
 		return 0, err
 	}
 	return res.Fitness(e.cfg, rates, w), nil
-}
-
-// EvaluateKnobs generates and simulates one candidate and returns its
-// fitness. It remains the one-shot path for tests and benchmarks that
-// probe individual knob settings; Search uses a long-lived Evaluator.
-func EvaluateKnobs(ctx context.Context, cfg uarch.Config, rates uarch.FaultRates, w avf.Weights,
-	k codegen.Knobs, rc pipe.RunConfig) (float64, error) {
-	ev, err := NewEvaluator(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return ev.EvaluateKnobs(ctx, rates, w, k, rc)
 }

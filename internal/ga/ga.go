@@ -6,7 +6,10 @@
 // elitism, parallel fitness evaluation (the paper ran six simulations in
 // parallel), and a convergence-triggered cataclysm that moves the best
 // known solution into a fresh random population — the abrupt
-// average-fitness drop visible in the paper's Figure 5(b).
+// average-fitness drop visible in the paper's Figure 5(b). The paper
+// fixes these operator parameters, so they are constants here; a run is
+// configured only by its genes, population, generation count, evaluation
+// parallelism, progress log and seed.
 package ga
 
 import (
@@ -51,45 +54,31 @@ func (g Genome) Clone() Genome { return append(Genome(nil), g...) }
 // function of the genome for the GA to be deterministic under a seed.
 type Fitness func(Genome) (float64, error)
 
+// The operator parameters are the paper's, fixed: a selected pair
+// recombines with probability crossoverRate; each gene mutates with
+// probability mutationRate; the top elites individuals are copied
+// unchanged (clamped to PopSize-1); selection runs tournaments of
+// tournamentK; and a cataclysm fires once the population's relative
+// fitness spread has stayed below cataclysmSpread for cataclysmPatience
+// generations.
+const (
+	crossoverRate     = 0.73
+	mutationRate      = 0.05
+	elites            = 2
+	tournamentK       = 2
+	cataclysmSpread   = 0.02
+	cataclysmPatience = 3
+)
+
 // Config parameterises a run.
 type Config struct {
 	Genes       []Gene
 	PopSize     int
 	Generations int
 
-	// CrossoverRate is the probability a selected pair recombines
-	// (default 0.73, the value the paper uses).
-	CrossoverRate float64
-	// MutationRate is the per-gene mutation probability (default 0.05).
-	MutationRate float64
-	// Elites are the top individuals copied unchanged (default 2).
-	Elites int
-	// TournamentK is the selection tournament size (default 2).
-	TournamentK int
-
-	// CataclysmSpread triggers a cataclysm when the population's relative
-	// fitness spread (stddev/mean) stays below this for CataclysmPatience
-	// generations (defaults 0.02 and 3).
-	CataclysmSpread   float64
-	CataclysmPatience int
-
-	// Islands splits the population into that many sub-populations that
-	// evolve independently; every MigrationEvery generations each
-	// island's best individual migrates to the next island in a ring
-	// (SNAP's migration operator: "changing the population of the
-	// solution"). 0 or 1 disables the island model. MigrationEvery
-	// defaults to 3.
-	Islands        int
-	MigrationEvery int
-
 	// Parallelism bounds concurrent fitness evaluations, run through
 	// sched.Each (0 = GOMAXPROCS).
 	Parallelism int
-
-	// InitialPopulation seeds the first generation with known genomes
-	// (clipped to PopSize); the remainder is random. Useful for resuming
-	// a search or biasing it with a known-good solution.
-	InitialPopulation []Genome
 
 	// Logf, when set, receives one line per generation (best/avg/worst
 	// fitness and cataclysm events) — the convergence stream surfaced
@@ -106,39 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Generations <= 0 {
 		c.Generations = 50
-	}
-	if c.CrossoverRate <= 0 {
-		c.CrossoverRate = 0.73
-	}
-	if c.MutationRate <= 0 {
-		c.MutationRate = 0.05
-	}
-	if c.Elites <= 0 {
-		c.Elites = 2
-	}
-	if c.Elites >= c.PopSize {
-		c.Elites = c.PopSize - 1
-	}
-	if c.TournamentK <= 0 {
-		c.TournamentK = 2
-	}
-	if c.CataclysmSpread <= 0 {
-		c.CataclysmSpread = 0.02
-	}
-	if c.CataclysmPatience <= 0 {
-		c.CataclysmPatience = 3
-	}
-	if c.Islands <= 1 {
-		c.Islands = 1
-	}
-	if c.Islands > c.PopSize/2 {
-		c.Islands = c.PopSize / 2
-	}
-	if c.Islands < 1 {
-		c.Islands = 1
-	}
-	if c.MigrationEvery <= 0 {
-		c.MigrationEvery = 3
 	}
 	return c
 }
@@ -192,13 +148,6 @@ func Run(ctx context.Context, cfg Config, fit Fitness) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pop := make([]Genome, cfg.PopSize)
 	for i := range pop {
-		if i < len(cfg.InitialPopulation) && len(cfg.InitialPopulation[i]) == len(cfg.Genes) {
-			pop[i] = cfg.InitialPopulation[i].Clone()
-			for j, gene := range cfg.Genes {
-				pop[i][j] = gene.quantise(pop[i][j])
-			}
-			continue
-		}
 		pop[i] = randomGenome(cfg.Genes, rng)
 	}
 
@@ -207,8 +156,8 @@ func Run(ctx context.Context, cfg Config, fit Fitness) (*Result, error) {
 	// Elite individuals are copied into the next generation verbatim, and
 	// Fitness is contractually pure, so re-evaluating them must return the
 	// same value: their scores are carried instead of re-simulated. The
-	// carry lives in separate arrays so `scores` keeps last generation's
-	// values until evaluate overwrites them (migration reads them).
+	// carry lives in separate arrays because nextGeneration still selects
+	// on this generation's scores while it records the elites' carries.
 	carryScore := make([]float64, cfg.PopSize)
 	carryKnown := make([]bool, cfg.PopSize)
 	stale := 0
@@ -230,12 +179,12 @@ func Run(ctx context.Context, cfg Config, fit Fitness) (*Result, error) {
 		}
 
 		// Convergence check → cataclysm (skip on the final generation).
-		if st.relSpread() < cfg.CataclysmSpread {
+		if st.relSpread() < cataclysmSpread {
 			stale++
 		} else {
 			stale = 0
 		}
-		cataclysm := stale >= cfg.CataclysmPatience && gen < cfg.Generations-1
+		cataclysm := stale >= cataclysmPatience && gen < cfg.Generations-1
 		if cataclysm {
 			st.Cataclysm = true
 		}
@@ -263,79 +212,9 @@ func Run(ctx context.Context, cfg Config, fit Fitness) (*Result, error) {
 		if gen == cfg.Generations-1 {
 			break
 		}
-		if cfg.Islands > 1 {
-			pop = nextGenerationIslands(cfg, pop, scores, carryScore, carryKnown, rng)
-			if (gen+1)%cfg.MigrationEvery == 0 {
-				migrate(cfg, pop, scores, carryScore, carryKnown)
-			}
-		} else {
-			pop = nextGeneration(cfg, pop, scores, carryScore, carryKnown, rng)
-		}
+		pop = nextGeneration(cfg, pop, scores, carryScore, carryKnown, rng)
 	}
 	return res, nil
-}
-
-// islandBounds returns the [start, end) slice of island i.
-func islandBounds(cfg Config, i int) (int, int) {
-	per := cfg.PopSize / cfg.Islands
-	start := i * per
-	end := start + per
-	if i == cfg.Islands-1 {
-		end = cfg.PopSize
-	}
-	return start, end
-}
-
-// nextGenerationIslands evolves each island independently (selection and
-// crossover never cross island boundaries).
-func nextGenerationIslands(cfg Config, pop []Genome, scores, carryScore []float64,
-	carryKnown []bool, rng *rand.Rand) []Genome {
-	next := make([]Genome, 0, len(pop))
-	for i := 0; i < cfg.Islands; i++ {
-		s, e := islandBounds(cfg, i)
-		sub := cfg
-		sub.PopSize = e - s
-		sub.Elites = 1
-		next = append(next, nextGeneration(sub, pop[s:e], scores[s:e],
-			carryScore[s:e], carryKnown[s:e], rng)...)
-	}
-	return next
-}
-
-// migrate copies each island's best individual over the worst individual
-// of the next island in the ring — SNAP's migration operator. A migrant
-// whose source slot carried a known score keeps it (identical genome →
-// identical fitness); any other overwritten carry is cleared.
-func migrate(cfg Config, pop []Genome, scores, carryScore []float64, carryKnown []bool) {
-	type be struct{ best, worst int }
-	idx := make([]be, cfg.Islands)
-	for i := 0; i < cfg.Islands; i++ {
-		s, e := islandBounds(cfg, i)
-		b, w := s, s
-		for j := s; j < e; j++ {
-			if scores[j] > scores[b] {
-				b = j
-			}
-			if scores[j] < scores[w] {
-				w = j
-			}
-		}
-		idx[i] = be{b, w}
-	}
-	// Snapshot the migrants first so a chain of migrations is stable.
-	migrants := make([]Genome, cfg.Islands)
-	migScore := make([]float64, cfg.Islands)
-	migKnown := make([]bool, cfg.Islands)
-	for i := range migrants {
-		migrants[i] = pop[idx[i].best].Clone()
-		migScore[i], migKnown[i] = carryScore[idx[i].best], carryKnown[idx[i].best]
-	}
-	for i := 0; i < cfg.Islands; i++ {
-		dst := (i + 1) % cfg.Islands
-		w := idx[dst].worst
-		pop[w] = migrants[i]
-		carryScore[w], carryKnown[w] = migScore[i], migKnown[i]
-	}
 }
 
 // relSpread is the population's stddev/|mean| (0 when mean is 0).
@@ -423,7 +302,7 @@ func nextGeneration(cfg Config, pop []Genome, scores, carryScore []float64,
 	for i := range order {
 		order[i] = i
 	}
-	for i := 0; i < cfg.Elites; i++ {
+	for i := 0; i < min(elites, n-1); i++ {
 		bi := i
 		for j := i + 1; j < n; j++ {
 			if scores[order[j]] > scores[order[bi]] {
@@ -437,7 +316,7 @@ func nextGeneration(cfg Config, pop []Genome, scores, carryScore []float64,
 
 	sel := func() Genome {
 		best := rng.Intn(n)
-		for k := 1; k < cfg.TournamentK; k++ {
+		for k := 1; k < tournamentK; k++ {
 			c := rng.Intn(n)
 			if scores[c] > scores[best] {
 				best = c
@@ -447,13 +326,13 @@ func nextGeneration(cfg Config, pop []Genome, scores, carryScore []float64,
 	}
 	for len(next) < n {
 		a, b := sel().Clone(), sel().Clone()
-		if rng.Float64() < cfg.CrossoverRate {
+		if rng.Float64() < crossoverRate {
 			crossover(a, b, rng)
 		}
-		mutate(cfg.Genes, a, cfg.MutationRate, rng)
+		mutate(cfg.Genes, a, mutationRate, rng)
 		next = append(next, a)
 		if len(next) < n {
-			mutate(cfg.Genes, b, cfg.MutationRate, rng)
+			mutate(cfg.Genes, b, mutationRate, rng)
 			next = append(next, b)
 		}
 	}

@@ -8,11 +8,8 @@ package inject
 // them — so no cache key names them and they never reach the report.
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"sync"
 
 	"avfstress/internal/avf"
@@ -27,8 +24,8 @@ type golden struct {
 	info pipe.GoldenInfo
 }
 
-// goldenCodec stores a golden run as its encodeGoldenInfo line, a
-// newline, then the result's JSON.
+// goldenCodec stores a golden run as its encodeGoldenInfo blob followed
+// by the result's JSON.
 var goldenCodec = simcache.Codec[golden]{
 	Ext: ".bin",
 	Encode: func(g golden) ([]byte, error) {
@@ -36,15 +33,10 @@ var goldenCodec = simcache.Codec[golden]{
 		if err != nil {
 			return nil, err
 		}
-		b := append(encodeGoldenInfo(g.info), '\n')
-		return append(b, res...), nil
+		return append(encodeGoldenInfo(g.info), res...), nil
 	},
 	Decode: func(b []byte) (golden, error) {
-		line, res, ok := bytes.Cut(b, []byte{'\n'})
-		if !ok {
-			return golden{}, fmt.Errorf("inject: golden entry has no golden-info line")
-		}
-		info, err := decodeGoldenInfo(line)
+		info, res, err := decodeGoldenInfo(b)
 		if err != nil {
 			return golden{}, err
 		}
@@ -56,108 +48,74 @@ var goldenCodec = simcache.Codec[golden]{
 	},
 }
 
-// encodeGoldenInfo serialises the golden run's replay facts as a small
-// versioned text line, the head of the golden cache entry. v2 appends
-// the register-file dead intervals the pruner needs (v1 lines fail
-// decode: the store quarantines and recomputes the entry); they are
-// always encoded, whatever PruneStatic says, so warm and cold campaigns
-// prune identically.
+// goldenKeyPart names the golden entry in a campaign's cache key. It
+// names the binary format too, so entries in an older format are never
+// read.
+const goldenKeyPart = "golden:bin1"
+
+// Golden-info codec, the head of the golden entry: a magic, the
+// little-endian WindowStart, Cycles and Digest, a uint32 count of
+// register-file dead intervals, then per interval a fixed-width record —
+// Slot (int16), Start, End. The intervals are always encoded, whatever
+// PruneStatic says, so warm and cold campaigns prune identically.
+const (
+	goldenMagic  = "injgld1\x00"
+	goldenHeader = len(goldenMagic) + 8 + 8 + 8 + 4
+	goldenRecord = 2 + 8 + 8
+)
+
+// encodeGoldenInfo renders the golden run's replay facts as a blob.
 func encodeGoldenInfo(gi pipe.GoldenInfo) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "goldeninfo v2 %d %d %d %d", gi.WindowStart, gi.Cycles, gi.Digest, len(gi.RFDead))
+	b := make([]byte, 0, goldenHeader+goldenRecord*len(gi.RFDead))
+	b = append(b, goldenMagic...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(gi.WindowStart))
+	b = binary.LittleEndian.AppendUint64(b, uint64(gi.Cycles))
+	b = binary.LittleEndian.AppendUint64(b, gi.Digest)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(gi.RFDead)))
 	for _, iv := range gi.RFDead {
-		fmt.Fprintf(&b, " %d %d %d", iv.Slot, iv.Start, iv.End)
+		b = binary.LittleEndian.AppendUint16(b, uint16(iv.Slot))
+		b = binary.LittleEndian.AppendUint64(b, uint64(iv.Start))
+		b = binary.LittleEndian.AppendUint64(b, uint64(iv.End))
 	}
-	return []byte(b.String())
+	return b
 }
 
-// decodeGoldenInfo parses an encodeGoldenInfo blob in place: one pass
-// counts its fields, so the interval count is checked and the interval
-// list sized before anything is allocated, and a second parses them.
-func decodeGoldenInfo(b []byte) (pipe.GoldenInfo, error) {
-	n := 0
-	for tok, rest := nextField(b); tok != nil; tok, rest = nextField(rest) {
-		n++
+// decodeGoldenInfo parses the encodeGoldenInfo blob at the head of b and
+// returns it with the bytes after it. The interval count is checked
+// against the length before the interval list is allocated; a wrong
+// magic, a short blob or a negative register slot is undecodable (the
+// store quarantines and recomputes the entry).
+func decodeGoldenInfo(b []byte) (pipe.GoldenInfo, []byte, error) {
+	if len(b) < goldenHeader || string(b[:len(goldenMagic)]) != goldenMagic {
+		return pipe.GoldenInfo{}, nil, fmt.Errorf("inject: not a golden-info blob (%d bytes)", len(b))
 	}
-	name, rest := nextField(b)
-	ver, rest := nextField(rest)
-	if n < 6 || string(name) != "goldeninfo" || string(ver) != "v2" {
-		return pipe.GoldenInfo{}, fmt.Errorf("inject: bad goldeninfo v2 blob")
+	h := b[len(goldenMagic):]
+	gi := pipe.GoldenInfo{
+		WindowStart: int64(binary.LittleEndian.Uint64(h)),
+		Cycles:      int64(binary.LittleEndian.Uint64(h[8:])),
+		Digest:      binary.LittleEndian.Uint64(h[16:]),
 	}
-	sc := intScanner{rest: rest}
-	gi := pipe.GoldenInfo{WindowStart: sc.next(), Cycles: sc.next(), Digest: uint64(sc.next())}
-	// The count is checked by division: 3*count overflows for huge
-	// counts.
-	count, fields := sc.next(), n-6
-	if sc.err == nil && (count < 0 || count != int64(fields/3) || fields%3 != 0) {
-		return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info interval count mismatch")
+	count := int64(binary.LittleEndian.Uint32(h[24:]))
+	end := int64(goldenHeader) + goldenRecord*count
+	if end > int64(len(b)) {
+		return pipe.GoldenInfo{}, nil, fmt.Errorf("inject: golden-info blob is %d bytes, too short for %d intervals", len(b), count)
 	}
 	if count > 0 {
 		gi.RFDead = make([]pipe.RFDeadInterval, count)
 	}
 	for i := range gi.RFDead {
-		slot, start, end := sc.next(), sc.next(), sc.next()
-		if slot < 0 || slot > math.MaxInt16 {
-			return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info register slot %d out of range", slot)
+		r := b[goldenHeader+goldenRecord*i:]
+		slot := int16(binary.LittleEndian.Uint16(r))
+		if slot < 0 {
+			return pipe.GoldenInfo{}, nil, fmt.Errorf("inject: golden-info register slot %d out of range", slot)
 		}
-		gi.RFDead[i] = pipe.RFDeadInterval{Slot: int16(slot), Start: start, End: end}
-	}
-	if sc.err != nil {
-		return pipe.GoldenInfo{}, sc.err
-	}
-	return gi, nil
-}
-
-// intScanner reads whitespace-separated decimal integers from a text
-// blob without copying it. Values past int64 (the unsigned golden
-// digest) parse as uint64 and wrap. The first bad token sticks in err,
-// and every later read returns zero.
-type intScanner struct {
-	rest []byte
-	err  error
-}
-
-func (sc *intScanner) next() int64 {
-	tok, rest := nextField(sc.rest)
-	sc.rest = rest
-	if sc.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil {
-		u, uerr := strconv.ParseUint(string(tok), 10, 64)
-		if uerr != nil {
-			sc.err = fmt.Errorf("inject: bad goldeninfo v2 blob: %w", err)
-			return 0
+		gi.RFDead[i] = pipe.RFDeadInterval{
+			Slot:  slot,
+			Start: int64(binary.LittleEndian.Uint64(r[2:])),
+			End:   int64(binary.LittleEndian.Uint64(r[10:])),
 		}
-		v = int64(u)
 	}
-	return v
-}
-
-// nextField returns b's first whitespace-separated token (nil when none
-// is left) and the bytes after it.
-func nextField(b []byte) (tok, rest []byte) {
-	i := 0
-	for i < len(b) && isSpace(b[i]) {
-		i++
-	}
-	if i == len(b) {
-		return nil, nil
-	}
-	j := i + 1
-	for j < len(b) && !isSpace(b[j]) {
-		j++
-	}
-	return b[i:j], b[j:]
-}
-
-func isSpace(c byte) bool {
-	switch c {
-	case ' ', '\t', '\n', '\v', '\f', '\r':
-		return true
-	}
-	return false
+	return gi, b[end:], nil
 }
 
 // ckptSource hands slice replays their fork points. A campaign whose

@@ -1,6 +1,8 @@
 package inject
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,59 +17,76 @@ func sampleGoldenInfo() pipe.GoldenInfo {
 	}}
 }
 
-// TestDecodeGoldenInfoRejectsMalformed pins two inputs that earlier
-// decoders mishandled: an interval count whose 3n overflows int64 (it
-// wrapped to 2 and indexed past the values) and a register slot past
-// int16 (it was silently wrapped). Both must fail decode, as must the
-// other count and slot violations.
+// goldenInfoBlob builds a golden-info blob by hand: a zero window and
+// digest, the given interval count, then the raw record bytes.
+func goldenInfoBlob(count uint32, records ...byte) []byte {
+	b := encodeGoldenInfo(pipe.GoldenInfo{})
+	binary.LittleEndian.PutUint32(b[goldenHeader-4:], count)
+	return append(b, records...)
+}
+
+// goldenRecordBytes encodes one interval record with a raw slot field.
+func goldenRecordBytes(slot uint16, start, end int64) []byte {
+	r := binary.LittleEndian.AppendUint16(nil, slot)
+	r = binary.LittleEndian.AppendUint64(r, uint64(start))
+	return binary.LittleEndian.AppendUint64(r, uint64(end))
+}
+
+// TestDecodeGoldenInfoRejectsMalformed: a count the blob is too short
+// for (the largest count included: it must fail before anything is
+// allocated), a negative register slot, a truncated header or record, a
+// wrong magic and a legacy text line all fail decode.
 func TestDecodeGoldenInfoRejectsMalformed(t *testing.T) {
-	for _, in := range []string{
-		"goldeninfo v2 0 0 0 6148914691236517206 1 2",
-		"goldeninfo v2 0 0 0 1 70000 2 3",
-		"goldeninfo v2 0 0 0 1 -1 2 3",
-		"goldeninfo v2 0 0 0 1 32768 2 3",
-		"goldeninfo v2 0 0 0 -1",
-		"goldeninfo v2 0 0 0 1 1 2",
-		"goldeninfo v2 0 0 0 0 1",
-		"goldeninfo v1 0 0 0 0",
-		"goldeninfo v2 0 0 0",
+	rec := goldenRecordBytes(3, 7_500, -1)
+	for name, in := range map[string][]byte{
+		"count overflow":     goldenInfoBlob(math.MaxUint32, rec...),
+		"count past records": goldenInfoBlob(2, rec...),
+		"negative slot":      goldenInfoBlob(1, goldenRecordBytes(0xffff, 2, 3)...),
+		"slot past int16":    goldenInfoBlob(1, goldenRecordBytes(0x8000, 2, 3)...),
+		"truncated record":   goldenInfoBlob(1, rec[:goldenRecord-1]...),
+		"truncated header":   encodeGoldenInfo(pipe.GoldenInfo{})[:goldenHeader-1],
+		"wrong magic":        append([]byte("injgld0\x00"), encodeGoldenInfo(pipe.GoldenInfo{})[len(goldenMagic):]...),
+		"legacy text":        []byte("goldeninfo v2 7400 12345 99 1 3 7500 -1"),
+		"empty":              nil,
 	} {
-		if gi, err := decodeGoldenInfo([]byte(in)); err == nil {
-			t.Errorf("decode(%q) accepted %+v", in, gi)
+		if gi, _, err := decodeGoldenInfo(in); err == nil {
+			t.Errorf("%s: decode accepted %+v", name, gi)
 		}
 	}
-	gi, err := decodeGoldenInfo([]byte("goldeninfo v2 0 0 0 1 32767 2 3"))
-	if err != nil || len(gi.RFDead) != 1 || gi.RFDead[0].Slot != 32767 {
-		t.Errorf("largest slot: %+v, %v", gi, err)
+	gi, rest, err := decodeGoldenInfo(goldenInfoBlob(1, goldenRecordBytes(math.MaxInt16, 2, 3)...))
+	if err != nil || len(rest) != 0 || len(gi.RFDead) != 1 || gi.RFDead[0].Slot != math.MaxInt16 {
+		t.Errorf("largest slot: %+v, %d trailing bytes, %v", gi, len(rest), err)
 	}
 }
 
 // TestGoldenInfoRoundTrip: encode→decode is the identity, with and
-// without recorded dead intervals.
+// without recorded dead intervals, and hands back the bytes after the
+// blob untouched.
 func TestGoldenInfoRoundTrip(t *testing.T) {
 	for _, gi := range []pipe.GoldenInfo{{}, sampleGoldenInfo()} {
-		got, err := decodeGoldenInfo(encodeGoldenInfo(gi))
-		if err != nil || !reflect.DeepEqual(got, gi) {
-			t.Errorf("round trip of %+v: %+v, %v", gi, got, err)
+		got, rest, err := decodeGoldenInfo(append(encodeGoldenInfo(gi), "{}"...))
+		if err != nil || !reflect.DeepEqual(got, gi) || string(rest) != "{}" {
+			t.Errorf("round trip of %+v: %+v, rest %q, %v", gi, got, rest, err)
 		}
 	}
 }
 
 // FuzzDecodeGoldenInfo: the decoder never panics, and any value it
-// accepts survives encode→decode unchanged.
+// accepts survives encode→decode unchanged. The committed corpus under
+// testdata/fuzz adds malformed blobs and legacy text lines.
 func FuzzDecodeGoldenInfo(f *testing.F) {
 	f.Add(encodeGoldenInfo(pipe.GoldenInfo{}))
 	f.Add(encodeGoldenInfo(sampleGoldenInfo()))
-	f.Add([]byte("goldeninfo v2 0 0 0 6148914691236517206 1 2"))
-	f.Add([]byte("goldeninfo v2 0 0 0 1 70000 2 3"))
+	f.Add(goldenInfoBlob(math.MaxUint32, goldenRecordBytes(3, 7_500, -1)...))
+	f.Add(goldenInfoBlob(1, goldenRecordBytes(0x8000, 2, 3)...))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		gi, err := decodeGoldenInfo(b)
+		gi, _, err := decodeGoldenInfo(b)
 		if err != nil {
 			return
 		}
-		got, err := decodeGoldenInfo(encodeGoldenInfo(gi))
-		if err != nil {
-			t.Fatalf("re-encoding of accepted %+v fails decode: %v", gi, err)
+		got, rest, err := decodeGoldenInfo(encodeGoldenInfo(gi))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoding of accepted %+v fails decode: %v (%d trailing bytes)", gi, err, len(rest))
 		}
 		if !reflect.DeepEqual(got, gi) {
 			t.Fatalf("round trip changed %+v into %+v", gi, got)
@@ -75,32 +94,10 @@ func FuzzDecodeGoldenInfo(f *testing.F) {
 	})
 }
 
-// TestDecodeGoldenInfoWhitespace: the scanner splits on any run of
-// ASCII whitespace, leading and trailing included, like the encoder's
-// single spaces; other bytes stay part of a token.
-func TestDecodeGoldenInfoWhitespace(t *testing.T) {
-	want, err := decodeGoldenInfo([]byte("goldeninfo v2 7400 12345 99 1 3 7500 -1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range []string{
-		"goldeninfo\tv2\t7400\t12345\t99\t1\t3\t7500\t-1",
-		"goldeninfo   v2 7400  12345\v\f99 1 3 7500     -1",
-		"  \n goldeninfo v2 7400 12345 99 1 3 7500 -1 \r\n\t",
-	} {
-		if got, err := decodeGoldenInfo([]byte(in)); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("decode(%q) = %+v, %v; want %+v", in, got, err, want)
-		}
-	}
-	if gi, err := decodeGoldenInfo([]byte("goldeninfo v2 7400 12345 99 0 ")); err == nil {
-		t.Errorf("non-ASCII space accepted as a separator: %+v", gi)
-	}
-}
-
 // FuzzDecodeGolden: the golden entry decoder never panics, and any
 // entry it accepts re-encodes to one that decodes to an equal golden
-// run. The committed corpus under testdata/fuzz adds entries without
-// an info line, with a v1 line and with a truncated result.
+// run. The committed corpus under testdata/fuzz adds entries with a bad
+// info blob, a null and a truncated result, and legacy text entries.
 func FuzzDecodeGolden(f *testing.F) {
 	for _, g := range []golden{
 		{res: &avf.Result{}},

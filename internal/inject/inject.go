@@ -38,6 +38,11 @@ import (
 	"avfstress/internal/uarch"
 )
 
+// minPerStructure floors each structure's trial allocation so small
+// structures still get a usable stratum (the aggregate estimator is
+// stratified, so allocation affects variance only, not bias).
+const minPerStructure = 16
+
 // Options parameterises one campaign.
 type Options struct {
 	// Config is the microarchitecture under injection.
@@ -55,11 +60,6 @@ type Options struct {
 	// Trials is the total trial budget, allocated to structures in
 	// proportion to their bit counts (default 1000).
 	Trials int
-	// MinPerStructure floors each structure's allocation so small
-	// structures still get a usable stratum (default 16; the aggregate
-	// estimator is stratified, so allocation affects variance only, not
-	// bias).
-	MinPerStructure int
 	// Seed drives target sampling (default 1).
 	Seed int64
 	// Structures restricts the campaign (default: every SER-tracked
@@ -109,9 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Trials <= 0 {
 		o.Trials = 1000
-	}
-	if o.MinPerStructure <= 0 {
-		o.MinPerStructure = 16
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -351,7 +348,7 @@ func (c *campaign) key(part string) simcache.Key {
 func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error) {
 	o := c.o
 	var cks *pipe.CheckpointSet
-	g, err := simcache.Do(o.Cache, c.key("golden"), goldenCodec, func() (golden, error) {
+	g, err := simcache.Do(o.Cache, c.key(goldenKeyPart), goldenCodec, func() (golden, error) {
 		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.checkpointInterval, c.live.DeadDefs)
 		cks = set
 		return golden{res, gi}, err
@@ -400,7 +397,7 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	for i := range weights {
 		weights[i] = float64(s.bits[i]) / totalBits
 	}
-	alloc := allocate(o.Trials, o.MinPerStructure, weights)
+	alloc := allocate(o.Trials, minPerStructure, weights)
 	draw := func(r *rng, i int) pipe.Fault {
 		return pipe.Fault{
 			Structure: o.Structures[i],

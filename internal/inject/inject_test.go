@@ -283,7 +283,7 @@ func TestCampaignStaleGoldenInfoFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &campaign{o: o, cfgFP: o.Config.Fingerprint(), progFP: "prog:" + o.Program.Fingerprint(), rcFP: o.Run.Fingerprint()}
-	g, err := simcache.Do(o.Cache, c.key("golden"), goldenCodec, func() (golden, error) {
+	g, err := simcache.Do(o.Cache, c.key(goldenKeyPart), goldenCodec, func() (golden, error) {
 		t.Fatal("cold campaign stored no golden entry")
 		return golden{}, nil
 	})
@@ -293,7 +293,7 @@ func TestCampaignStaleGoldenInfoFails(t *testing.T) {
 	// A fresh store holding only the golden entry, its digest flipped.
 	g.info.Digest ^= 1
 	o.Cache = simcache.New(simcache.Options{})
-	if _, err := simcache.Do(o.Cache, c.key("golden"), goldenCodec, func() (golden, error) { return g, nil }); err != nil {
+	if _, err := simcache.Do(o.Cache, c.key(goldenKeyPart), goldenCodec, func() (golden, error) { return g, nil }); err != nil {
 		t.Fatal(err)
 	}
 

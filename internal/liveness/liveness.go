@@ -294,15 +294,6 @@ func (s *Summary) analyzeBitMasks(p *prog.Program) {
 	}
 }
 
-// DeadDefFrac returns the fraction of register-writing static
-// instructions proven dead.
-func (s *Summary) DeadDefFrac() float64 {
-	if s.defCount == 0 {
-		return 0
-	}
-	return float64(s.deadDefCount) / float64(s.defCount)
-}
-
 // LiveBitFrac returns the fraction of live bits across all live-in
 // masks — the bit-level tightening the reporting side quotes.
 func (s *Summary) LiveBitFrac() float64 {

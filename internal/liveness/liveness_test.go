@@ -82,8 +82,8 @@ func TestDeadDefs(t *testing.T) {
 			}
 		}
 	}
-	if f := s.DeadDefFrac(); f <= 0 || f >= 1 {
-		t.Errorf("dead-def fraction %f not in (0, 1)", f)
+	if s.deadDefCount == 0 || s.deadDefCount >= s.defCount {
+		t.Errorf("%d of %d defs dead, want some but not all", s.deadDefCount, s.defCount)
 	}
 }
 

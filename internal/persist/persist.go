@@ -1,7 +1,7 @@
 // Package persist serialises the artefacts a user wants to keep from a
 // stressmark search — the knob settings (a complete, reproducible
 // description of a candidate: the generator is deterministic in them)
-// and simulation results — as JSON files for the command-line tools.
+// with their final evaluation — as JSON files for the command-line tools.
 package persist
 
 import (
@@ -50,29 +50,4 @@ func LoadStressmark(path string) (SavedStressmark, error) {
 		return s, fmt.Errorf("persist: decode %s: %w", path, err)
 	}
 	return s, nil
-}
-
-// SaveResult writes a bare simulation result to path.
-func SaveResult(path string, r *avf.Result) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("persist: encode: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return nil
-}
-
-// LoadResult reads a result written by SaveResult.
-func LoadResult(path string) (*avf.Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	r := &avf.Result{}
-	if err := json.Unmarshal(data, r); err != nil {
-		return nil, fmt.Errorf("persist: decode %s: %w", path, err)
-	}
-	return r, nil
 }

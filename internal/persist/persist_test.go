@@ -3,10 +3,8 @@ package persist
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"avfstress/internal/avf"
 	"avfstress/internal/codegen"
 	"avfstress/internal/uarch"
 )
@@ -49,122 +47,16 @@ func TestStressmarkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResultRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "result.json")
-	in := &avf.Result{Config: "Baseline", Workload: "w", Cycles: 100, Instructions: 42, IPC: 0.42}
-	in.AVF[uarch.ROB] = 0.9
-	in.Activity.IssuedALU = 7
-	if err := SaveResult(path, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := LoadResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *out != *in {
-		t.Errorf("round trip lost data:\nin  %+v\nout %+v", in, out)
-	}
-}
-
-// fillDistinct sets every field of a struct (recursively, including
-// arrays) to a distinct non-zero value, so a lossy encode/decode cannot
-// hide behind zero values or duplicates. It fails the test on any field
-// JSON cannot carry (unexported) or any kind it does not know how to
-// fill — forcing this test to be extended whenever avf.Result grows a
-// new field shape.
-func fillDistinct(t *testing.T, v reflect.Value, n *int) {
-	t.Helper()
-	switch v.Kind() {
-	case reflect.Struct:
-		tp := v.Type()
-		for i := 0; i < v.NumField(); i++ {
-			if tp.Field(i).PkgPath != "" {
-				t.Fatalf("%s.%s is unexported: the disk tier cannot round-trip it",
-					tp.Name(), tp.Field(i).Name)
-			}
-			fillDistinct(t, v.Field(i), n)
-		}
-	case reflect.Array, reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			fillDistinct(t, v.Index(i), n)
-		}
-	case reflect.Float64:
-		*n++
-		// A value with a long shortest-representation exercises exact
-		// float round-tripping.
-		v.SetFloat(float64(*n) / 3)
-	case reflect.Int64, reflect.Int:
-		*n++
-		v.SetInt(int64(*n))
-	case reflect.String:
-		*n++
-		v.SetString(reflect.TypeOf(v.Interface()).Name() + string(rune('a'+*n%26)))
-	case reflect.Bool:
-		v.SetBool(true)
-	default:
-		t.Fatalf("fillDistinct: unhandled kind %v — extend the test", v.Kind())
-	}
-}
-
-// TestResultRoundTripIsLossless is the differential test backing the
-// simcache disk tier: every field of avf.Result — present and future —
-// must survive a JSON encode/decode bit-exactly, or warm-from-disk runs
-// would stop being byte-identical to fresh simulations.
-func TestResultRoundTripIsLossless(t *testing.T) {
-	in := &avf.Result{}
-	n := 0
-	fillDistinct(t, reflect.ValueOf(in).Elem(), &n)
-	path := filepath.Join(t.TempDir(), "full.json")
-	if err := SaveResult(path, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := LoadResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip lost data:\nin  %+v\nout %+v", in, out)
-	}
-	// And a second hop must be byte-stable (encode(decode(x)) == encode(x)).
-	path2 := filepath.Join(t.TempDir(), "again.json")
-	if err := SaveResult(path2, out); err != nil {
-		t.Fatal(err)
-	}
-	b1, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b1) != string(b2) {
-		t.Error("re-encoding a loaded result changed the bytes")
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
 	if _, err := LoadStressmark("/nonexistent/x.json"); err == nil {
 		t.Error("missing file accepted")
 	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")
-	if err := SaveResult(bad, &avf.Result{}); err != nil {
+	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	// Corrupt it.
-	if err := writeFile(bad, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadResult(bad); err == nil {
-		t.Error("corrupt file accepted")
 	}
 	if _, err := LoadStressmark(bad); err == nil {
 		t.Error("corrupt stressmark accepted")
 	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -297,8 +297,7 @@ func Aggregate(p *prog.Program, cfg uarch.Config, trials []Trial, sampled map[ua
 }
 
 // SDCDensity is the attributed-SDC fraction of the examined corruption
-// mass: the scalar the GA's diagnostic hook (core.SearchSpec.
-// RootCauseRank) surfaces for SDC-density search modes.
+// mass, printed per campaign in the root-cause study's report.
 func (r *Result) SDCDensity() float64 {
 	if r.Corrupted == 0 {
 		return 0

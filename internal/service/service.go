@@ -1,5 +1,5 @@
 // Package service is the avfstressd job server: an HTTP surface over
-// the scenario registry and its concurrent renders. Clients
+// the experiment scenarios and their concurrent renders. Clients
 // submit declarative scenario.Specs (POST /v1/jobs), follow progress
 // (GET /v1/jobs/{id}, optionally streamed), fetch rendered reports and
 // results (GET /v1/results/{id}) and cancel running work (DELETE
@@ -298,7 +298,8 @@ func (s *Server) recover() error {
 			j.cancel = func() {}
 			j.done = closed
 		case rerr != nil:
-			// The journalled spec no longer resolves (registry drift):
+			// The journalled spec no longer resolves (a scenario was
+			// renamed or removed):
 			// terminal failure, not a crash loop.
 			j.status = StatusFailed
 			j.errMsg = rerr.Error()

@@ -92,8 +92,10 @@ type Options struct {
 	// Entries land in Dir/<version>/<key><ext> so stale engine versions
 	// are inert and easy to sweep.
 	Dir string
-	// Version overrides EngineVersion (tests only).
-	Version string
+	// version overrides EngineVersion. It is unexported because every
+	// store runs on EngineVersion; the in-package tests vary it to check
+	// that a version change invalidates both tiers.
+	version string
 }
 
 // memCapBytes bounds the memory tier by encoded payload size, so a
@@ -192,7 +194,7 @@ var errPanicked = errors.New("simcache: the computation panicked")
 // New returns an empty store. With a non-empty Dir the disk tier is
 // created lazily on first write.
 func New(opts Options) *Store {
-	v := opts.Version
+	v := opts.version
 	if v == "" {
 		v = EngineVersion
 	}

@@ -33,7 +33,7 @@ func TestKeyDistinguishesPartsAndVersions(t *testing.T) {
 	if s.Key("ab", "c") == s.Key("a", "bc") {
 		t.Error("part boundaries are ambiguous")
 	}
-	old := New(Options{Version: "v0-test"})
+	old := New(Options{version: "v0-test"})
 	if s.Key("a", "b") == old.Key("a", "b") {
 		t.Error("engine version does not participate in the key")
 	}
@@ -118,11 +118,11 @@ func TestDiskTierRoundTripsBitIdentically(t *testing.T) {
 
 func TestStaleEngineVersionSelfInvalidates(t *testing.T) {
 	dir := t.TempDir()
-	old := New(Options{Dir: dir, Version: "v-old"})
+	old := New(Options{Dir: dir, version: "v-old"})
 	if _, err := Do(old, old.Key("k"), Results, func() (*avf.Result, error) { return sampleResult("old"), nil }); err != nil {
 		t.Fatal(err)
 	}
-	cur := New(Options{Dir: dir, Version: "v-new"})
+	cur := New(Options{Dir: dir, version: "v-new"})
 	sims := 0
 	if _, err := Do(cur, cur.Key("k"), Results, func() (*avf.Result, error) { sims++; return sampleResult("new"), nil }); err != nil {
 		t.Fatal(err)
@@ -577,5 +577,74 @@ func TestStatsStringKeepsAnchoredPrefix(t *testing.T) {
 	want := "mem=1 disk=2 sim=3 dedup=4 evict=6 quar=7 blob=8/9"
 	if got := st.String(); got != want {
 		t.Errorf("Stats.String() = %q, want %q", got, want)
+	}
+}
+
+// fillDistinct sets every field of a struct (recursively, including
+// arrays) to a distinct non-zero value, so a lossy encode/decode cannot
+// hide behind zero values or duplicates. It fails the test on any field
+// JSON cannot carry (unexported) or any kind it does not know how to
+// fill — forcing this test to be extended whenever avf.Result grows a
+// new field shape.
+func fillDistinct(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		tp := v.Type()
+		for i := 0; i < v.NumField(); i++ {
+			if tp.Field(i).PkgPath != "" {
+				t.Fatalf("%s.%s is unexported: the disk tier cannot round-trip it",
+					tp.Name(), tp.Field(i).Name)
+			}
+			fillDistinct(t, v.Field(i), n)
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), n)
+		}
+	case reflect.Float64:
+		*n++
+		// A value with a long shortest-representation exercises exact
+		// float round-tripping.
+		v.SetFloat(float64(*n) / 3)
+	case reflect.Int64, reflect.Int:
+		*n++
+		v.SetInt(int64(*n))
+	case reflect.String:
+		*n++
+		v.SetString(reflect.TypeOf(v.Interface()).Name() + string(rune('a'+*n%26)))
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("fillDistinct: unhandled kind %v — extend the test", v.Kind())
+	}
+}
+
+// TestResultRoundTripIsLossless is the differential test backing the
+// disk tier: every field of avf.Result — present and future — must
+// survive the Results codec bit-exactly, or warm-from-disk runs would
+// stop being byte-identical to fresh simulations.
+func TestResultRoundTripIsLossless(t *testing.T) {
+	in := &avf.Result{}
+	n := 0
+	fillDistinct(t, reflect.ValueOf(in).Elem(), &n)
+	b1, err := Results.Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Results.Decode(b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip lost data:\nin  %+v\nout %+v", in, out)
+	}
+	// And a second hop must be byte-stable (encode(decode(x)) == encode(x)).
+	b2, err := Results.Encode(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b1) != string(b2) {
+		t.Error("re-encoding a decoded result changed the bytes")
 	}
 }

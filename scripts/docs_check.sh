@@ -9,7 +9,11 @@
 #      the docs is exactly how DESIGN sections go stale;
 #   5. the reverse: every internal/ package must be referenced from
 #      README.md or DESIGN.md, so a new subsystem (internal/liveness
-#      being the latest) cannot land undocumented.
+#      being the latest) cannot land undocumented;
+#   6. every backticked code reference `pkg.Name` or `pkg.Name.Member`
+#      in README.md and DESIGN.md whose pkg is a directory under
+#      internal/ must resolve with `go doc -u` — deleting a function,
+#      field or hook without sweeping the docs fails here.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -42,6 +46,17 @@ for d in internal/*/; do
 	pkg=${d%/}
 	if ! grep -q "$pkg" README.md DESIGN.md; then
 		echo "docs-check: package $pkg not referenced from README/DESIGN"
+		fail=1
+	fi
+done
+
+coderefs=$(grep -ohE '`[a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?`' \
+	README.md DESIGN.md | tr -d '`' | sort -u)
+for r in $coderefs; do
+	pkg=${r%%.*}
+	[ -d "internal/$pkg" ] || continue
+	if ! go doc -u "./internal/$pkg" "${r#*.}" >/dev/null 2>&1; then
+		echo "docs-check: dead code reference in README/DESIGN: $r"
 		fail=1
 	fi
 done
