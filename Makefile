@@ -24,7 +24,7 @@ test:
 # orchestration and workload suites, injection campaigns — plus the job
 # service with journal replay, root-cause attribution, the
 # simcache/persist quarantine paths and the pipeline/cache
-# snapshot-restore paths that fork-replay shares across workers.
+# snapshot-restore paths.
 race:
 	$(GO) test -race ./internal/sched ./internal/ga ./internal/core ./internal/service ./internal/experiments ./internal/inject ./internal/rootcause ./internal/liveness ./internal/simcache ./internal/persist ./internal/pipe ./internal/cache
 
@@ -42,7 +42,8 @@ rootcause-diff:
 # goes through, the job-journal line decoder, scenario-spec resolution,
 # job-submission bodies through the HTTP handler, and the binary
 # program-fingerprint encoding that keys simulations (equal exactly
-# when the programs are).
+# when the programs are); plus the one-pass replay oracle, which checks
+# random fault sets batched into one replay against per-fault replays.
 fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGoldenInfo$$' -fuzztime 10s
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzResolveSpec$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s
 	$(GO) test ./internal/prog -run '^$$' -fuzz '^FuzzProgramFingerprint$$' -fuzztime 10s
+	$(GO) test ./internal/pipe -run '^$$' -fuzz '^FuzzFaultBatchMatchesSolo$$' -fuzztime 10s
 
 check: vet build test
 

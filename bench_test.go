@@ -253,9 +253,10 @@ func BenchmarkRunAllWarm(b *testing.B) {
 }
 
 // BenchmarkInjectCampaign measures a 1000-trial fault-injection
-// campaign under checkpointed fork-replay, one batch per replay slice
-// (DESIGN.md §10). Report equality across checkpoint intervals is
-// internal/inject's TestCampaignCheckpointIntervalInvariance.
+// campaign: one golden run plus one replay from cycle zero carrying
+// every unique fault (DESIGN.md §10). That the replay fills every slot
+// exactly as a per-fault replay would is internal/inject's
+// TestCampaignPassMatchesSolo.
 func BenchmarkInjectCampaign(b *testing.B) {
 	cfg := uarch.Scaled(uarch.Baseline(), 32)
 	k, _ := experiments.ReferenceKnobs("baseline")

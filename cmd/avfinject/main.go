@@ -16,8 +16,8 @@
 // avfinject is a thin client of the same scenario path avfstressd
 // serves: the flags build a declarative scenario.Spec whose parametric
 // faultinject scenario runs through the experiments scenario path, so the
-// campaign shares the suite's stressmark search, per-slice memoisation
-// and cancellation semantics with the daemon (POST /v1/jobs with
+// campaign shares the suite's stressmark search, per-campaign outcome
+// memoisation and cancellation semantics with the daemon (POST /v1/jobs with
 // {"scenarios": ["faultinject"], ...} runs the identical study).
 // -root-cause appends the rootcause view of the same study — per-
 // instruction and per-class attribution tables built from each SDC/DUE
@@ -51,7 +51,7 @@ func main() {
 		mode      = flag.String("mode", "reference", "stressmark provenance: reference (published knobs) or search (run the GA)")
 		pruneSt   = flag.Int("prune-static", 0, "static liveness pruning of the injection space: 0 or >0 = enabled, <0 = disabled (pruned targets classify as masked analytically, freeing their replays for the live subspace)")
 		rootCause = flag.Bool("root-cause", false, "also report root-cause attribution tables: the instructions whose values SDC/DUE trials corrupted, ranked (shares the campaign's replays)")
-		cacheDir  = flag.String("cache-dir", "", "persist simulations and per-slice outcome tables under this directory (shared across runs; results are bit-identical)")
+		cacheDir  = flag.String("cache-dir", "", "persist simulations and per-campaign outcome tables under this directory (shared across runs; results are bit-identical)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		verbose   = flag.Bool("v", false, "stream per-campaign progress")
 	)

@@ -48,7 +48,7 @@ type Options struct {
 	PruneStatic int
 	// Parallelism bounds each CPU fan-out independently: a workload
 	// suite's concurrent simulations, a GA search's concurrent
-	// evaluations and a campaign's concurrent slice replays (each a
+	// evaluations and an injection study's concurrent campaigns (each a
 	// sched.Each fan-out); 0 = GOMAXPROCS each. Renders run one per
 	// requested scenario, unbounded — they mostly wait on shared
 	// studies. Fan-outs of different studies compose, so transient

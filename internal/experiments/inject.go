@@ -18,14 +18,16 @@ import (
 	"avfstress/internal/pipe"
 	"avfstress/internal/prog"
 	"avfstress/internal/report"
+	"avfstress/internal/sched"
 	"avfstress/internal/uarch"
 	"avfstress/internal/workloads"
 )
 
 // injectionPanel lists a study's campaigns in report order: one
 // representative workload proxy per suite, then the stressmark. Kept
-// small deliberately — each entry costs Trials replays — while still
-// spanning the three workload families' occupancy regimes.
+// small deliberately — each entry costs a golden run and a replay
+// carrying Trials faults — while still spanning the three workload
+// families' occupancy regimes.
 var injectionPanel = []string{"403.gcc", "433.milc", "qsort", "stressmark"}
 
 // InjectionStudy is the faultinject scenario's result: one campaign per
@@ -100,9 +102,10 @@ func (c *Context) injectBudget() pipe.RunConfig {
 // FaultInjection runs (once, memoised) the injection validation study
 // for the named configuration and rate set: a campaign of trials
 // replays per panel workload and for the stressmark. The stressmark
-// search is the suite's shared memoised search; campaigns fan their
-// replay slices out through internal/sched and memoise each slice's
-// outcomes in the shared simulation store.
+// search is the suite's shared memoised search. The four campaigns run
+// as sched.Each items, each one golden run plus one replay of all its
+// faults memoised in the shared simulation store, and land in their
+// panel slots, so the report keeps panel order at any Parallelism.
 func (c *Context) FaultInjection(ctx context.Context, configName, ratesName string, trials int) (*InjectionStudy, error) {
 	cfg, err := ResolveConfig(configName, c.Opts.Scale)
 	if err != nil {
@@ -118,38 +121,45 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 	key := fmt.Sprintf("fi\x00%s\x00%s\x00%d", cfg.Fingerprint(), rates.Fingerprint(), trials)
 	return c.fi.do(key, func() (*InjectionStudy, error) {
 		rc := c.injectBudget()
-		study := &InjectionStudy{Config: cfg, RatesName: orDefault(ratesName, "uniform"), Trials: trials}
-		for _, name := range injectionPanel {
+		study := &InjectionStudy{Config: cfg, RatesName: orDefault(ratesName, "uniform"), Trials: trials,
+			Campaigns: make([]*inject.Result, len(injectionPanel))}
+		err := sched.Each(ctx, len(injectionPanel), c.Opts.Parallelism, func(ctx context.Context, i int) error {
+			name := injectionPanel[i]
 			var p *prog.Program
 			if name == "stressmark" {
 				sm, err := c.Stressmark(ctx, SearchKeyFor(configName, ratesName), cfg, rates)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				p = sm.Program
 			} else {
 				pf, err := workloads.ByName(name)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if p, err = pf.Build(cfg, c.Opts.Seed); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			res, err := inject.Run(ctx, inject.Options{
 				Config: cfg, Program: p, Run: rc, Rates: rates,
-				Trials: trials, Seed: c.Opts.Seed,
-				Parallelism: c.Opts.Parallelism, Cache: c.cache,
+				Trials: trials, Seed: c.Opts.Seed, Cache: c.cache,
 				PruneStatic: c.Opts.PruneStatic,
 				RootCause:   true,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("experiments: injection campaign %s: %w", name, err)
+				return fmt.Errorf("experiments: injection campaign %s: %w", name, err)
 			}
+			study.Campaigns[i] = res
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, res := range study.Campaigns {
 			c.logf("injection campaign %s: AVF %.4f [%.4f, %.4f] vs ACE %.4f",
-				name, res.DeratedAVF, res.DeratedCI.Lo, res.DeratedCI.Hi, res.DeratedACE)
-			c.logf("injection campaign %s: %s", name, res.PruneLine())
-			study.Campaigns = append(study.Campaigns, res)
+				injectionPanel[i], res.DeratedAVF, res.DeratedCI.Lo, res.DeratedCI.Hi, res.DeratedACE)
+			c.logf("injection campaign %s: %s", injectionPanel[i], res.PruneLine())
 		}
 		return study, nil
 	})

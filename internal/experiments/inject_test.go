@@ -139,3 +139,29 @@ func TestFaultInjectScenario(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultInjectionWorkerInvariant: the study's campaigns run as
+// sched.Each items and land in their panel slots, so its reports —
+// the faultinject and rootcause views alike — are byte-identical
+// whether the campaigns run one at a time or all at once.
+func TestFaultInjectionWorkerInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("injection campaigns in -short mode")
+	}
+	names := []string{"faultinject:baseline:uniform:200", "rootcause:baseline:uniform:200"}
+	render := func(workers int) string {
+		t.Helper()
+		opts := smallOpts()
+		opts.Cache = simcache.New(simcache.Options{})
+		opts.Parallelism = workers
+		out, err := NewContext(opts).RunScenarios(bg, names)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		return out
+	}
+	serial, parallel := render(1), render(4)
+	if serial != parallel {
+		t.Errorf("report differs between 1 and 4 workers:\n--- 1\n%s\n--- 4\n%s", serial, parallel)
+	}
+}

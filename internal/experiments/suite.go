@@ -168,8 +168,8 @@ func scenarioRender(name string) (renderFunc, error) {
 // study another render is computing (fig4 on fig3's search), so a
 // bounded pool would serialise the portfolio. The flights (wl/sm/pv/fi)
 // dedup the studies renders share, and CPU stays bounded by the
-// fan-outs inside them — GA evaluations, suite simulations and campaign
-// slices — each at Parallelism.
+// fan-outs inside them — GA evaluations, suite simulations and an
+// injection study's campaigns — each at Parallelism.
 func (c *Context) runNames(ctx context.Context, names []string) ([]string, error) {
 	renders := make([]renderFunc, len(names))
 	for i, n := range names {

@@ -1,16 +1,11 @@
 package inject
 
-// Golden-run plumbing for the campaign engine: the cache codec of the
-// golden run (its result plus its replay facts, GoldenInfo, in one
-// entry), and the checkpoint source slice jobs fork from. Checkpoints
-// are pure replay accelerators held in memory only — re-running the
-// capturing golden run costs less than encoding, storing and decoding
-// them — so no cache key names them and they never reach the report.
+// The cache codec of a campaign's golden run: its result plus its
+// replay facts, GoldenInfo, in one entry.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/pipe"
@@ -116,67 +111,4 @@ func decodeGoldenInfo(b []byte) (pipe.GoldenInfo, []byte, error) {
 		}
 	}
 	return gi, b[end:], nil
-}
-
-// ckptSource hands slice replays their fork points. A campaign whose
-// golden run just ran forks from the set that run captured. One whose
-// golden result and info came warm from the cache re-runs the capturing
-// golden run in memory, once, when the first slice misses its outcome
-// table — so an all-warm campaign still simulates nothing. The re-run
-// must reproduce the cached info the sampler and slice grid were built
-// from; on a mismatch every slice fails rather than replay against a
-// golden run that disagrees with it.
-type ckptSource struct {
-	c    *campaign
-	want pipe.GoldenInfo
-
-	once   sync.Once
-	set    *pipe.CheckpointSet
-	cycles []int64
-	err    error
-}
-
-// ckptSource returns the campaign's checkpoint source: set when the
-// golden run just captured one, otherwise a lazy re-capture guarded by
-// info.
-func (c *campaign) ckptSource(info pipe.GoldenInfo, set *pipe.CheckpointSet) *ckptSource {
-	cs := &ckptSource{c: c, want: info}
-	if set != nil {
-		cs.once.Do(func() { cs.set, cs.cycles = set, set.Cycles() })
-	}
-	return cs
-}
-
-// recapture re-runs the capturing golden run and checks it against the
-// cached golden info.
-func (cs *ckptSource) recapture() {
-	o := cs.c.o
-	_, gi, set, err := cs.c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.checkpointInterval, nil)
-	w := cs.want
-	switch {
-	case err != nil:
-		cs.err = fmt.Errorf("inject: golden re-capture: %w", err)
-	case gi.WindowStart != w.WindowStart || gi.Cycles != w.Cycles || gi.Digest != w.Digest:
-		cs.err = fmt.Errorf("inject: re-captured golden run (window %d+%d, digest %016x) disagrees with cached golden info (window %d+%d, digest %016x)",
-			gi.WindowStart, gi.Cycles, gi.Digest, w.WindowStart, w.Cycles, w.Digest)
-	default:
-		cs.set, cs.cycles = set, set.Cycles()
-	}
-}
-
-// checkpointFor returns the latest checkpoint valid for a fault at the
-// given cycle, or nil for a replay from cycle zero. Safe on a nil
-// source (checkpointing disabled).
-func (cs *ckptSource) checkpointFor(cycle int64) (*pipe.Checkpoint, error) {
-	if cs == nil {
-		return nil, nil
-	}
-	cs.once.Do(cs.recapture)
-	if cs.err != nil {
-		return nil, cs.err
-	}
-	if i := pipe.NearestCheckpoint(cs.cycles, cs.set.Lead, cycle); i >= 0 {
-		return cs.set.Checkpoints[i], nil
-	}
-	return nil, nil
 }

@@ -11,13 +11,13 @@
 // Campaigns are deterministic end to end: targets derive from a
 // splitmix64 stream seeded by (Seed, structure, trial index), replays
 // are pure functions of (config, program, budget, fault), and the
-// rendered report is byte-identical across runs, worker counts and
-// cache states. Unique targets group into replay slices — cells of a
-// fixed grid over the golden window (slice.go) — and each slice is one
-// sched.Each item: one fork-replay of all its faults, resumed
-// mid-run from a golden-run checkpoint, whose outcome table is
+// rendered report is byte-identical across runs and cache states.
+// Faults are pure observers, so one replay from cycle zero carries
+// every unique target of a campaign as an independent watch: a
+// campaign is one golden run plus one pass, whose outcome table is
 // memoised in internal/simcache keyed by (golden fingerprint, the
-// slice's fault set), so warm re-runs replay nothing (DESIGN.md §10).
+// campaign's fault set), so warm re-runs replay nothing (DESIGN.md
+// §10).
 package inject
 
 import (
@@ -33,7 +33,6 @@ import (
 	"avfstress/internal/prog"
 	"avfstress/internal/report"
 	"avfstress/internal/rootcause"
-	"avfstress/internal/sched"
 	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
 )
@@ -65,21 +64,9 @@ type Options struct {
 	// Structures restricts the campaign (default: every SER-tracked
 	// structure).
 	Structures []uarch.Structure
-	// Parallelism bounds concurrent slice replays, run through
-	// sched.Each (0 = GOMAXPROCS).
-	Parallelism int
-	// Cache, when set, memoises the golden run and one outcome table per
-	// replay slice; nil replays every slice.
+	// Cache, when set, memoises the golden run and the campaign's
+	// outcome table; nil replays the campaign.
 	Cache *simcache.Store
-	// checkpointInterval controls golden-run checkpoint capture for
-	// fork-replay: 0 (the default) picks the interval automatically, a
-	// positive value checkpoints every that many measured cycles, and a
-	// negative value disables checkpointing so every slice replays from
-	// cycle zero. Checkpoints only accelerate replays — outcomes, slice
-	// cache keys and the rendered report are byte-identical at any
-	// setting. It is unexported because no caller needs another value;
-	// the in-package tests vary it to check that invariance.
-	checkpointInterval int64
 	// PruneStatic controls static liveness pruning of the injection
 	// space (DESIGN.md §12): 0 (the default) and any positive value
 	// enable it, a negative value disables it (the benchmark baseline).
@@ -98,7 +85,7 @@ type Options struct {
 	// per-instruction and per-class vulnerability tables to the result.
 	// Attribution reuses the first-divergent-commit records every trial
 	// replay already produces, so enabling it adds zero replays and
-	// slice blobs stay shared with non-attributing campaigns.
+	// outcome tables stay shared with non-attributing campaigns.
 	RootCause bool
 }
 
@@ -279,46 +266,30 @@ func allocate(total, min int, weights []float64) []int {
 }
 
 // Run executes the campaign: one golden simulation, up-front sampling
-// of every trial target, then one fork-replay job per replay slice
-// fanned out on internal/sched. The context cancels between slices.
+// of every trial target, then one replay from cycle zero carrying every
+// unique target. The context is checked before each simulation.
 func Run(ctx context.Context, o Options) (*Result, error) {
 	o = o.withDefaults()
-	if err := o.Config.Validate(); err != nil {
-		return nil, err
-	}
-	if o.Program == nil {
-		return nil, fmt.Errorf("inject: no program")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pool, err := pipe.NewPool(o.Config)
+	c, err := newCampaign(o)
 	if err != nil {
 		return nil, err
 	}
-	c := &campaign{
-		o:    o,
-		pool: pool,
-		// Unconditional, whatever PruneStatic says: its dead definitions
-		// drive the golden run's (cached) interval recording.
-		live:   liveness.Analyze(o.Program, o.Config.Core),
-		cfgFP:  o.Config.Fingerprint(),
-		progFP: "prog:" + o.Program.Fingerprint(),
-		rcFP:   o.Run.Fingerprint(),
-	}
-	golden, info, src, err := c.goldenRun()
+	golden, info, warm, err := c.goldenRun()
 	if err != nil {
 		return nil, err
 	}
 	// Sampling is up-front and single-threaded and the pruner's inputs
 	// are static or cached with the golden result, so pruned campaigns
-	// stay byte-deterministic across runs, worker counts and caches.
+	// stay byte-deterministic across runs and caches.
 	pr := newPruner(o.PruneStatic >= 0, o.Config, c.live, info)
 	s, err := sample(o, info, pr)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.replay(ctx, info, src, s); err != nil {
+	if err := c.replay(ctx, info, warm, s); err != nil {
 		return nil, err
 	}
 	return aggregateResult(o, golden, info, pr, s), nil
@@ -333,41 +304,77 @@ type campaign struct {
 	cfgFP, progFP, rcFP string
 }
 
+// newCampaign validates defaulted options and prepares a campaign's
+// simulator pool, liveness summary and cache-key fingerprints.
+func newCampaign(o Options) (*campaign, error) {
+	if err := o.Config.Validate(); err != nil {
+		return nil, err
+	}
+	if o.Program == nil {
+		return nil, fmt.Errorf("inject: no program")
+	}
+	pool, err := pipe.NewPool(o.Config)
+	if err != nil {
+		return nil, err
+	}
+	return &campaign{
+		o:    o,
+		pool: pool,
+		// Unconditional, whatever PruneStatic says: its dead definitions
+		// drive the golden run's (cached) interval recording.
+		live:   liveness.Analyze(o.Program, o.Config.Core),
+		cfgFP:  o.Config.Fingerprint(),
+		progFP: "prog:" + o.Program.Fingerprint(),
+		rcFP:   o.Run.Fingerprint(),
+	}, nil
+}
+
 // key addresses one of the campaign's cache entries: its golden run
-// and its slice tables.
+// and its outcome table.
 func (c *campaign) key(part string) simcache.Key {
 	return c.o.Cache.Key(c.cfgFP, c.progFP, c.rcFP, part)
 }
 
-// goldenRun returns the fault-free reference run, its replay facts and
-// the checkpoint source slices fork from (nil when checkpointing is
-// disabled). Result and facts are one cache entry, so a warm campaign
-// skips the golden re-run entirely. Checkpoints are never stored: a
-// campaign that did not run the golden itself re-captures them on
-// demand (ckptSource).
-func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, *ckptSource, error) {
+// goldenRun returns the fault-free reference run and its replay facts,
+// and whether they came from the cache rather than from a run of its
+// own. Result and facts are one cache entry, so a warm campaign skips
+// the golden re-run entirely.
+func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, bool, error) {
 	o := c.o
-	var cks *pipe.CheckpointSet
+	warm := true
 	g, err := simcache.Do(o.Cache, c.key(goldenKeyPart), goldenCodec, func() (golden, error) {
-		res, gi, set, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, o.checkpointInterval, c.live.DeadDefs)
-		cks = set
+		warm = false
+		res, gi, _, err := c.pool.SimulateGoldenRecorded(o.Program, o.Run, -1, c.live.DeadDefs)
 		return golden{res, gi}, err
 	})
 	if err != nil {
-		return nil, g.info, nil, fmt.Errorf("inject: golden run: %w", err)
+		return nil, g.info, false, fmt.Errorf("inject: golden run: %w", err)
 	}
 	if g.info.Cycles <= 0 {
-		return nil, g.info, nil, fmt.Errorf("inject: golden run measured no cycles")
+		return nil, g.info, false, fmt.Errorf("inject: golden run measured no cycles")
 	}
-	if o.checkpointInterval < 0 {
-		return g.res, g.info, nil, nil
+	return g.res, g.info, warm, nil
+}
+
+// checkGolden re-runs the golden run and checks it against cached
+// golden info: the sampler drew every target from that info, so a
+// replay against a golden run that disagrees with it would classify
+// faults at cycles the run never had.
+func (c *campaign) checkGolden(want pipe.GoldenInfo) error {
+	_, gi, err := c.pool.SimulateGolden(c.o.Program, c.o.Run)
+	switch {
+	case err != nil:
+		return fmt.Errorf("inject: golden re-capture: %w", err)
+	case gi.WindowStart != want.WindowStart || gi.Cycles != want.Cycles || gi.Digest != want.Digest:
+		return fmt.Errorf("inject: re-captured golden run (window %d+%d, digest %016x) disagrees with cached golden info (window %d+%d, digest %016x)",
+			gi.WindowStart, gi.Cycles, gi.Digest, want.WindowStart, want.Cycles, want.Digest)
 	}
-	return g.res, g.info, c.ckptSource(g.info, cks), nil
+	return nil
 }
 
 // sampled is a campaign's trial plan, per stratum: replayed targets in
 // draw order (the first phase1[i] as an unpruned campaign draws them),
-// the pruned count, and the outcome slots the slice jobs fill.
+// the pruned count, and the outcome slots the replay fills.
 type sampled struct {
 	bits     []uint64
 	pruned   []int
@@ -464,12 +471,12 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 }
 
 // replay fills every outcome slot. Every slot becomes one target
-// entry; the entries sort by (cycle, structure, bit), repeated targets
-// collapse into one fault while walking them, and the unique faults
-// split at slice boundaries, each slice one sched.Each item
-// (sliceOutcomes) — so a thousand-trial campaign pays for a handful of
-// partial replays and blobs instead of a thousand of each.
-func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSource, s *sampled) error {
+// entry; the entries sort by (cycle, structure, bit) and repeated
+// targets collapse into one fault, so the unique faults ride one
+// replay from cycle zero as independent watches (passOutcomes) — a
+// campaign costs about one golden run and one blob, whatever its trial
+// count.
+func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, warmGolden bool, s *sampled) error {
 	type target struct {
 		f            pipe.Fault
 		stratum, idx int
@@ -485,62 +492,52 @@ func (c *campaign) replay(ctx context.Context, info pipe.GoldenInfo, src *ckptSo
 			targets = append(targets, target{f, i, t})
 		}
 	}
+	if len(targets) == 0 {
+		return nil
+	}
 	slices.SortFunc(targets, func(a, b target) int {
 		return cmp.Or(cmp.Compare(a.f.Cycle, b.f.Cycle), cmp.Compare(a.f.Structure, b.f.Structure), cmp.Compare(a.f.Bit, b.f.Bit))
 	})
-
-	type slice struct {
-		faults  []pipe.Fault
-		entries []target
-	}
-	grid := newSliceGrid(c.o.Config, info)
 	unique := make([]pipe.Fault, 0, len(targets))
-	var work []slice
-	for lo := 0; lo < len(targets); {
-		hi, cell, first := lo, grid.cell(targets[lo].f.Cycle), len(unique)
-		for ; hi < len(targets) && grid.cell(targets[hi].f.Cycle) == cell; hi++ {
-			if hi == lo || targets[hi].f != targets[hi-1].f {
-				unique = append(unique, targets[hi].f)
-			}
+	for i, e := range targets {
+		if i == 0 || e.f != targets[i-1].f {
+			unique = append(unique, e.f)
 		}
-		work = append(work, slice{unique[first:len(unique):len(unique)], targets[lo:hi]})
-		lo = hi
 	}
-	return sched.Each(ctx, len(work), c.o.Parallelism, func(_ context.Context, k int) error {
-		sl := work[k]
-		// Keyed by fault set, not cell or fork point: campaigns share a
-		// slice exactly when they would replay the same faults.
-		trials, err := c.sliceOutcomes(c.key("injslice:"+faultSetHash(sl.faults)), src, sl.faults)
-		if err != nil {
-			return err
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	trials, err := c.passOutcomes(info, warmGolden, unique)
+	if err != nil {
+		return err
+	}
+	// targets holds the unique faults in the same order, once per slot.
+	j := 0
+	for i, e := range targets {
+		if i > 0 && e.f != targets[i-1].f {
+			j++
 		}
-		// Slices partition the targets: items write disjoint slots.
-		// entries holds faults in the same order, once per slot.
-		j := 0
-		for i, e := range sl.entries {
-			if i > 0 && e.f != sl.entries[i-1].f {
-				j++
-			}
-			s.outcomes[e.stratum][e.idx] = trials[j]
-		}
-		return nil
-	})
+		s.outcomes[e.stratum][e.idx] = trials[j]
+	}
+	return nil
 }
 
-// sliceOutcomes returns one slice's trial records: its memoised table,
-// or (counted in Stats.Simulated) one replay carrying all its faults as
-// independent watches, forked from the latest checkpoint valid for the
-// earliest. The store quarantines and replays a table its codec
-// rejects — a legacy or foreign entry.
-func (c *campaign) sliceOutcomes(key simcache.Key, src *ckptSource, faults []pipe.Fault) ([]pipe.FaultTrial, error) {
-	return simcache.Do(c.o.Cache, key, sliceCodec(len(faults)), func() ([]pipe.FaultTrial, error) {
-		ck, err := src.checkpointFor(faults[0].Cycle)
-		if err != nil {
-			return nil, err
+// passOutcomes returns the trial records of a campaign's unique faults:
+// its memoised table, keyed by the fault set alone, or (counted in
+// Stats.Simulated) one replay from cycle zero carrying them all. When
+// the golden entry came warm from the cache, the golden run is re-run
+// first and checked against it (checkGolden). The store quarantines and
+// replays a table its codec rejects — a legacy or foreign entry.
+func (c *campaign) passOutcomes(info pipe.GoldenInfo, warmGolden bool, faults []pipe.Fault) ([]pipe.FaultTrial, error) {
+	return simcache.Do(c.o.Cache, c.key("injpass:"+faultSetHash(faults)), sliceCodec(len(faults)), func() ([]pipe.FaultTrial, error) {
+		if warmGolden {
+			if err := c.checkGolden(info); err != nil {
+				return nil, err
+			}
 		}
-		out, err := c.pool.SimulateFaultsDetailFrom(c.o.Program, c.o.Run, ck, faults)
+		out, err := c.pool.SimulateFaultsDetailFrom(c.o.Program, c.o.Run, nil, faults)
 		if err != nil {
-			return nil, fmt.Errorf("inject: slice replay from cycle %d: %w", faults[0].Cycle, err)
+			return nil, fmt.Errorf("inject: replay of %d faults: %w", len(faults), err)
 		}
 		return out, nil
 	})

@@ -125,9 +125,10 @@ func TestCampaignDetectedTaxonomy(t *testing.T) {
 }
 
 // TestCampaignByteDeterministic: same seed ⇒ byte-identical report —
-// across independent runs, across worker counts, and across a cold and
-// a warm disk cache (the warm run must be served from the blob tier
-// without a single replay).
+// across independent runs and across a cold and a warm disk cache (the
+// warm run must be served from the blob tier without a single replay).
+// Worker-count invariance is a property of the study that fans
+// campaigns out (experiments' TestFaultInjectionWorkerInvariant).
 func TestCampaignByteDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -136,7 +137,6 @@ func TestCampaignByteDeterministic(t *testing.T) {
 	o := testOptions(t, 200)
 
 	o.Cache = simcache.New(simcache.Options{Dir: dir})
-	o.Parallelism = 1
 	cold, err := Run(bg, o)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,6 @@ func TestCampaignByteDeterministic(t *testing.T) {
 
 	// Fresh store, same directory: warm from disk, zero replays.
 	o.Cache = simcache.New(simcache.Options{Dir: dir})
-	o.Parallelism = 4
 	warm, err := Run(bg, o)
 	if err != nil {
 		t.Fatal(err)
@@ -168,43 +167,57 @@ func TestCampaignByteDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignCheckpointIntervalInvariance: the checkpoint interval is
-// a pure replay accelerator — the rendered report must be byte-identical
-// with checkpointing disabled, automatic, dense and sparse, and across
-// worker counts, with no cache to hide differences behind.
-func TestCampaignCheckpointIntervalInvariance(t *testing.T) {
+// TestCampaignPassMatchesSolo is the whole-campaign exactness oracle:
+// the one replay that carries every unique target of a campaign must
+// fill each trial slot with exactly the record a dedicated replay of
+// that fault alone from cycle zero produces — outcome and first
+// divergent commit alike.
+func TestCampaignPassMatchesSolo(t *testing.T) {
 	if testing.Short() {
-		t.Skip("campaign in -short mode")
+		t.Skip("per-fault replays in -short mode")
 	}
-	o := testOptions(t, 200)
-	o.checkpointInterval = -1
-	o.Parallelism = 1
-	base, err := Run(bg, o)
+	o := testOptions(t, 200).withDefaults()
+	c, err := newCampaign(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		interval int64
-		workers  int
-	}{{0, 1}, {0, 4}, {1024, 2}, {16384, 4}} {
-		o.checkpointInterval = tc.interval
-		o.Parallelism = tc.workers
-		got, err := Run(bg, o)
-		if err != nil {
-			t.Fatalf("interval %d workers %d: %v", tc.interval, tc.workers, err)
+	_, info, _, err := c.goldenRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sample(o, info, newPruner(true, o.Config, c.live, info))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.replay(bg, info, false, s); err != nil {
+		t.Fatal(err)
+	}
+	slots, corrupted := 0, 0
+	for i, fs := range s.faults {
+		for k, f := range fs {
+			solo, err := c.pool.SimulateFaultDetail(o.Program, o.Run, f)
+			if err != nil {
+				t.Fatalf("solo replay %+v: %v", f, err)
+			}
+			if got := s.outcomes[i][k]; got != solo {
+				t.Errorf("%s %+v: pass trial %+v, solo trial %+v", f.Structure, f, got, solo)
+			}
+			slots++
+			if solo.Corrupted {
+				corrupted++
+			}
 		}
-		if got.String() != base.String() {
-			t.Errorf("interval %d workers %d: report differs from checkpoint-free run:\n%s\nvs\n%s",
-				tc.interval, tc.workers, got, base)
-		}
+	}
+	if corrupted == 0 || corrupted == slots {
+		t.Errorf("degenerate outcome mix: %d/%d corrupted", corrupted, slots)
 	}
 }
 
 // TestCampaignWarmNoGoldenRerun: a warm cache serves the golden result,
-// its replay facts and every slice's outcome table from the blob tier —
-// the second campaign simulates nothing (slice replays count in
-// Stats.Simulated), even when it asks for a checkpoint interval the cold
-// run never captured: the slice grid does not depend on the interval.
+// its replay facts and the campaign's outcome table from the blob tier
+// — the second campaign simulates nothing (the replay counts in
+// Stats.Simulated), not even the golden run the stale-golden check
+// re-runs when the outcome table misses.
 func TestCampaignWarmNoGoldenRerun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -220,27 +233,23 @@ func TestCampaignWarmNoGoldenRerun(t *testing.T) {
 		t.Fatal("cold campaign simulated nothing")
 	}
 
-	for _, interval := range []int64{0, 1024, 16384, -1} {
-		o.Cache = simcache.New(simcache.Options{Dir: dir})
-		o.checkpointInterval = interval
-		warm, err := Run(bg, o)
-		if err != nil {
-			t.Fatalf("interval %d: %v", interval, err)
-		}
-		if st := o.Cache.Stats(); st.Simulated != 0 {
-			t.Errorf("interval %d: warm campaign simulated %d golden/replay runs, want 0\nstats: %v",
-				interval, st.Simulated, st)
-		}
-		if warm.String() != cold.String() {
-			t.Errorf("interval %d: warm report differs from cold", interval)
-		}
+	o.Cache = simcache.New(simcache.Options{Dir: dir})
+	warm, err := Run(bg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := o.Cache.Stats(); st.Simulated != 0 {
+		t.Errorf("warm campaign simulated %d golden/replay runs, want 0\nstats: %v", st.Simulated, st)
+	}
+	if warm.String() != cold.String() {
+		t.Error("warm report differs from cold")
 	}
 }
 
 // TestCampaignPartialWarmRecaptures: a campaign whose golden result and
-// info come warm from disk but whose slices miss (another seed) re-runs
-// the capturing golden run in memory and renders exactly the report of
-// a cache-free run.
+// info come warm from disk but whose outcome table misses (another
+// seed) re-runs the golden run in memory to check it against the cached
+// info, then renders exactly the report of a cache-free run.
 func TestCampaignPartialWarmRecaptures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -258,10 +267,10 @@ func TestCampaignPartialWarmRecaptures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The golden entry is the only disk hit; every slice of the new
-	// seed misses and replays.
+	// The golden entry is the only disk hit; the new seed's outcome
+	// table misses and replays.
 	if st := o.Cache.Stats(); st.DiskHits != 1 || st.Simulated == 0 {
-		t.Errorf("seed-2 stats %v, want 1 disk hit (the golden entry) and replayed slices", st)
+		t.Errorf("seed-2 stats %v, want 1 disk hit (the golden entry) and a replay", st)
 	}
 	o.Cache = nil
 	bare, err := Run(bg, o)
@@ -273,9 +282,9 @@ func TestCampaignPartialWarmRecaptures(t *testing.T) {
 	}
 }
 
-// TestCampaignStaleGoldenInfoFails: cached golden info that the
-// re-captured golden run contradicts fails the campaign instead of
-// replaying against it.
+// TestCampaignStaleGoldenInfoFails: cached golden info that the re-run
+// golden run contradicts fails the campaign instead of replaying
+// against it.
 func TestCampaignStaleGoldenInfoFails(t *testing.T) {
 	o := testOptions(t, 40)
 	o.Cache = simcache.New(simcache.Options{})
@@ -297,7 +306,7 @@ func TestCampaignStaleGoldenInfoFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o.Seed = 2 // new slices, so the checkpoints are re-captured
+	o.Seed = 2 // a new fault set, so the replay misses and the golden run is re-run
 	res, err := Run(bg, o)
 	if err == nil {
 		t.Fatalf("campaign over stale golden info rendered a report:\n%s", res)
@@ -351,10 +360,11 @@ func TestWilson(t *testing.T) {
 	}
 }
 
-// TestCampaignDiskFootprintPerSlice: a cold campaign with a disk tier
-// writes one blob per replay slice plus the golden info — O(slices),
-// not O(trials), and no checkpoints (they live in memory only).
-func TestCampaignDiskFootprintPerSlice(t *testing.T) {
+// TestCampaignDiskFootprintOnePass: a cold campaign with a disk tier
+// runs two simulations, the golden run and one replay, and writes two
+// blobs, the golden entry and the outcome table — O(1) in its trial
+// count.
+func TestCampaignDiskFootprintOnePass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
 	}
@@ -365,15 +375,6 @@ func TestCampaignDiskFootprintPerSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := pipe.NewPool(o.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, info, _, err := pool.SimulateGoldenRecorded(o.Program, o.Run, -1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slices := newSliceGrid(o.Config, info).cell(info.WindowStart+info.Cycles-1) + 2 // cells -1..last
 	ents, err := os.ReadDir(filepath.Join(dir, simcache.EngineVersion))
 	if err != nil {
 		t.Fatal(err)
@@ -384,55 +385,11 @@ func TestCampaignDiskFootprintPerSlice(t *testing.T) {
 			bins++
 		}
 	}
-	t.Logf("%d trials: %d blob files, %d slices", res.Trials, bins, slices)
-	if limit := int(slices) + 1; bins > limit {
-		t.Errorf("%d blob files on disk, want at most %d (%d slices + golden info)", bins, limit, slices)
+	t.Logf("%d trials: %d blob files", res.Trials, bins)
+	if bins != 2 {
+		t.Errorf("%d blob files on disk, want 2 (golden entry + outcome table)", bins)
 	}
-	if bins*4 > res.Trials {
-		t.Errorf("%d blob files for %d trials: the disk tier is not slice-granular", bins, res.Trials)
-	}
-	if sims := o.Cache.Stats().Simulated; sims > slices+1 {
-		t.Errorf("cold campaign ran %d simulations, want at most %d slices + 1 golden", sims, slices)
-	}
-}
-
-// TestSliceGridMatchesAutoCheckpoints: the slice grid coincides with
-// the automatic checkpoint capture — same spacing after thinning, same
-// validity lead, one capture per grid cell — on a short window, on one
-// just past 64·1024 cycles (where the first thinning kicks in) and on
-// one long enough to thin twice.
-func TestSliceGridMatchesAutoCheckpoints(t *testing.T) {
-	o := testOptions(t, 1)
-	pool, err := pipe.NewPool(o.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mi := range []int64{o.Run.MaxInstructions, 27_500, 60_000} {
-		rc := pipe.RunConfig{MaxInstructions: mi, WarmupInstructions: o.Run.WarmupInstructions}
-		_, info, set, err := pool.SimulateGoldenRecorded(o.Program, rc, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mi == 27_500 && (info.Cycles <= 64*1024 || info.Cycles > 65*1024) {
-			t.Fatalf("%d-instruction window is %d cycles, not just past 64·1024", mi, info.Cycles)
-		}
-		g := newSliceGrid(o.Config, info)
-		t.Logf("%d-cycle window: grid %+v, %d checkpoints", info.Cycles, g, len(set.Checkpoints))
-		if g.width != set.Interval || g.lead != set.Lead || g.start != info.WindowStart {
-			t.Errorf("%d-cycle window: grid %+v, checkpoint set interval %d lead %d",
-				info.Cycles, g, set.Interval, set.Lead)
-		}
-		if g.cell(info.WindowStart) != -1 || g.cell(info.WindowStart+g.lead) != 0 ||
-			g.cell(info.WindowStart+g.lead+g.width) != 1 || (info.Cycles-1)/g.width >= 64 {
-			t.Errorf("%d-cycle window: cell boundaries off for grid %+v", info.Cycles, g)
-		}
-		prev := int64(-1)
-		for _, c := range set.Cycles() {
-			k := g.cell(c + g.lead)
-			if k <= prev {
-				t.Errorf("%d-cycle window: capture at %d in cell %d after cell %d", info.Cycles, c, k, prev)
-			}
-			prev = k
-		}
+	if sims := o.Cache.Stats().Simulated; sims != 2 {
+		t.Errorf("cold campaign ran %d simulations, want 2 (golden run + one replay)", sims)
 	}
 }

@@ -243,15 +243,14 @@ func TestCampaignPrunesRFTargets(t *testing.T) {
 }
 
 // TestCampaignPrunedByteDeterministic: a pruned campaign renders
-// byte-identically across worker counts and across equivalent positive
-// knob values (every PruneStatic ≥ 0 is the same filter).
+// byte-identically across equivalent positive knob values (every
+// PruneStatic ≥ 0 is the same filter).
 func TestCampaignPrunedByteDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
 	}
 	o := testOptions(t, 200)
 	o.PruneStatic = 0
-	o.Parallelism = 1
 	base, err := Run(bg, o)
 	if err != nil {
 		t.Fatal(err)
@@ -260,12 +259,11 @@ func TestCampaignPrunedByteDeterministic(t *testing.T) {
 		t.Fatal("pruned campaign pruned no targets (nothing exercised)")
 	}
 	o.PruneStatic = 5
-	o.Parallelism = 8
 	got, err := Run(bg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != base.String() {
-		t.Errorf("pruned campaign differs across workers/knob values:\n%s\nvs\n%s", got, base)
+		t.Errorf("pruned campaign differs across knob values:\n%s\nvs\n%s", got, base)
 	}
 }

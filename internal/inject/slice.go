@@ -1,11 +1,8 @@
 package inject
 
-// Replay slices, the unit of outcome memoisation and of replay jobs
-// (DESIGN.md §10): cells of a fixed grid over the golden window, each
-// replayed as one forked job whose outcomes persist as one binary table
-// keyed by the cell's fault set. The grid depends on GoldenInfo and the
-// configuration only — never on the checkpoint interval — so a cache
-// warmed at one interval serves campaigns at every other.
+// Outcome tables, the unit of outcome memoisation (DESIGN.md §10): a
+// campaign's one replay persists its trial records as one binary table
+// keyed by the campaign's fault set.
 
 import (
 	"crypto/sha256"
@@ -16,34 +13,9 @@ import (
 	"avfstress/internal/isa"
 	"avfstress/internal/pipe"
 	"avfstress/internal/simcache"
-	"avfstress/internal/uarch"
 )
 
-// sliceGrid partitions a measurement window into replay slices. Cell -1
-// is the head [start, start+lead) no checkpoint can serve; cell k ≥ 0
-// covers [start+lead+k·width, start+lead+(k+1)·width).
-type sliceGrid struct {
-	start, lead, width int64
-}
-
-// newSliceGrid lays the grid over a golden run's window: the automatic
-// checkpoint spacing for its length, offset by the checkpoint validity
-// lead, so at the default interval each cell starts where one captured
-// checkpoint becomes valid.
-func newSliceGrid(cfg uarch.Config, info pipe.GoldenInfo) sliceGrid {
-	return sliceGrid{start: info.WindowStart, lead: cfg.Mem.TimestampLead(), width: pipe.AutoCheckpointSpacing(info.Cycles)}
-}
-
-// cell returns the slice index of an injection cycle.
-func (g sliceGrid) cell(cycle int64) int64 {
-	d := cycle - g.start - g.lead
-	if d < 0 {
-		return -1
-	}
-	return d / g.width
-}
-
-// faultSetHash content-addresses a slice's fault list for its blob:
+// faultSetHash content-addresses a fault list for its outcome table:
 // SHA-256 over each (structure, bit, cycle) in binary.
 func faultSetHash(faults []pipe.Fault) string {
 	buf := make([]byte, 0, 18*len(faults))
@@ -56,17 +28,17 @@ func faultSetHash(faults []pipe.Fault) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Slice blob codec: a magic, a little-endian uint32 record count, then
-// per fault in slice order a fixed-width record — flags (bit 0 =
+// Outcome-table codec: a magic, a little-endian uint32 record count,
+// then per fault in table order a fixed-width record — flags (bit 0 =
 // corrupted), Diverge.Seq, PC, Op, SrcSlot. The replay digest is not
-// stored (slice replays run in outcome mode, where it is zero).
+// stored (campaign replays run in outcome mode, where it is zero).
 const (
 	sliceMagic  = "injslc1\x00"
 	sliceHeader = len(sliceMagic) + 4
 	sliceRecord = 19
 )
 
-// encodeSlice renders a slice's trial records as its blob.
+// encodeSlice renders trial records as an outcome-table blob.
 func encodeSlice(trials []pipe.FaultTrial) []byte {
 	b := make([]byte, 0, sliceHeader+sliceRecord*len(trials))
 	b = append(b, sliceMagic...)
@@ -84,8 +56,8 @@ func encodeSlice(trials []pipe.FaultTrial) []byte {
 	return b
 }
 
-// sliceCodec is the cache codec of one slice's outcome table of n
-// records, n being its fault count.
+// sliceCodec is the cache codec of an outcome table of n records, n
+// being its fault count.
 func sliceCodec(n int) simcache.Codec[[]pipe.FaultTrial] {
 	return simcache.Codec[[]pipe.FaultTrial]{
 		Ext:    ".bin",
@@ -94,7 +66,7 @@ func sliceCodec(n int) simcache.Codec[[]pipe.FaultTrial] {
 	}
 }
 
-// decodeSlice parses a slice blob of exactly n records, strictly: a
+// decodeSlice parses an outcome-table blob of exactly n records, strictly: a
 // wrong magic, count or length, or a field out of range is undecodable
 // (the store quarantines and replays it). Legacy per-trial blobs never decode.
 func decodeSlice(b []byte, n int) ([]pipe.FaultTrial, error) {

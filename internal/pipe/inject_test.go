@@ -1,6 +1,8 @@
 package pipe_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -15,7 +17,7 @@ func sameGoldenInfo(a, b pipe.GoldenInfo) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-func injectFixture(t *testing.T) (uarch.Config, *pipe.Pool, pipe.RunConfig) {
+func injectFixture(t testing.TB) (uarch.Config, *pipe.Pool, pipe.RunConfig) {
 	t.Helper()
 	cfg := uarch.Scaled(uarch.Baseline(), 32)
 	pool, err := pipe.NewPool(cfg)
@@ -172,4 +174,48 @@ func TestFaultValidation(t *testing.T) {
 	if _, err := pl.RunFault(rc, pipe.Fault{Structure: uarch.ROB, Cycle: 1 << 40}, false); err == nil {
 		t.Error("beyond-end-of-run cycle accepted")
 	}
+}
+
+// FuzzFaultBatchMatchesSolo is the one-pass exactness oracle over
+// arbitrary fault sets: one replay from cycle zero carrying every fault
+// must resolve each exactly as a dedicated replay of that fault alone,
+// first divergent commit included. Every 9 input bytes decode to one
+// fault — a structure byte, then 4 bytes each of bit and window offset
+// — so repeated chunks yield duplicate targets and shared cycles.
+func FuzzFaultBatchMatchesSolo(f *testing.F) {
+	cfg, pool, rc := injectFixture(f)
+	k := codegen.Knobs{LoopSize: 81, NumLoads: 29, NumStores: 28,
+		NumIndepArith: 5, MissDependent: 7, AvgChainLength: 2.14,
+		DepDistance: 6, FracLongLatency: 0.8, FracRegReg: 0.93, Seed: 42}
+	p, _, err := codegen.Generate(cfg, k, 1<<40)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, info, err := pool.SimulateGolden(p, rc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const chunk, maxFaults = 9, 24
+	for _, seed := range []lcg{3, 17, 101} {
+		b := make([]byte, 0, chunk*maxFaults)
+		for len(b) < cap(b) {
+			b = binary.LittleEndian.AppendUint64(b, seed.next())
+		}
+		f.Add(b[:cap(b)])
+	}
+	f.Add(bytes.Repeat([]byte{byte(uarch.RF), 1, 2, 3, 4, 5, 6, 7, 8}, 3))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var faults []pipe.Fault
+		for ; len(b) >= chunk && len(faults) < maxFaults; b = b[chunk:] {
+			s := uarch.Structure(b[0] % byte(uarch.NumStructures))
+			faults = append(faults, pipe.Fault{
+				Structure: s,
+				Bit:       uint64(binary.LittleEndian.Uint32(b[1:])) % uarch.Bits(cfg, s),
+				Cycle:     info.WindowStart + int64(binary.LittleEndian.Uint32(b[5:]))%info.Cycles,
+			})
+		}
+		if len(faults) > 0 {
+			batchMatchesSolo(t, pool, p, rc, faults)
+		}
+	})
 }

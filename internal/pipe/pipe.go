@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/bpred"
@@ -426,8 +427,16 @@ func (pl *Pipeline) resumeLoop(rc RunConfig) error {
 // running in full mode. A checkpointing golden run (pl.ckptRec non-nil)
 // snapshots the full simulator state at the top of the loop whenever the
 // recorder's next capture cycle is reached.
+//
+// The loop yields its P every 4096 iterations: a campaign's one replay
+// runs for tens of milliseconds as a single sched.Each item, and
+// without the yield expired timers and network handlers (the daemon's
+// /v1/healthz) wait for the next asynchronous preemption, about 10 ms.
 func (pl *Pipeline) runCycles(b runBudget) error {
-	for pl.acct.committed+pl.acct.warmupDone < b.maxInstrs {
+	for iter := uint32(1); pl.acct.committed+pl.acct.warmupDone < b.maxInstrs; iter++ {
+		if iter%4096 == 0 {
+			runtime.Gosched()
+		}
 		if pl.streamDone && pl.robCount() == 0 && !pl.havePending {
 			break
 		}

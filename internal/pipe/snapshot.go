@@ -20,6 +20,13 @@ package pipe
 // SimulateFaultsDetailFrom forks a replay from the nearest checkpoint that is
 // safely before the fault instead of from cycle zero.
 //
+// Injection campaigns no longer fork: internal/inject replays each
+// campaign once from cycle zero with every fault armed, which costs
+// less than forking many partial replays (DESIGN.md §10). Checkpoint
+// capture and forking remain for perfbench's traced campaign probe,
+// which still calls them; they go once that probe moves to the
+// one-pass entry point.
+//
 // Safety margin: hierarchy accesses carry timestamps that run ahead of
 // the pipeline wall clock (a load issued at wall cycle W stamps its L2
 // fill at W+latencies), so a lifetime interval containing fault cycle F
@@ -340,27 +347,13 @@ const (
 	maxCheckpoints = 64
 )
 
-// AutoCheckpointSpacing is the capture interval an automatic-interval
-// checkpointed golden run (interval 0) settles on for a measurement
-// window of the given length: autoCheckpointInterval, doubled while the
-// window reaches past maxCheckpoints grid cells. Callers that lay their
-// own grid over the window (internal/inject's replay slices) use it to
-// coincide with the captured checkpoints.
-func AutoCheckpointSpacing(cycles int64) int64 {
-	w := int64(autoCheckpointInterval)
-	for cycles > maxCheckpoints*w {
-		w *= 2
-	}
-	return w
-}
-
 // ckptRecorder captures checkpoints during a golden run at the top of
 // the cycle loop (runCycles), on a grid anchored at the measurement-
 // window start: one capture at the first loop cycle inside each cell
 // [start+k·interval, start+(k+1)·interval). Anchoring the grid (rather
 // than spacing each capture from the previous one) keeps fast-forwarded
 // cycles from drifting captures later, so the final interval is a
-// function of the window length alone (AutoCheckpointSpacing).
+// function of the window length alone.
 type ckptRecorder struct {
 	interval int64
 	nextAt   int64 // zero-valued recorder fires at the first measured cycle

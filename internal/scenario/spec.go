@@ -75,8 +75,8 @@ type Spec struct {
 	// separate pruned outcome column that keeps totals reconciling.
 	PruneStatic int `json:"prune_static,omitempty"`
 	// Parallelism bounds each CPU fan-out independently — a workload
-	// suite's simulations, a GA search's evaluations and a campaign's
-	// slice replays (0 = all cores).
+	// suite's simulations, a GA search's evaluations and an injection
+	// study's campaigns (0 = all cores).
 	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutSec deadlines the whole request (0 = none).
 	TimeoutSec int `json:"timeout_sec,omitempty"`

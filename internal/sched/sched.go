@@ -1,7 +1,7 @@
 // Package sched is the repository's one fan-out mechanism: Each, a
 // bounded parallel-for over independent items. A scenario portfolio's
 // renders, a GA generation's fitness evaluations, a workload suite's
-// simulations and a campaign's replay slices all run through it. Work
+// simulations and an injection study's campaigns all run through it. Work
 // shared between items is deduplicated above this package, by the
 // experiments Context's memoised flights — sched keeps no keys.
 //

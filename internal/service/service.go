@@ -31,11 +31,11 @@
 // Monte Carlo fault-injection validation, sized by the spec's
 // inject_trials field; DESIGN.md §9) and rootcause (the same study's
 // per-instruction attribution view; DESIGN.md §14). Fault-injection
-// outcomes memoise per replay slice in the shared store like every
-// other result, so a repeated campaign (same program, trials and seed)
-// replays nothing, and faultinject/rootcause with equal parameters
-// share one study. Campaigns that sample different faults share no
-// slices (DESIGN.md §10).
+// outcomes memoise one table per campaign in the shared store like
+// every other result, so a repeated campaign (same program, trials and
+// seed) replays nothing, and faultinject/rootcause with equal
+// parameters share one study. Campaigns that sample different faults
+// share no outcome table (DESIGN.md §10).
 package service
 
 import (

@@ -382,7 +382,11 @@ func TestHistoryEviction(t *testing.T) {
 // TestHealthzLatencyOneCPU locks the control plane's latency on one P:
 // while a busy reference-mode job (fig3 plus a fault-injection
 // campaign) runs every fan-out through sched.Each, GET /v1/healthz —
-// probed every 5 ms — must keep its p99 under 100 ms.
+// probed every 5 ms — must keep its p99 under 50 ms. A CPU-bound item
+// that never yields (a campaign's one replay is a single item of tens
+// of milliseconds) holds the P until asynchronous preemption and pushes
+// the p99 past the bound; the simulator's cycle loop yields to keep it
+// under.
 func TestHealthzLatencyOneCPU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("busy job in -short mode")
@@ -431,7 +435,7 @@ func TestHealthzLatencyOneCPU(t *testing.T) {
 	p99 := lat[(len(lat)*99+99)/100-1]
 	t.Logf("%d healthz samples: p50 %v, p90 %v, p99 %v, max %v",
 		len(lat), lat[len(lat)/2], lat[len(lat)*9/10], p99, lat[len(lat)-1])
-	if p99 >= 100*time.Millisecond {
-		t.Errorf("healthz p99 %v on one P, want < 100ms", p99)
+	if p99 >= 50*time.Millisecond {
+		t.Errorf("healthz p99 %v on one P, want < 50ms", p99)
 	}
 }
