@@ -134,6 +134,7 @@ chaos-smoke:
 # docs-check keeps the documentation honest: gofmt, vet, every example
 # builds, and no README/DESIGN reference points at a repo path, or (via
 # go doc) at an internal package's function, type, field or method, that
-# no longer exists.
+# no longer exists; and no func in internal/ or cmd/ is reached only by
+# tests (scripts/docs_check.sh rule 7).
 docs-check:
 	sh scripts/docs_check.sh

@@ -218,7 +218,7 @@ func BenchmarkRunAll(b *testing.B) {
 	var sims int64
 	for i := 0; i < b.N; i++ {
 		ctx := experiments.NewContext(benchOpts())
-		if _, err := ctx.RunAll(context.Background()); err != nil {
+		if _, err := ctx.RunScenarios(context.Background(), experiments.Names()); err != nil {
 			b.Fatal(err)
 		}
 		sims = ctx.CacheStats().Simulated
@@ -234,14 +234,14 @@ func BenchmarkRunAllWarm(b *testing.B) {
 	store := simcache.New(simcache.Options{})
 	opts := benchOpts()
 	opts.Cache = store
-	if _, err := experiments.NewContext(opts).RunAll(context.Background()); err != nil {
+	if _, err := experiments.NewContext(opts).RunScenarios(context.Background(), experiments.Names()); err != nil {
 		b.Fatal(err)
 	}
 	warmed := store.Stats().Simulated
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := experiments.NewContext(opts)
-		if _, err := ctx.RunAll(context.Background()); err != nil {
+		if _, err := ctx.RunScenarios(context.Background(), experiments.Names()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -305,9 +305,6 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Lines returns the total number of lines.
 func (c *Cache) Lines() int { return c.sets * c.cfg.Ways }
 
@@ -322,20 +319,10 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(l & c.setMask), l >> c.setShift
 }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ uint64(c.cfg.LineBytes-1)
-}
-
 // aceBytes returns the accumulated data-array ACE in byte-cycles. Every
 // byte of a chunk shares its (state, time), so the per-chunk total
 // scales exactly.
 func (c *Cache) aceBytes() uint64 { return c.aceChunkCycles * uint64(c.chunkBytes) }
-
-// Probe reports whether addr currently hits, without touching any state.
-func (c *Cache) Probe(addr uint64) bool {
-	return c.find(addr) != nil
-}
 
 func (c *Cache) find(addr uint64) *line {
 	set, tag := c.index(addr)
@@ -385,42 +372,6 @@ func (c *Cache) alignPanic(addr uint64, size int) {
 		c.cfg.Name, addr, size, c.chunkBytes))
 }
 
-// Touch applies a read or write of size bytes at addr to a resident
-// line, updating LRU state and chunk lifetimes. The access must not
-// cross a line boundary and the line must be resident (callers
-// Probe/Fill first); violations return an error so invariant tests can
-// catch them. The hierarchy fast path uses Access instead.
-func (c *Cache) Touch(now int64, addr uint64, size int, write bool) error {
-	hit, err := c.TouchHit(now, addr, size, write)
-	if err == nil && !hit {
-		return fmt.Errorf("cache %s: touch of non-resident address %#x", c.cfg.Name, addr)
-	}
-	return err
-}
-
-// TouchHit applies a read or write of size bytes at addr when the line
-// is resident and reports whether it was; on a miss no state changes.
-func (c *Cache) TouchHit(now int64, addr uint64, size int, write bool) (bool, error) {
-	ln := c.find(addr)
-	if ln == nil {
-		return false, nil
-	}
-	off := int(addr & uint64(c.cfg.LineBytes-1))
-	if off+size > c.cfg.LineBytes {
-		return false, fmt.Errorf("cache %s: access %#x size %d crosses line boundary", c.cfg.Name, addr, size)
-	}
-	ci, n := c.chunkSpan(addr, size)
-	if c.watched != nil {
-		c.watchSpan(ln, ci, n, now, write)
-	}
-	ln.lru = now
-	c.Accesses++
-	for k := 0; k < n; k++ {
-		c.closeChunk(ln, ci+k, now, write)
-	}
-	return true, nil
-}
-
 // Access is the demand-access fast path: one associative walk; on a hit
 // the chunk lifetimes are updated at time now and true is returned, on a
 // miss nothing changes. With SetDebugChecks the line-crossing invariant
@@ -462,54 +413,28 @@ func (c *Cache) Access(now int64, addr uint64, size int, write bool) bool {
 	return true
 }
 
-// TouchMask applies a writeback mask from an upper-level cache: a write
-// to the bytes selected by mask (bit i = byte i of the line containing
-// addr). Counted as WritebackAccesses, not demand Accesses. The mask
-// must cover whole chunks.
-func (c *Cache) TouchMask(now int64, addr uint64, mask uint64) error {
-	ln := c.find(addr)
-	if ln == nil {
-		return fmt.Errorf("cache %s: masked touch of non-resident address %#x", c.cfg.Name, addr)
-	}
-	if err := c.applyMask(ln, now, mask); err != nil {
-		return err
-	}
-	ln.lru = now
-	c.WritebackAccesses++
-	return nil
-}
-
-// applyMask marks the chunks covered by the byte mask as written at now.
-func (c *Cache) applyMask(ln *line, now int64, mask uint64) error {
+// applyMask marks the chunks covered by the byte mask as written at now,
+// panicking on a mask that covers part of a chunk.
+func (c *Cache) applyMask(ln *line, now int64, mask uint64) {
 	for ci := 0; ci < c.cpl; ci++ {
 		sub := (mask >> uint(ci<<c.chunkBits)) & c.chunkUnit
 		if sub == 0 {
 			continue
 		}
 		if sub != c.chunkUnit {
-			return fmt.Errorf("cache %s: writeback mask %#x covers a partial %d-byte chunk",
-				c.cfg.Name, mask, c.chunkBytes)
+			panic(fmt.Sprintf("cache %s: writeback mask %#x covers a partial %d-byte chunk",
+				c.cfg.Name, mask, c.chunkBytes))
 		}
 		if c.watched != nil {
 			c.watchSpan(ln, ci, 1, now, true)
 		}
 		c.closeChunkWrite(ln, ci, now)
 	}
-	return nil
 }
 
-// closeChunk ends the chunk's current lifetime interval at time now and
-// begins the next one; split into read/write specialisations so both
-// stay inlinable on the access fast paths.
-func (c *Cache) closeChunk(ln *line, ci int, now int64, write bool) {
-	if write {
-		c.closeChunkWrite(ln, ci, now)
-	} else {
-		c.closeChunkRead(ln, ci, now)
-	}
-}
-
-// closeChunkRead: fill→read, read→read and write→read are all ACE.
+// closeChunkRead ends a chunk's current lifetime interval with a read at
+// time now and begins the next: fill→read, read→read and write→read are
+// all ACE.
 //
 // The chunk-transition helpers carry no fate-watch hooks: they are
 // inlined into every access fast path, and even a nil-check call here
@@ -643,24 +568,6 @@ func (c *Cache) addAce(ln *line, t0, t1 int64) {
 	}
 }
 
-// Fill allocates the line containing addr (whole-line fill at time now),
-// evicting the LRU way if necessary. It returns the writeback for a
-// dirty victim. Filling an already-resident line is an error. The
-// hierarchy fast path uses FillTouch/ReadLine instead.
-func (c *Cache) Fill(now int64, addr uint64) (wb Writeback, dirty bool, err error) {
-	if c.find(addr) != nil {
-		return Writeback{}, false, fmt.Errorf("cache %s: double fill of %#x", c.cfg.Name, addr)
-	}
-	set, tag := c.index(addr)
-	victim := c.selectVictim(set)
-	if victim.valid {
-		wb, dirty = c.evictLine(victim, now, set)
-	}
-	c.Misses++
-	c.fillLine(victim, tag, now)
-	return wb, dirty, nil
-}
-
 // fillLine initialises victim as a freshly filled line at time now.
 func (c *Cache) fillLine(victim *line, tag uint64, now int64) {
 	c.epoch++
@@ -678,8 +585,8 @@ func (c *Cache) fillLine(victim *line, tag uint64, now int64) {
 
 // FillTouch is the L1 miss fast path: allocate the line containing addr
 // (whole-line fill at fillT, evicting the LRU way) and immediately apply
-// the demand access of size bytes at touchT. Equivalent to Fill followed
-// by Touch, in one victim selection and no residency re-walk.
+// the demand access of size bytes at touchT, in one victim selection and
+// no residency re-walk.
 func (c *Cache) FillTouch(fillT, touchT int64, addr uint64, size int, write bool) (wb Writeback, dirty bool) {
 	if debugChecks {
 		if c.find(addr) != nil {
@@ -774,9 +681,7 @@ func (c *Cache) WriteMask(now int64, addr uint64, mask uint64) {
 	}
 	ln.lru = now
 	c.WritebackAccesses++
-	if err := c.applyMask(ln, now, mask); err != nil {
-		panic(err)
-	}
+	c.applyMask(ln, now, mask)
 }
 
 // evictLine closes all chunk lifetimes and the tag lifetime of ln.
@@ -894,9 +799,6 @@ func (c *Cache) AVF(cycles int64) float64 {
 	db, tb := float64(c.DataBits()), float64(c.TagBits())
 	return (c.DataAVF(cycles)*db + c.TagAVF(cycles)*tb) / (db + tb)
 }
-
-// TotalBits returns data + tag bits.
-func (c *Cache) TotalBits() uint64 { return c.DataBits() + c.TagBits() }
 
 // MissRate returns misses over demand accesses. Fills count as misses;
 // demand touches count as accesses. Writeback-apply traffic from an

@@ -51,83 +51,72 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
+// checked runs f with the fast-path invariant checks on, so a test that
+// breaks a residency or alignment rule panics instead of passing.
+func checked(t *testing.T) {
+	prev := SetDebugChecks(true)
+	t.Cleanup(func() { SetDebugChecks(prev) })
+}
+
+// resident reports whether addr's line is in c, without touching state.
+func (c *Cache) resident(addr uint64) bool { return c.find(addr) != nil }
+
 func TestHitMissAndLRU(t *testing.T) {
+	checked(t)
 	c := tiny()
 	// Three lines mapping to the same set (stride = sets*line = 256).
 	a0, a1, a2 := uint64(0), uint64(256), uint64(512)
-	for _, a := range []uint64{a0, a1} {
-		if c.Probe(a) {
-			t.Fatalf("cold probe of %#x hit", a)
-		}
-		if _, _, err := c.Fill(0, a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.Probe(a0) || !c.Probe(a1) {
+	c.FillTouch(0, 0, a0, 8, false)
+	c.FillTouch(0, 0, a1, 8, false)
+	if !c.resident(a0) || !c.resident(a1) {
 		t.Fatal("filled lines must hit")
 	}
 	// Touch a0 so a1 is LRU, then fill a2: a1 must be evicted.
-	if err := c.Touch(1, a0, 8, false); err != nil {
-		t.Fatal(err)
+	if !c.Access(1, a0, 8, false) {
+		t.Fatal("resident line missed")
 	}
-	if _, _, err := c.Fill(2, a2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Probe(a1) {
+	c.FillTouch(2, 2, a2, 8, false)
+	if c.resident(a1) {
 		t.Error("LRU line a1 survived eviction")
 	}
-	if !c.Probe(a0) || !c.Probe(a2) {
+	if !c.resident(a0) || !c.resident(a2) {
 		t.Error("MRU line or new line missing")
 	}
 }
 
-func TestDoubleFillRejected(t *testing.T) {
-	c := tiny()
-	if _, _, err := c.Fill(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Fill(1, 0); err == nil {
-		t.Error("double fill accepted")
-	}
-}
-
+// TestTouchNonResidentRejected: a demand access to a line that is not
+// resident is refused — Access reports the miss and changes no state, so
+// the caller fills through FillTouch.
 func TestTouchNonResidentRejected(t *testing.T) {
+	checked(t)
 	c := tiny()
-	if err := c.Touch(0, 0x40, 8, false); err == nil {
-		t.Error("touch of non-resident line accepted")
+	c.FillTouch(0, 0, 0, 8, true)
+	before := *c
+	if c.Access(5, 0x40, 8, false) {
+		t.Fatal("access of a non-resident line hit")
 	}
-	if err := c.TouchMask(0, 0x40, 1); err == nil {
-		t.Error("masked touch of non-resident line accepted")
+	if c.Accesses != before.Accesses || c.Misses != before.Misses || c.aceBytes() != before.aceBytes() {
+		t.Error("refused access changed counters")
 	}
-}
-
-func TestLineCrossingRejected(t *testing.T) {
-	c := tiny()
-	if _, _, err := c.Fill(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Touch(0, 60, 8, false); err == nil {
-		t.Error("line-crossing access accepted")
+	if c.resident(0x40) {
+		t.Error("refused access allocated the line")
 	}
 }
 
 // Lifetime rules, byte-granular. Each sub-test drives one transition and
-// checks the ACE contribution in data byte-cycles.
+// checks the ACE contribution in data byte-cycles. A fill is FillTouch
+// with a zero-byte touch, which closes no chunk.
 func TestLifetimeRules(t *testing.T) {
+	checked(t)
 	ace := func(ops func(c *Cache)) uint64 {
 		c := tiny()
 		ops(c)
 		return c.aceBytes()
 	}
-	fill := func(c *Cache, at int64) {
-		if _, _, err := c.Fill(at, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fill := func(c *Cache, at int64) { c.FillTouch(at, at, 0, 0, false) }
 	t.Run("fill→read is ACE", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 8, false)
+			c.FillTouch(0, 10, 0, 8, false)
 		})
 		if got != 8*10 {
 			t.Errorf("ACE byte-cycles = %d, want 80", got)
@@ -135,9 +124,8 @@ func TestLifetimeRules(t *testing.T) {
 	})
 	t.Run("read→read is ACE", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 8, false)
-			c.Touch(30, 0, 8, false)
+			c.FillTouch(0, 10, 0, 8, false)
+			c.Access(30, 0, 8, false)
 		})
 		if got != 8*10+8*20 {
 			t.Errorf("ACE byte-cycles = %d, want 240", got)
@@ -145,8 +133,7 @@ func TestLifetimeRules(t *testing.T) {
 	})
 	t.Run("fill→write is un-ACE", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 8, true)
+			c.FillTouch(0, 10, 0, 8, true)
 		})
 		if got != 0 {
 			t.Errorf("ACE byte-cycles = %d, want 0", got)
@@ -154,9 +141,8 @@ func TestLifetimeRules(t *testing.T) {
 	})
 	t.Run("write→read is ACE", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 8, true)
-			c.Touch(25, 0, 8, false)
+			c.FillTouch(0, 10, 0, 8, true)
+			c.Access(25, 0, 8, false)
 		})
 		if got != 8*15 {
 			t.Errorf("ACE byte-cycles = %d, want 120", got)
@@ -164,9 +150,8 @@ func TestLifetimeRules(t *testing.T) {
 	})
 	t.Run("read→write is un-ACE for the gap", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 8, false) // fill→read ACE: 80
-			c.Touch(30, 0, 8, true)  // read→write: gap un-ACE
+			c.FillTouch(0, 10, 0, 8, false) // fill→read ACE: 80
+			c.Access(30, 0, 8, true)        // read→write: gap un-ACE
 		})
 		if got != 80 {
 			t.Errorf("ACE byte-cycles = %d, want 80", got)
@@ -174,8 +159,7 @@ func TestLifetimeRules(t *testing.T) {
 	})
 	t.Run("write→evict is ACE (writeback)", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 8, true)
+			c.FillTouch(0, 10, 0, 8, true)
 			c.Finalize(50) // dirty close = evict
 		})
 		if got != 8*40 {
@@ -184,8 +168,7 @@ func TestLifetimeRules(t *testing.T) {
 	})
 	t.Run("read→evict is un-ACE", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 8, false)
+			c.FillTouch(0, 10, 0, 8, false)
 			c.Finalize(50)
 		})
 		if got != 80 {
@@ -203,8 +186,7 @@ func TestLifetimeRules(t *testing.T) {
 	})
 	t.Run("untouched bytes of a read line are un-ACE", func(t *testing.T) {
 		got := ace(func(c *Cache) {
-			fill(c, 0)
-			c.Touch(10, 0, 4, false) // only 4 of 64 bytes read
+			c.FillTouch(0, 10, 0, 4, false) // only 4 of 64 bytes read
 		})
 		if got != 4*10 {
 			t.Errorf("ACE byte-cycles = %d, want 40", got)
@@ -213,18 +195,13 @@ func TestLifetimeRules(t *testing.T) {
 }
 
 func TestWritebackMask(t *testing.T) {
+	checked(t)
 	c := tiny()
-	if _, _, err := c.Fill(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	c.Touch(1, 8, 8, true)  // dirty bytes 8..15
-	c.Touch(2, 32, 8, true) // dirty bytes 32..39
+	c.FillTouch(0, 1, 8, 8, true) // dirty bytes 8..15
+	c.Access(2, 32, 8, true)      // dirty bytes 32..39
 	// Force eviction: fill two more lines in set 0.
-	c.Fill(3, 256)
-	wb, dirty, err := c.Fill(4, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.FillTouch(3, 3, 256, 0, false)
+	wb, dirty := c.FillTouch(4, 4, 512, 0, false)
 	if !dirty {
 		t.Fatal("dirty line evicted without writeback")
 	}
@@ -241,24 +218,25 @@ func TestWritebackMask(t *testing.T) {
 }
 
 func TestResetACEClipsOpenIntervals(t *testing.T) {
+	checked(t)
 	c := tiny()
-	c.Fill(0, 0)
-	c.Touch(10, 0, 8, false) // ACE 80 before the reset
+	c.FillTouch(0, 10, 0, 8, false) // ACE 80 before the reset
 	c.ResetACE(100)
 	if c.aceBytes() != 0 {
 		t.Fatal("counters survived reset")
 	}
-	c.Touch(150, 0, 8, false) // read→read spanning the reset: clipped at 100
+	c.Access(150, 0, 8, false) // read→read spanning the reset: clipped at 100
 	if c.aceBytes() != 8*50 {
 		t.Errorf("clipped interval contributed %d byte-cycles, want 400", c.aceBytes())
 	}
 }
 
 func TestAVFBounds(t *testing.T) {
+	checked(t)
 	c := tiny()
-	c.Fill(0, 0)
-	for i := int64(1); i <= 100; i++ {
-		c.Touch(i, 0, 64, false)
+	c.FillTouch(0, 1, 0, 64, false)
+	for i := int64(2); i <= 100; i++ {
+		c.Access(i, 0, 64, false)
 	}
 	c.Finalize(100)
 	if avf := c.DataAVF(100); avf < 0 || avf > 1 {
@@ -273,10 +251,10 @@ func TestAVFBounds(t *testing.T) {
 }
 
 func TestMissRate(t *testing.T) {
+	checked(t)
 	c := tiny()
-	c.Fill(0, 0)
-	c.Touch(0, 0, 8, false)
-	c.Touch(1, 0, 8, false)
+	c.FillTouch(0, 0, 0, 8, false)
+	c.Access(1, 0, 8, false)
 	if got := c.MissRate(); got != 0.5 {
 		t.Errorf("miss rate %f, want 0.5 (1 fill / 2 touches)", got)
 	}
@@ -291,14 +269,10 @@ func TestMissRate(t *testing.T) {
 // demand-access count (and therefore the miss rate), but remains
 // visible in WritebackAccesses and TrafficMissRate.
 func TestWritebackAccessesCountedSeparately(t *testing.T) {
+	checked(t)
 	c := tiny()
-	if _, _, err := c.Fill(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	c.Touch(1, 0, 8, false) // 1 demand access, 1 miss
-	if err := c.TouchMask(2, 0, 0xff); err != nil {
-		t.Fatal(err)
-	}
+	c.FillTouch(0, 1, 0, 8, false) // 1 demand access, 1 miss
+	c.WriteMask(2, 0, 0xff)        // resident: no write-allocate miss
 	if c.Accesses != 1 || c.WritebackAccesses != 1 {
 		t.Fatalf("accesses=%d writebackAccesses=%d, want 1/1", c.Accesses, c.WritebackAccesses)
 	}
@@ -308,8 +282,7 @@ func TestWritebackAccessesCountedSeparately(t *testing.T) {
 	if got := c.TrafficMissRate(); got != 0.5 {
 		t.Errorf("traffic miss rate %f, want 0.5 (1 miss / 2 total)", got)
 	}
-	// The fast-path WriteMask counts the same way, including its
-	// write-allocate miss.
+	// A write-allocate miss counts as a writeback miss, not a demand one.
 	c2 := tiny()
 	c2.WriteMask(0, 0, 0xff)
 	if c2.Accesses != 0 || c2.WritebackAccesses != 1 || c2.Misses != 0 || c2.WritebackMisses != 1 {
@@ -402,6 +375,7 @@ func TestDebugChecks(t *testing.T) {
 // Property: for arbitrary access sequences, ACE byte-cycles never exceed
 // bytes × elapsed time, and replaying the sequence is deterministic.
 func TestQuickLifetimeInvariants(t *testing.T) {
+	checked(t)
 	f := func(seed int64, n uint8) bool {
 		run := func() (*Cache, int64) {
 			c := tiny()
@@ -411,13 +385,9 @@ func TestQuickLifetimeInvariants(t *testing.T) {
 				now += int64(rng.Intn(10) + 1)
 				addr := uint64(rng.Intn(16)) * 64
 				off := uint64(rng.Intn(8)) * 8
-				if !c.Probe(addr) {
-					if _, _, err := c.Fill(now, addr); err != nil {
-						return nil, 0
-					}
-				}
-				if err := c.Touch(now, addr+off, 8, rng.Intn(2) == 0); err != nil {
-					return nil, 0
+				write := rng.Intn(2) == 0
+				if !c.Access(now, addr+off, 8, write) {
+					c.FillTouch(now, now, addr+off, 8, write)
 				}
 			}
 			c.Finalize(now + 1)
@@ -425,9 +395,6 @@ func TestQuickLifetimeInvariants(t *testing.T) {
 		}
 		c1, end := run()
 		c2, _ := run()
-		if c1 == nil || c2 == nil {
-			return false
-		}
 		if c1.aceBytes() != c2.aceBytes() || c1.tagAceCycles != c2.tagAceCycles {
 			return false // non-deterministic
 		}

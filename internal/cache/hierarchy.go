@@ -98,9 +98,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}, nil
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // Data performs a data access of size bytes at addr issued at time now
 // and returns the total latency in cycles (including the DL1 hit
 // latency) and whether the access missed DL1 and L2.

@@ -135,7 +135,7 @@ func TestFetchPath(t *testing.T) {
 func TestUnifiedL2SeesInstructionLines(t *testing.T) {
 	h := testHierarchy(t)
 	h.Fetch(0, 0x8000)
-	if !h.L2.Probe(0x8000) {
+	if h.L2.find(0x8000) == nil {
 		t.Error("instruction line not allocated in the unified L2")
 	}
 }

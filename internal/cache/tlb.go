@@ -131,15 +131,6 @@ func MustNewTLB(cfg TLBConfig) *TLB {
 // Config returns the TLB configuration.
 func (t *TLB) Config() TLBConfig { return t.cfg }
 
-// VPN returns the virtual page number of addr.
-func (t *TLB) VPN(addr uint64) uint64 { return addr >> t.pageBits }
-
-// Probe reports whether addr's page is resident, without state changes.
-func (t *TLB) Probe(addr uint64) bool {
-	_, ok := t.byVPN[t.VPN(addr)]
-	return ok
-}
-
 // Access translates addr at time now, returning the added latency (0 on
 // a hit, WalkLatency on a miss, which also fills the entry).
 func (t *TLB) Access(now int64, addr uint64) (latency int) {
@@ -153,7 +144,7 @@ func (t *TLB) Access(now int64, addr uint64) (latency int) {
 	}
 	if t.small {
 		// Few entries: a scan beats the map lookup (the map is still
-		// maintained for Probe and as the large-configuration path).
+		// maintained, as the large-configuration path).
 		for i := range t.entries {
 			e := &t.entries[i]
 			if e.valid && e.vpn == vpn {

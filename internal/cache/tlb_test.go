@@ -8,6 +8,12 @@ func tinyTLB() *TLB {
 	})
 }
 
+// resident reports whether addr's page is in t, without state changes.
+func (t *TLB) resident(addr uint64) bool {
+	_, ok := t.byVPN[addr>>t.pageBits]
+	return ok
+}
+
 func TestTLBConfigValidation(t *testing.T) {
 	bad := []TLBConfig{
 		{Entries: 0, PageBytes: 8192, EntryBits: 80},
@@ -29,7 +35,7 @@ func TestTLBHitMissWalk(t *testing.T) {
 	if lat := tl.Access(1, 4096); lat != 0 {
 		t.Errorf("same-page access latency %d, want 0", lat)
 	}
-	if !tl.Probe(0) {
+	if !tl.resident(0) {
 		t.Error("probe after fill missed")
 	}
 	if tl.MissRate() != 0.5 {
@@ -45,10 +51,10 @@ func TestTLBLRUEviction(t *testing.T) {
 	}
 	tl.Access(10, page(0)) // page 0 now MRU
 	tl.Access(11, page(4)) // evicts page 1 (LRU)
-	if tl.Probe(page(1)) {
+	if tl.resident(page(1)) {
 		t.Error("LRU page survived")
 	}
-	if !tl.Probe(page(0)) || !tl.Probe(page(4)) {
+	if !tl.resident(page(0)) || !tl.resident(page(4)) {
 		t.Error("wrong page evicted")
 	}
 }

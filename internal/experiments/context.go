@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"avfstress/internal/avf"
@@ -406,17 +405,4 @@ func (c *Context) PowerVirus(ctx context.Context) (*avf.Result, error) {
 			return pipe.Simulate(cfg, pv, rc)
 		})
 	})
-}
-
-// sortedByClass returns indices of results ordered by descending class
-// SER (presentation order for charts).
-func sortedByClass(results []*avf.Result, cfg uarch.Config, rates uarch.FaultRates, cl avf.Class) []int {
-	idx := make([]int, len(results))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return results[idx[a]].SER(cfg, rates, cl) > results[idx[b]].SER(cfg, rates, cl)
-	})
-	return idx
 }

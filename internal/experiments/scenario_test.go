@@ -55,10 +55,11 @@ func TestUnknownNameDescriptiveError(t *testing.T) {
 }
 
 // TestRunAllMatchesSequential is the byte-identity lock on concurrent
-// rendering: RunAll, which renders every scenario concurrently, must
-// produce exactly the combined report of the sequential path — each
-// experiment rendered in paper order between 72-char '=' rules, joined
-// by blank lines — whatever order the renders finish in.
+// rendering: RunScenarios over every name, which renders each scenario
+// concurrently, must produce exactly the combined report of the
+// sequential path — each experiment rendered in paper order between
+// 72-char '=' rules, joined by blank lines — whatever order the renders
+// finish in.
 func TestRunAllMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation suite in -short mode")
@@ -68,7 +69,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 	opts.Cache = store
 
 	// The sequential reference: one experiment at a time, in order,
-	// assembled exactly like the historical RunAll.
+	// assembled exactly like the historical sequential report.
 	seq := NewContext(opts)
 	var b strings.Builder
 	for _, n := range Names() {
@@ -81,12 +82,12 @@ func TestRunAllMatchesSequential(t *testing.T) {
 
 	conc := NewContext(opts)
 	conc.Opts.Parallelism = 8 // concurrent renders over wide inner fan-outs
-	got, err := conc.RunAll(bg)
+	got, err := conc.RunScenarios(bg, Names())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != b.String() {
-		t.Errorf("concurrent RunAll diverges from the sequential assembly (%d vs %d bytes)",
+		t.Errorf("concurrent render diverges from the sequential assembly (%d vs %d bytes)",
 			len(got), len(b.String()))
 	}
 }
@@ -116,12 +117,12 @@ func TestRunAllErrorPathReturnsEmptyReport(t *testing.T) {
 	// A pre-cancelled context: same contract, and the context's error.
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	out, err = NewContext(smallOpts()).RunAll(ctx)
+	out, err = NewContext(smallOpts()).RunScenarios(ctx, Names())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if out != "" {
-		t.Errorf("cancelled RunAll returned a partial report (%d bytes)", len(out))
+		t.Errorf("cancelled render returned a partial report (%d bytes)", len(out))
 	}
 }
 

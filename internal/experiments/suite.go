@@ -221,8 +221,3 @@ func (c *Context) RunScenarios(ctx context.Context, names []string) (string, err
 	}
 	return b.String(), nil
 }
-
-// RunAll executes every experiment and returns the combined report.
-func (c *Context) RunAll(ctx context.Context) (string, error) {
-	return c.RunScenarios(ctx, Names())
-}

@@ -2,16 +2,18 @@
 // campaign engine (DESIGN.md §9): the standard cross-check for an
 // ACE-based AVF estimator. A campaign samples single-bit fault targets
 // (structure, bit, cycle) uniformly over the bit-cycle space of a
-// golden (fault-free) simulation, replays the run deterministically
-// with each fault injected (internal/pipe.RunFault), classifies every
+// golden (fault-free) simulation of every SER-tracked structure,
+// replays the run deterministically with the faults injected
+// (internal/pipe.Pool.SimulateFaultsDetailFrom), classifies every
 // trial as masked, SDC or detected, and aggregates per-structure and
 // derated AVF estimates with 95% binomial confidence intervals — which
 // the ACE-based AVF must fall inside for the estimator to validate.
 //
-// Campaigns are deterministic end to end: targets derive from a
-// splitmix64 stream seeded by (Seed, structure, trial index), replays
-// are pure functions of (config, program, budget, fault), and the
-// rendered report is byte-identical across runs and cache states.
+// Campaigns are deterministic end to end: each structure's targets are
+// drawn in order from one splitmix64 stream seeded by (Seed,
+// structure), replays are pure functions of (config, program, budget,
+// fault), and the rendered report is byte-identical across runs and
+// cache states.
 // Faults are pure observers, so one replay from cycle zero carries
 // every unique target of a campaign as an independent watch: a
 // campaign is one golden run plus one pass, whose outcome table is
@@ -61,9 +63,6 @@ type Options struct {
 	Trials int
 	// Seed drives target sampling (default 1).
 	Seed int64
-	// Structures restricts the campaign (default: every SER-tracked
-	// structure).
-	Structures []uarch.Structure
 	// Cache, when set, memoises the golden run and the campaign's
 	// outcome table; nil replays the campaign.
 	Cache *simcache.Store
@@ -99,12 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if len(o.Structures) == 0 {
-		o.Structures = make([]uarch.Structure, uarch.NumStructures)
-		for s := range o.Structures {
-			o.Structures[s] = uarch.Structure(s)
-		}
 	}
 	return o
 }
@@ -361,7 +354,7 @@ func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, bool, error) {
 // replay against a golden run that disagrees with it would classify
 // faults at cycles the run never had.
 func (c *campaign) checkGolden(want pipe.GoldenInfo) error {
-	_, gi, err := c.pool.SimulateGolden(c.o.Program, c.o.Run)
+	_, gi, _, err := c.pool.SimulateGoldenRecorded(c.o.Program, c.o.Run, -1, nil)
 	switch {
 	case err != nil:
 		return fmt.Errorf("inject: golden re-capture: %w", err)
@@ -387,15 +380,15 @@ type sampled struct {
 // then (with pruning) the freed budget re-allocated over the live
 // subspace.
 func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
-	n := len(o.Structures)
+	const n = uarch.NumStructures
 	s := &sampled{
 		bits: make([]uint64, n), pruned: make([]int, n), phase1: make([]int, n),
 		faults: make([][]pipe.Fault, n), outcomes: make([][]pipe.FaultTrial, n),
 	}
 	var totalBits float64
-	for i, st := range o.Structures {
-		s.bits[i] = uarch.Bits(o.Config, st)
-		totalBits += float64(s.bits[i])
+	for st := range n {
+		s.bits[st] = uarch.Bits(o.Config, st)
+		totalBits += float64(s.bits[st])
 	}
 	if totalBits == 0 {
 		return nil, fmt.Errorf("inject: campaign structures have no bits")
@@ -405,10 +398,10 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 		weights[i] = float64(s.bits[i]) / totalBits
 	}
 	alloc := allocate(o.Trials, minPerStructure, weights)
-	draw := func(r *rng, i int) pipe.Fault {
+	draw := func(r *rng, st uarch.Structure) pipe.Fault {
 		return pipe.Fault{
-			Structure: o.Structures[i],
-			Bit:       r.next() % s.bits[i],
+			Structure: st,
+			Bit:       r.next() % s.bits[st],
 			Cycle:     info.WindowStart + int64(r.next()%uint64(info.Cycles)),
 		}
 	}
@@ -421,19 +414,19 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	// order.
 	rngs := make([]rng, n)
 	freed := 0
-	for i, st := range o.Structures {
-		rngs[i] = stratumRNG(o.Seed, st)
-		s.faults[i] = make([]pipe.Fault, 0, alloc[i])
-		for t := 0; t < alloc[i]; t++ {
-			f := draw(&rngs[i], i)
+	for st := range n {
+		rngs[st] = stratumRNG(o.Seed, st)
+		s.faults[st] = make([]pipe.Fault, 0, alloc[st])
+		for t := 0; t < alloc[st]; t++ {
+			f := draw(&rngs[st], st)
 			if pr.pruned(f) {
-				s.pruned[i]++
+				s.pruned[st]++
 				freed++
 				continue
 			}
-			s.faults[i] = append(s.faults[i], f)
+			s.faults[st] = append(s.faults[st], f)
 		}
-		s.phase1[i] = len(s.faults[i])
+		s.phase1[st] = len(s.faults[st])
 	}
 
 	// Phase 2: re-allocate the freed budget across strata in proportion
@@ -447,9 +440,9 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	}
 	w2 := make([]float64, n)
 	var tw float64
-	for i, st := range o.Structures {
-		w2[i] = float64(s.bits[i]) * (1 - pr.staticFrac[st])
-		tw += w2[i]
+	for st := range n {
+		w2[st] = float64(s.bits[st]) * (1 - pr.staticFrac[st])
+		tw += w2[st]
 	}
 	if tw == 0 {
 		return s, nil
@@ -458,11 +451,11 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 		w2[i] /= tw
 	}
 	alloc2 := allocate(freed, 0, w2)
-	for i := range o.Structures {
-		s.faults[i] = slices.Grow(s.faults[i], alloc2[i])
-		for drawn, att := 0, 0; drawn < alloc2[i] && att < 64*alloc2[i]+64; att++ {
-			if f := draw(&rngs[i], i); !pr.pruned(f) {
-				s.faults[i] = append(s.faults[i], f)
+	for st := range n {
+		s.faults[st] = slices.Grow(s.faults[st], alloc2[st])
+		for drawn, att := 0, 0; drawn < alloc2[st] && att < 64*alloc2[st]+64; att++ {
+			if f := draw(&rngs[st], st); !pr.pruned(f) {
+				s.faults[st] = append(s.faults[st], f)
 				drawn++
 			}
 		}
@@ -563,16 +556,16 @@ func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, pr *pr
 		rcTrials  []rootcause.Trial
 		rcSampled = map[uarch.Structure]int{}
 	)
-	for i, st := range o.Structures {
-		replayed := len(s.outcomes[i])
+	for st := range uarch.NumStructures {
+		replayed := len(s.outcomes[st])
 		sr := StructureResult{
-			Structure: st, Bits: s.bits[i],
-			Trials: replayed + s.pruned[i], Pruned: s.pruned[i],
+			Structure: st, Bits: s.bits[st],
+			Trials: replayed + s.pruned[st], Pruned: s.pruned[st],
 			PruneFrac: pr.frac(st), StaticBound: pr.bound(st),
 			ACE: golden.AVF[st],
 		}
 		protected := o.Rates[st] == 0
-		for t, trial := range s.outcomes[i] {
+		for t, trial := range s.outcomes[st] {
 			n, p1 := &sr.Masked, &sr.Phase1Masked
 			switch {
 			case trial.Corrupted && protected:
@@ -581,17 +574,17 @@ func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, pr *pr
 				n, p1 = &sr.SDC, &sr.Phase1SDC
 			}
 			*n++
-			if t < s.phase1[i] {
+			if t < s.phase1[st] {
 				*p1++
 			}
 			if trial.Corrupted && o.RootCause {
 				rcTrials = append(rcTrials, rootcause.Trial{
-					Fault: s.faults[i][t], Diverge: trial.Diverge, DUE: protected,
+					Fault: s.faults[st][t], Diverge: trial.Diverge, DUE: protected,
 				})
 			}
 		}
 		if o.RootCause {
-			rcSampled[st] = len(s.outcomes[i])
+			rcSampled[st] = len(s.outcomes[st])
 		}
 		// The estimator samples the live subspace only, so the raw
 		// corrupted fraction and its Wilson interval scale by the live

@@ -267,3 +267,40 @@ func TestCampaignPrunedByteDeterministic(t *testing.T) {
 		t.Errorf("pruned campaign differs across knob values:\n%s\nvs\n%s", got, base)
 	}
 }
+
+// TestPrunedPhase1MatchesBaseline: pruning changes which targets
+// replay, never a replay's outcome. A pruned campaign's first sampling
+// phase draws the unpruned campaign's targets, so each stratum's
+// baseline SDC, detected and masked counts must equal the pruned
+// campaign's phase-1 counts, with the pruned targets counted masked.
+func TestPrunedPhase1MatchesBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign in -short mode")
+	}
+	for _, rates := range []uarch.FaultRates{uarch.UniformRates(1), uarch.EDRRates()} {
+		o := testOptions(t, 300)
+		o.Rates = rates
+		o.PruneStatic = -1
+		base, err := Run(bg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.PruneStatic = 0
+		pruned, err := Run(bg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned.Pruned == 0 {
+			t.Fatal("pruned campaign pruned no targets (nothing exercised)")
+		}
+		for i, bs := range base.Structures {
+			ps := pruned.Structures[i]
+			if bs.SDC != ps.Phase1SDC || bs.Detected != ps.Phase1Detected ||
+				bs.Masked != ps.Phase1Masked+ps.Pruned {
+				t.Errorf("%s: baseline outcomes %d/%d/%d != pruned phase-1 %d/%d/%d+%d",
+					bs.Structure, bs.SDC, bs.Detected, bs.Masked,
+					ps.Phase1SDC, ps.Phase1Detected, ps.Phase1Masked, ps.Pruned)
+			}
+		}
+	}
+}

@@ -64,8 +64,8 @@ func verifyTrialAttribution(t *testing.T, p *prog.Program, f pipe.Fault, d pipe.
 	var cons prog.Dyn
 	found := false
 	for {
-		dyn, more := s.Next()
-		if !more || dyn.Seq > d.Seq {
+		var dyn prog.Dyn
+		if !s.NextInto(&dyn) || dyn.Seq > d.Seq {
 			break
 		}
 		if dyn.Seq == d.Seq {

@@ -67,9 +67,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsArith reports whether the op executes on an arithmetic functional unit.
-func (o Op) IsArith() bool { return o == OpAdd || o == OpMul }
-
 // IsMem reports whether the op accesses the data memory hierarchy.
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 
@@ -127,28 +124,6 @@ func WritesDest(in *Instr) bool {
 		return true
 	}
 	return false
-}
-
-// NumSrcRegs returns how many register sources the instruction actually
-// reads (RZero sources count: reading the zero register is still a read
-// port use, but it never creates a dependence).
-func (in Instr) NumSrcRegs() int {
-	switch in.Op {
-	case OpNop:
-		return 0
-	case OpAdd, OpMul:
-		if in.RegReg {
-			return 2
-		}
-		return 1
-	case OpLoad:
-		return 1 // base register
-	case OpStore:
-		return 2 // base register + data register
-	case OpBranch:
-		return 1
-	}
-	return 0
 }
 
 // SrcRegAt returns the architected register read through physical

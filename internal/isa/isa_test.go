@@ -25,21 +25,17 @@ func TestRegValid(t *testing.T) {
 
 func TestOpClassification(t *testing.T) {
 	cases := []struct {
-		op    Op
-		arith bool
-		mem   bool
+		op  Op
+		mem bool
 	}{
-		{OpNop, false, false},
-		{OpAdd, true, false},
-		{OpMul, true, false},
-		{OpLoad, false, true},
-		{OpStore, false, true},
-		{OpBranch, false, false},
+		{OpNop, false},
+		{OpAdd, false},
+		{OpMul, false},
+		{OpLoad, true},
+		{OpStore, true},
+		{OpBranch, false},
 	}
 	for _, c := range cases {
-		if c.op.IsArith() != c.arith {
-			t.Errorf("%v.IsArith() = %v, want %v", c.op, c.op.IsArith(), c.arith)
-		}
 		if c.op.IsMem() != c.mem {
 			t.Errorf("%v.IsMem() = %v, want %v", c.op, c.op.IsMem(), c.mem)
 		}
@@ -145,8 +141,8 @@ func TestStringForms(t *testing.T) {
 	}
 }
 
-// Property: NumSrcRegs is always an upper bound on the true-dependence
-// sources returned by SrcRegs, for arbitrary valid instructions.
+// Property: for arbitrary valid instructions SrcRegs returns at most two
+// sources, never the zero register, each one of the encoded Src1/Src2.
 func TestQuickSrcRegsBound(t *testing.T) {
 	f := func(op uint8, d, s1, s2 uint8, regreg bool) bool {
 		in := Instr{
@@ -156,7 +152,13 @@ func TestQuickSrcRegsBound(t *testing.T) {
 			Src2:   Reg(s2 % NumArchRegs),
 			RegReg: regreg,
 		}
-		return len(in.SrcRegs(nil)) <= in.NumSrcRegs()
+		srcs := in.SrcRegs(nil)
+		for _, r := range srcs {
+			if r == RZero || (r != in.Src1 && r != in.Src2) {
+				return false
+			}
+		}
+		return len(srcs) <= 2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,8 +1,7 @@
 package pipe
 
-// Binary checkpoint encoder. Checkpoints live in memory only: a
-// campaign forks its replays from the set its own golden run captured,
-// and re-runs that golden run when it needs one (DESIGN.md §10), so
+// Binary checkpoint encoder. Campaigns capture no checkpoints: each
+// replays its faults in one pass from cycle zero (DESIGN.md §10), so
 // nothing decodes this format. MarshalBinary survives because the
 // benchmark harness (perfbench) measures the checkpoint footprint
 // through it (pipe.checkpoint_kb). The format is a flat little-endian

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"avfstress/internal/avf"
 	"avfstress/internal/cache"
 	"avfstress/internal/isa"
 	"avfstress/internal/prog"
@@ -39,12 +38,6 @@ type Fault struct {
 	// measured window of the golden run ([window start, window start +
 	// cycles)).
 	Cycle int64
-}
-
-// Fingerprint returns a canonical description of the fault target for
-// internal/simcache trial keys.
-func (f Fault) Fingerprint() string {
-	return fmt.Sprintf("pipe.Fault{%d %d %d}", int(f.Structure), f.Bit, f.Cycle)
 }
 
 // FaultTrial is the outcome of one injection replay.
@@ -585,31 +578,6 @@ func (pl *Pipeline) runFaults(rc RunConfig, faults []Fault, resume bool) ([]Faul
 		out[t.idx] = FaultTrial{Corrupted: t.corrupted, Diverge: pl.trialDiverge(t)}
 	}
 	return out, nil
-}
-
-// SimulateGolden runs program p under rc on a pooled pipeline like
-// Simulate, additionally returning the golden-run facts fault-injection
-// campaigns replay against: measurement-window start, window length and
-// the committed-state digest.
-func (pp *Pool) SimulateGolden(p *prog.Program, rc RunConfig) (*avf.Result, GoldenInfo, error) {
-	pl, err := pp.get(p)
-	if err != nil {
-		return nil, GoldenInfo{}, err
-	}
-	pl.digestOn = true
-	pl.digest = fnvOffset64
-	res, err := pl.Run(rc)
-	info := GoldenInfo{Digest: pl.digest}
-	pl.digestOn = false
-	if err == nil {
-		info.WindowStart = pl.acct.windowStart
-		info.Cycles = res.Cycles
-	}
-	pp.pool.Put(pl)
-	if err != nil {
-		return nil, GoldenInfo{}, err
-	}
-	return res, info, nil
 }
 
 // SimulateFaultDetail replays program p under rc on a pooled pipeline

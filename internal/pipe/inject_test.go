@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"avfstress/internal/avf"
 	"avfstress/internal/codegen"
 	"avfstress/internal/pipe"
+	"avfstress/internal/prog"
 	"avfstress/internal/uarch"
 )
 
@@ -15,6 +17,13 @@ import (
 // the recorded dead-interval slice, so == no longer applies).
 func sameGoldenInfo(a, b pipe.GoldenInfo) bool {
 	return reflect.DeepEqual(a, b)
+}
+
+// simulateGolden is the golden run campaigns replay against, without
+// checkpoint capture or dead-def recording.
+func simulateGolden(pool *pipe.Pool, p *prog.Program, rc pipe.RunConfig) (*avf.Result, pipe.GoldenInfo, error) {
+	res, info, _, err := pool.SimulateGoldenRecorded(p, rc, -1, nil)
+	return res, info, err
 }
 
 func injectFixture(t testing.TB) (uarch.Config, *pipe.Pool, pipe.RunConfig) {
@@ -40,11 +49,11 @@ func TestGoldenInfoDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, info1, err := pool.SimulateGolden(p, rc)
+	res1, info1, err := simulateGolden(pool, p, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, info2, err := pool.SimulateGolden(p, rc)
+	res2, info2, err := simulateGolden(pool, p, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +76,7 @@ func TestGoldenInfoDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res3.Cycles != res1.Cycles || res3.AVF != res1.AVF {
-		t.Fatal("pooled Simulate after SimulateGolden drifted")
+		t.Fatal("pooled Simulate after a golden run drifted")
 	}
 }
 
@@ -93,7 +102,7 @@ func TestFaultFullReplayMatchesEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := pool.SimulateGolden(p, rc)
+	_, info, err := simulateGolden(pool, p, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +164,7 @@ func TestFaultValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pool.SimulateGolden(p, rc); err != nil {
+	if _, _, err := simulateGolden(pool, p, rc); err != nil {
 		t.Fatal(err)
 	}
 	pl, err := pipe.New(cfg, p)
@@ -191,7 +200,7 @@ func FuzzFaultBatchMatchesSolo(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	_, info, err := pool.SimulateGolden(p, rc)
+	_, info, err := simulateGolden(pool, p, rc)
 	if err != nil {
 		f.Fatal(err)
 	}

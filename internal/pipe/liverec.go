@@ -80,14 +80,16 @@ func (rec *liveRecorder) finish() []RFDeadInterval {
 	return rec.out
 }
 
-// SimulateGoldenRecorded is SimulateGolden plus checkpoint capture and
-// dead-def interval recording. The golden run snapshots its full state
-// every `interval` cycles of the measured window (0 selects the
-// automatic interval; negative disables capture and returns a nil set)
-// and maps the statically dead definitions in deadDefs (nil: none) onto
-// physical-register occupancy intervals, returned in GoldenInfo.RFDead.
-// Capture and recording are pure observers: result, window and digest
-// are bit-identical to SimulateGolden.
+// SimulateGoldenRecorded runs program p under rc on a pooled pipeline
+// like Simulate, additionally returning the golden-run facts
+// fault-injection campaigns replay against: measurement-window start,
+// window length and the committed-state digest. It also snapshots the
+// run's full state every `interval` cycles of the measured window (0
+// selects the automatic interval; negative disables capture and returns
+// a nil set) and maps the statically dead definitions in deadDefs (nil:
+// none) onto physical-register occupancy intervals, returned in
+// GoldenInfo.RFDead. Capture and recording are pure observers: result,
+// window and digest do not depend on interval or deadDefs.
 func (pp *Pool) SimulateGoldenRecorded(p *prog.Program, rc RunConfig, interval int64, deadDefs map[*isa.Instr]bool) (*avf.Result, GoldenInfo, *CheckpointSet, error) {
 	pl, err := pp.get(p)
 	if err != nil {

@@ -35,8 +35,8 @@
 // replay engine for Monte Carlo fault injection (inject.go): RunFault
 // re-runs a program with a single-bit fault applied at a chosen cycle
 // and reports whether the flip reaches committed architectural state,
-// and Pool.SimulateGolden captures the commit digest replays are
-// diffed against (DESIGN.md §9).
+// and Pool.SimulateGoldenRecorded captures the commit digest replays
+// are diffed against (DESIGN.md §9).
 package pipe
 
 import (
@@ -198,9 +198,9 @@ type Pipeline struct {
 
 	// Fault-injection replay state (inject.go): inj is non-nil only
 	// inside fault replays; digestOn enables the commit digest (RunFault
-	// full mode and Pool.SimulateGolden). ckptRec, non-nil only inside
-	// SimulateGoldenRecorded, captures fork-replay checkpoints at the
-	// top of the cycle loop (snapshot.go). Normal runs pay one
+	// full mode and the golden run). ckptRec, non-nil only inside a
+	// SimulateGoldenRecorded call with capture on, captures checkpoints
+	// at the top of the cycle loop (snapshot.go). Normal runs pay one
 	// predictable branch per cycle and per commit.
 	inj      *injState
 	digestOn bool

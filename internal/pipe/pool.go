@@ -28,9 +28,6 @@ func NewPool(cfg uarch.Config) (*Pool, error) {
 	return &Pool{cfg: cfg}, nil
 }
 
-// Config returns the pool's configuration.
-func (pp *Pool) Config() uarch.Config { return pp.cfg }
-
 // get returns a pooled pipeline reset to program p (or a fresh one when
 // the pool is empty). The caller runs it and Puts it back.
 func (pp *Pool) get(p *prog.Program) (*Pipeline, error) {

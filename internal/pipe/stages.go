@@ -331,10 +331,6 @@ func (pl *Pipeline) issue() int {
 	return issued
 }
 
-func (pl *Pipeline) ready(r int16) bool {
-	return r == noReg || pl.regs[r].readyCycle <= pl.now
-}
-
 // loadMemCheck applies perfect memory disambiguation against older
 // in-flight stores: a load is blocked while an older overlapping store
 // has not yet captured its data (blockSeq names that store), and

@@ -125,9 +125,6 @@ func (p *Program) Listing() string {
 	return b.String()
 }
 
-// StaticLen returns the total static instruction count.
-func (p *Program) StaticLen() int { return len(p.Init) + len(p.Body) }
-
 // Fingerprint returns a compact content address of the program for
 // internal/simcache keys: a hex SHA-256 over a binary encoding of
 // everything that influences execution. The header is the name (which
@@ -248,9 +245,6 @@ func (s *Stream) ResetTo(p *Program) {
 	s.Reset()
 }
 
-// Program returns the underlying program.
-func (s *Stream) Program() *Program { return s.p }
-
 // StreamState is the resumable cursor of a Stream: everything beyond the
 // program itself that determines the remaining dynamic sequence. It is a
 // plain value so pipe checkpoints can capture and serialise it.
@@ -276,17 +270,9 @@ func (s *Stream) SetState(st StreamState) {
 	s.seq = st.Seq
 }
 
-// Next returns the next dynamic instruction. ok is false once the
+// NextInto writes the next dynamic instruction into d, the simulator's
+// per-fetch step. It reports false (leaving d untouched) once the
 // program's iteration count is exhausted.
-func (s *Stream) Next() (d Dyn, ok bool) {
-	ok = s.NextInto(&d)
-	return d, ok
-}
-
-// NextInto writes the next dynamic instruction into d, avoiding the
-// struct copies of Next on the simulator's per-fetch hot path. It
-// reports false (leaving d untouched) once the program's iteration count
-// is exhausted.
 func (s *Stream) NextInto(d *Dyn) bool {
 	p := s.p
 	if s.inInit {

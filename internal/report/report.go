@@ -1,5 +1,5 @@
-// Package report renders experiment results as text tables, ASCII bar
-// charts (standing in for the paper's figures) and CSV.
+// Package report renders experiment results as text tables and ASCII
+// bar charts (standing in for the paper's figures).
 package report
 
 import (
@@ -64,31 +64,6 @@ func (t *Table) String() string {
 	line(sep)
 	for _, r := range t.Rows {
 		line(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(esc(c))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, r := range t.Rows {
-		writeRow(r)
 	}
 	return b.String()
 }

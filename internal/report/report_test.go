@@ -22,18 +22,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Headers: []string{"a", "b"}}
-	tb.AddRow(`x,"y`, 1)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"x,""y"`) {
-		t.Errorf("CSV escaping wrong:\n%s", csv)
-	}
-	if !strings.HasPrefix(csv, "a,b\n") {
-		t.Errorf("CSV header wrong:\n%s", csv)
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	c := &BarChart{Title: "chart", Max: 1, Width: 10}
 	c.Add("full", 1.0)

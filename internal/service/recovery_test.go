@@ -123,7 +123,7 @@ func TestCrashRecoveryByteIdenticalReport(t *testing.T) {
 	if report := fetchReport(t, hs2, st.ID); report != want {
 		t.Errorf("recovered report differs from uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", want, report)
 	}
-	if got.Stats.Hits() == 0 {
+	if st := got.Stats; st.MemHits+st.DiskHits+st.Deduped == 0 {
 		t.Errorf("recovery was cold: %+v", got.Stats)
 	}
 }

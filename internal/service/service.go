@@ -39,6 +39,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,6 +47,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,7 +64,8 @@ type Options struct {
 	// set one (0 = the experiments default).
 	Scale int
 	// Parallelism bounds each of a job's CPU fan-outs — GA evaluations,
-	// suite simulations, campaign slices (0 = GOMAXPROCS).
+	// suite simulations, a study's fault-injection campaigns
+	// (0 = GOMAXPROCS).
 	Parallelism int
 	// MaxJobs bounds concurrently *running* jobs; excess submissions
 	// queue in order (0 = GOMAXPROCS).
@@ -97,8 +100,12 @@ type Server struct {
 	journal *journal
 	started time.Time
 
-	mu        sync.Mutex
-	jobs      map[string]*job
+	mu   sync.Mutex
+	jobs map[string]*job
+	// order holds the retained jobs in submission order (ascending id
+	// number): listing, eviction and compaction walk it, never the ids
+	// ever issued.
+	order     []*job
 	idem      map[string]string // Idempotency-Key -> job id
 	seq       int
 	draining  bool
@@ -167,6 +174,13 @@ type JobStatus struct {
 	CreatedAt time.Time      `json:"created_at"`
 	StartedAt *time.Time     `json:"started_at,omitempty"`
 	EndedAt   *time.Time     `json:"ended_at,omitempty"`
+}
+
+// terminal reports whether the job has reached a final state.
+func (j *job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status.Terminal()
 }
 
 func (j *job) snapshot(progress bool) JobStatus {
@@ -315,10 +329,17 @@ func (s *Server) recover() error {
 			s.recovered++
 		}
 		s.jobs[id] = j
+		s.order = append(s.order, j)
 		if st.idem != "" {
 			s.idem[st.idem] = id
 		}
 	}
+	// Concurrent submissions can reach the journal out of id order.
+	slices.SortFunc(s.order, func(a, b *job) int {
+		na, _ := jobSeq(a.id)
+		nb, _ := jobSeq(b.id)
+		return cmp.Compare(na, nb)
+	})
 	s.evictLocked()
 	if err := s.journal.rewrite(s.compactRecordsLocked()); err != nil {
 		return err
@@ -335,11 +356,7 @@ func (s *Server) recover() error {
 // before they finish resubmits them again.
 func (s *Server) compactRecordsLocked() []journalRecord {
 	var recs []journalRecord
-	for i := 1; i <= s.seq; i++ {
-		j, ok := s.jobs[fmt.Sprintf("job-%d", i)]
-		if !ok {
-			continue
-		}
+	for _, j := range s.order {
 		j.mu.Lock()
 		status, errMsg, finished := j.status, j.errMsg, j.finished
 		j.mu.Unlock()
@@ -376,9 +393,6 @@ func jobContext(spec scenario.Spec) (context.Context, context.CancelFunc) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Store exposes the shared simulation store (server-wide stats).
-func (s *Server) Store() *simcache.Store { return s.store }
-
 // Recovered reports how many unfinished jobs the journal resubmitted.
 func (s *Server) Recovered() int {
 	s.mu.Lock()
@@ -396,7 +410,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	var pending []*job
 	for _, j := range s.jobs {
-		if !func() bool { j.mu.Lock(); defer j.mu.Unlock(); return j.status.Terminal() }() {
+		if !j.terminal() {
 			pending = append(pending, j)
 		}
 	}
@@ -542,6 +556,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status: StatusQueued, created: time.Now(),
 	}
 	s.jobs[j.id] = j
+	s.order = append(s.order, j)
 	if idemKey != "" {
 		s.idem[idemKey] = j.id
 	}
@@ -560,12 +575,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // pendingLocked counts admitted, unfinished jobs. Caller holds s.mu.
 func (s *Server) pendingLocked() int {
 	n := 0
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if !j.status.Terminal() {
+	for _, j := range s.order {
+		if !j.terminal() {
 			n++
 		}
-		j.mu.Unlock()
 	}
 	return n
 }
@@ -574,21 +587,24 @@ func (s *Server) pendingLocked() int {
 // remain, keeping the daemon's memory bounded. Non-terminal jobs are
 // never evicted. Caller holds s.mu.
 func (s *Server) evictLocked() {
-	excess := len(s.jobs) - s.opts.MaxHistory
-	for i := 1; excess > 0 && i <= s.seq; i++ {
-		id := fmt.Sprintf("job-%d", i)
-		if j, ok := s.jobs[id]; ok && func() bool {
-			j.mu.Lock()
-			defer j.mu.Unlock()
-			return j.status.Terminal()
-		}() {
-			delete(s.jobs, id)
-			if j.idemKey != "" && s.idem[j.idemKey] == id {
+	excess := len(s.order) - s.opts.MaxHistory
+	if excess <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for _, j := range s.order {
+		if excess > 0 && j.terminal() {
+			delete(s.jobs, j.id)
+			if j.idemKey != "" && s.idem[j.idemKey] == j.id {
 				delete(s.idem, j.idemKey)
 			}
 			excess--
+			continue
 		}
+		kept = append(kept, j)
 	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 // testRunJob, when non-nil, replaces a job's experiment execution —
@@ -701,12 +717,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	ordered := make([]*job, 0, len(s.jobs))
-	for i := 1; i <= s.seq; i++ {
-		if j, ok := s.jobs[fmt.Sprintf("job-%d", i)]; ok {
-			ordered = append(ordered, j)
-		}
-	}
+	ordered := slices.Clone(s.order)
 	s.mu.Unlock()
 	jobs := make([]JobStatus, len(ordered))
 	for i, j := range ordered {

@@ -217,7 +217,7 @@ func TestOverlappingJobsShareSimulations(t *testing.T) {
 	if as.Stats.Simulated == 0 {
 		t.Fatalf("first job simulated nothing: %+v", as.Stats)
 	}
-	if bs.Stats.Hits() == 0 {
+	if st := bs.Stats; st.MemHits+st.DiskHits+st.Deduped == 0 {
 		t.Errorf("second job saw no cache hits: %+v", bs.Stats)
 	}
 	if bs.Stats.Simulated >= as.Stats.Simulated {
@@ -376,6 +376,68 @@ func TestHistoryEviction(t *testing.T) {
 		if st := getStatus(t, hs, id); st.Status != StatusDone {
 			t.Errorf("job %s lost: %+v", id, st)
 		}
+	}
+}
+
+// TestHistoryEvictionSkipsRunningJobs: eviction walks from the oldest
+// job but never drops a non-terminal one; the newer terminal jobs go
+// instead, and the listing keeps submission order.
+func TestHistoryEvictionSkipsRunningJobs(t *testing.T) {
+	release := make(chan struct{})
+	testRunJob = func(ctx context.Context, j *job) (string, error) {
+		if j.spec.Scenarios[0] != "table2" {
+			return "quick report", nil
+		}
+		select {
+		case <-release:
+			return "held report", nil
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+	}
+	defer func() { testRunJob = nil }()
+
+	srv, err := New(Options{MaxJobs: 2, MaxHistory: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	held := submit(t, hs, `{"scenarios":["table2"]}`)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st := submit(t, hs, `{"scenarios":["table1"]}`)
+		waitTerminal(t, hs, st.ID)
+		ids = append(ids, st.ID)
+	}
+	if st := getStatus(t, hs, held.ID); st.ID != held.ID || st.Status.Terminal() {
+		t.Fatalf("running job evicted or ended early: %+v", st)
+	}
+	for _, id := range ids[:2] {
+		resp, err := http.Get(hs.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("terminal job %s retained past the cap: %d, want 404", id, resp.StatusCode)
+		}
+	}
+	close(release)
+	waitTerminal(t, hs, held.ID)
+	resp, err := http.Get(hs.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 2 || list.Jobs[0].ID != held.ID || list.Jobs[1].ID != ids[2] {
+		t.Errorf("listing %+v, want [%s %s]", list.Jobs, held.ID, ids[2])
 	}
 }
 

@@ -446,9 +446,6 @@ type Stats struct {
 	BlobMisses int64 `json:"blob_misses,omitempty"`
 }
 
-// Hits is the total traffic served without running a simulation.
-func (st Stats) Hits() int64 { return st.MemHits + st.DiskHits + st.Deduped }
-
 // Stats returns the store-wide counters, covering traffic through every
 // view (zero on a nil store).
 func (s *Store) Stats() Stats {

@@ -1,11 +1,6 @@
 package workloads
 
-import (
-	"fmt"
-
-	"avfstress/internal/prog"
-	"avfstress/internal/uarch"
-)
+import "fmt"
 
 // Profiles returns the full 33-program reference suite in presentation
 // order: 11 SPECint2006, 10 SPECfp2006, 12 MiBench proxies (the counts
@@ -123,17 +118,6 @@ func Profiles() []Profile {
 	}
 }
 
-// BySuite returns the profiles of one suite, in order.
-func BySuite(s Suite) []Profile {
-	var out []Profile
-	for _, p := range Profiles() {
-		if p.Suite == s {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // ByName returns the named profile.
 func ByName(name string) (Profile, error) {
 	for _, p := range Profiles() {
@@ -142,18 +126,4 @@ func ByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("workloads: unknown workload %q", name)
-}
-
-// BuildAll synthesises every profile for cfg with a fixed seed,
-// returning programs in suite order.
-func BuildAll(cfg uarch.Config, seed int64) ([]*prog.Program, error) {
-	var out []*prog.Program
-	for _, pf := range Profiles() {
-		p, err := pf.Build(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

@@ -13,7 +13,16 @@
 #   6. every backticked code reference `pkg.Name` or `pkg.Name.Member`
 #      in README.md and DESIGN.md whose pkg is a directory under
 #      internal/ must resolve with `go doc -u` — deleting a function,
-#      field or hook without sweeping the docs fails here.
+#      field or hook without sweeping the docs fails here;
+#   7. every package-level func or method declared in non-test Go under
+#      internal/ or cmd/ must be named by some other non-test line
+#      (comment lines excluded) anywhere in the repo, perfbench/ and
+#      examples/ included — a function only tests reach is dead code.
+#      The grep cannot tell methods of different types apart, so a
+#      method name two types share counts as used. Allowed: the
+#      solo-replay oracle SimulateFaultDetail, the test switch
+#      SetDebugChecks, and the checkpoint code (Nearest, ResumeGolden)
+#      kept for perfbench's probe until the benchmark stops calling it.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -59,6 +68,31 @@ for r in $coderefs; do
 		echo "docs-check: dead code reference in README/DESIGN: $r"
 		fail=1
 	fi
+done
+
+decls=$(find internal cmd -name '*.go' ! -name '*_test.go' -print |
+	xargs grep -hoE '^func (\([^)]*\) )?[A-Za-z_][A-Za-z0-9_]*' |
+	sed -E 's/^func (\([^)]*\) )?//')
+unused=$(find . -path ./.git -prune -o -name '*.go' ! -name '*_test.go' -print |
+	xargs awk -v decls="$decls" \
+		-v allow='main init SimulateFaultDetail SetDebugChecks Nearest ResumeGolden' '
+	/^[ \t]*\/\// { next }
+	{
+		n = split($0, w, /[^A-Za-z0-9_]+/)
+		delete seen
+		for (i = 1; i <= n; i++)
+			if (w[i] != "" && !(w[i] in seen)) { seen[w[i]] = 1; lines[w[i]]++ }
+	}
+	END {
+		split(allow, a, " ")
+		for (i in a) ok[a[i]] = 1
+		n = split(decls, d, "\n")
+		for (i = 1; i <= n; i++)
+			if (lines[d[i]] == 1 && !(d[i] in ok)) print d[i]
+	}' | sort -u)
+for f in $unused; do
+	echo "docs-check: func $f is named by no non-test line outside its declaration"
+	fail=1
 done
 
 if [ "$fail" -eq 0 ]; then
