@@ -99,21 +99,30 @@ profile:
 	rm -rf $(PROFILE_DIR)
 
 # cache-smoke proves the simcache determinism contract end-to-end: the
-# full experiment suite must render byte-identically memory-only (no
-# -cache-dir), with a cold disk tier, and warm-from-disk — and the warm
-# run must actually be served from disk (>0 disk hits in the stats line).
+# full experiment suite, and a 2000-trial avfinject campaign study with
+# root-cause attribution, must each render byte-identically memory-only
+# (no -cache-dir), with a cold disk tier, and warm-from-disk — and each
+# warm run must actually be served from disk (>0 disk hits and no
+# simulation in the stats line).
 CACHE_SMOKE_DIR ?= $(CURDIR)/.cache-smoke
 cache-smoke:
 	rm -rf $(CACHE_SMOKE_DIR)
 	mkdir -p $(CACHE_SMOKE_DIR)
 	$(GO) build -o $(CACHE_SMOKE_DIR)/avfbench ./cmd/avfbench
+	$(GO) build -o $(CACHE_SMOKE_DIR)/avfinject ./cmd/avfinject
 	$(CACHE_SMOKE_DIR)/avfbench -ref -quiet > $(CACHE_SMOKE_DIR)/off.out
 	$(CACHE_SMOKE_DIR)/avfbench -ref -quiet -cache-dir $(CACHE_SMOKE_DIR)/cache > $(CACHE_SMOKE_DIR)/cold.out 2> $(CACHE_SMOKE_DIR)/cold.err
 	$(CACHE_SMOKE_DIR)/avfbench -ref -quiet -cache-dir $(CACHE_SMOKE_DIR)/cache > $(CACHE_SMOKE_DIR)/warm.out 2> $(CACHE_SMOKE_DIR)/warm.err
 	cmp $(CACHE_SMOKE_DIR)/off.out $(CACHE_SMOKE_DIR)/cold.out
 	cmp $(CACHE_SMOKE_DIR)/cold.out $(CACHE_SMOKE_DIR)/warm.out
 	grep -E '^# cache: mem=[0-9]+ disk=[1-9][0-9]* sim=0 ' $(CACHE_SMOKE_DIR)/warm.err
-	@echo cache-smoke OK: outputs byte-identical, warm run served from disk
+	$(CACHE_SMOKE_DIR)/avfinject -trials 2000 -root-cause > $(CACHE_SMOKE_DIR)/inj-off.out 2> /dev/null
+	$(CACHE_SMOKE_DIR)/avfinject -trials 2000 -root-cause -cache-dir $(CACHE_SMOKE_DIR)/injcache > $(CACHE_SMOKE_DIR)/inj-cold.out 2> $(CACHE_SMOKE_DIR)/inj-cold.err
+	$(CACHE_SMOKE_DIR)/avfinject -trials 2000 -root-cause -cache-dir $(CACHE_SMOKE_DIR)/injcache > $(CACHE_SMOKE_DIR)/inj-warm.out 2> $(CACHE_SMOKE_DIR)/inj-warm.err
+	cmp $(CACHE_SMOKE_DIR)/inj-off.out $(CACHE_SMOKE_DIR)/inj-cold.out
+	cmp $(CACHE_SMOKE_DIR)/inj-cold.out $(CACHE_SMOKE_DIR)/inj-warm.out
+	grep -E '^# cache: mem=[0-9]+ disk=[1-9][0-9]* sim=0 ' $(CACHE_SMOKE_DIR)/inj-warm.err
+	@echo cache-smoke OK: outputs byte-identical, warm runs served from disk
 	rm -rf $(CACHE_SMOKE_DIR)
 
 # serve-smoke boots avfstressd, submits two concurrent overlapping

@@ -10,8 +10,7 @@
 //
 //	avfinject [-config baseline|configA] [-rates uniform|rhc|edr]
 //	          [-trials 1000] [-scale 32] [-seed 1] [-mode reference|search]
-//	          [-prune-static N] [-root-cause]
-//	          [-cache-dir DIR] [-cpuprofile f] [-v]
+//	          [-root-cause] [-cache-dir DIR] [-cpuprofile f] [-v]
 //
 // avfinject is a thin client of the same scenario path avfstressd
 // serves: the flags build a declarative scenario.Spec whose parametric
@@ -49,7 +48,6 @@ func main() {
 		scale     = flag.Int("scale", 32, "cache scale-down factor (1 = paper-exact)")
 		seed      = flag.Int64("seed", 1, "sampling and search seed (campaigns are byte-deterministic per seed)")
 		mode      = flag.String("mode", "reference", "stressmark provenance: reference (published knobs) or search (run the GA)")
-		pruneSt   = flag.Int("prune-static", 0, "static liveness pruning of the injection space: 0 or >0 = enabled, <0 = disabled (pruned targets classify as masked analytically, freeing their replays for the live subspace)")
 		rootCause = flag.Bool("root-cause", false, "also report root-cause attribution tables: the instructions whose values SDC/DUE trials corrupted, ranked (shares the campaign's replays)")
 		cacheDir  = flag.String("cache-dir", "", "persist simulations and per-campaign outcome tables under this directory (shared across runs; results are bit-identical)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -94,7 +92,6 @@ func main() {
 		Mode:         *mode,
 		Scale:        *scale,
 		Seed:         *seed,
-		PruneStatic:  *pruneSt,
 	}
 	base := experiments.Options{Cache: simcache.New(simcache.Options{Dir: *cacheDir})}
 	if *verbose {

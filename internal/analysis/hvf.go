@@ -49,9 +49,3 @@ func (h HVF) Check(r *avf.Result, eps float64) error {
 	}
 	return nil
 }
-
-// Gap returns HVF − AVF for a structure: the program-side masking that
-// pure hardware-occupancy analysis cannot see.
-func (h HVF) Gap(r *avf.Result, s uarch.Structure) float64 {
-	return h.Value[s] - r.AVF[s]
-}

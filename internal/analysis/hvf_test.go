@@ -21,8 +21,8 @@ func TestHVFBoundsAVF(t *testing.T) {
 	if err := h.Check(r, 0); err != nil {
 		t.Errorf("valid result rejected: %v", err)
 	}
-	if got := h.Gap(r, uarch.ROB); math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("ROB gap %f, want 0.1", got)
+	if got := h.Value[uarch.ROB]; math.Abs(got-0.8) > 1e-9 {
+		t.Errorf("ROB HVF %f, want the ROB occupancy 0.8", got)
 	}
 }
 

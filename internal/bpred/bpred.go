@@ -98,9 +98,6 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Config returns the normalised geometry.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // Predict returns the predicted direction for the branch at pc.
 // It performs no state update; pair with Update.
 func (p *Predictor) Predict(pc uint64) bool {

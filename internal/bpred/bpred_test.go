@@ -8,12 +8,12 @@ import (
 
 func TestConfigNormalisation(t *testing.T) {
 	p := New(Config{GlobalEntries: 1000}) // not a power of two
-	if got := p.Config().GlobalEntries; got != 1024 {
+	if got := p.cfg.GlobalEntries; got != 1024 {
 		t.Errorf("global entries normalised to %d, want 1024", got)
 	}
 	d := New(Config{})
-	if d.Config() != DefaultConfig() {
-		t.Errorf("zero config should normalise to the default, got %+v", d.Config())
+	if d.cfg != DefaultConfig() {
+		t.Errorf("zero config should normalise to the default, got %+v", d.cfg)
 	}
 }
 

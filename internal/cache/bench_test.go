@@ -28,7 +28,7 @@ func BenchmarkCacheHit(b *testing.B) {
 // every access.
 func BenchmarkCacheMissFill(b *testing.B) {
 	c := MustNew(dl1Cfg())
-	stride := uint64(c.Config().LineBytes)
+	stride := uint64(c.cfg.LineBytes)
 	lines := uint64(c.Lines() * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -47,7 +47,7 @@ func BenchmarkCacheMissFill(b *testing.B) {
 func BenchmarkCacheWriteback(b *testing.B) {
 	c := MustNew(dl1Cfg())
 	l2 := MustNew(Config{Name: "L2", SizeBytes: 1 << 20, LineBytes: 64, Ways: 1, HitLatency: 7, ChunkBytes: 8})
-	stride := uint64(c.Config().LineBytes)
+	stride := uint64(c.cfg.LineBytes)
 	lines := uint64(c.Lines() * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -72,7 +72,7 @@ func BenchmarkCacheFinalize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c.Reset()
-		stride := uint64(c.Config().LineBytes)
+		stride := uint64(c.cfg.LineBytes)
 		for l := 0; l < c.Lines(); l++ {
 			addr := uint64(l) * stride
 			c.FillTouch(0, 1, addr, 8, l%2 == 0)

@@ -302,9 +302,6 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Lines returns the total number of lines.
 func (c *Cache) Lines() int { return c.sets * c.cfg.Ways }
 

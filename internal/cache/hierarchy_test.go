@@ -170,7 +170,7 @@ func TestBaselineHierarchyGeometry(t *testing.T) {
 	if h.L2.Lines() != 16384 {
 		t.Errorf("L2 lines = %d, want 16384", h.L2.Lines())
 	}
-	if h.DTLB.Config().Entries != 256 {
-		t.Errorf("DTLB entries = %d, want 256", h.DTLB.Config().Entries)
+	if len(h.DTLB.entries) != 256 {
+		t.Errorf("DTLB entries = %d, want 256", len(h.DTLB.entries))
 	}
 }

@@ -57,15 +57,16 @@ type tlbEntry struct {
 // accounting: an entry is ACE from fill to its last read (read→evict is
 // un-ACE, per the paper).
 //
-// Residency is indexed by a VPN map so the hit path — the overwhelmingly
-// common case — is a single lookup instead of a scan of all entries;
-// LRU victim selection scans only on the (rare) miss, and the HD-1
+// Above 64 entries residency is indexed by a VPN map so the hit path —
+// the overwhelmingly common case — is a single lookup instead of a scan
+// of all entries; smaller TLBs scan, and keep no map. LRU victim
+// selection scans only on the (rare) miss, and the HD-1
 // exposure bookkeeping is maintained incrementally per fill (O(entries)
 // instead of the previous O(entries²) recompute).
 type TLB struct {
 	cfg      TLBConfig
 	entries  []tlbEntry
-	byVPN    map[uint64]int32 // valid entries only
+	byVPN    map[uint64]int32 // valid entries only; nil when small
 	pageBits uint
 	small    bool // few entries: hit path scans instead of using the map
 
@@ -110,8 +111,10 @@ func NewTLB(cfg TLBConfig) (*TLB, error) {
 	t := &TLB{
 		cfg:     cfg,
 		entries: make([]tlbEntry, cfg.Entries),
-		byVPN:   make(map[uint64]int32, cfg.Entries),
 		small:   cfg.Entries <= 64,
+	}
+	if !t.small {
+		t.byVPN = make(map[uint64]int32, cfg.Entries)
 	}
 	for p := cfg.PageBytes; p > 1; p >>= 1 {
 		t.pageBits++
@@ -128,9 +131,6 @@ func MustNewTLB(cfg TLBConfig) *TLB {
 	return t
 }
 
-// Config returns the TLB configuration.
-func (t *TLB) Config() TLBConfig { return t.cfg }
-
 // Access translates addr at time now, returning the added latency (0 on
 // a hit, WalkLatency on a miss, which also fills the entry).
 func (t *TLB) Access(now int64, addr uint64) (latency int) {
@@ -143,8 +143,7 @@ func (t *TLB) Access(now int64, addr uint64) (latency int) {
 		return 0
 	}
 	if t.small {
-		// Few entries: a scan beats the map lookup (the map is still
-		// maintained, as the large-configuration path).
+		// Few entries: a scan beats a map lookup.
 		for i := range t.entries {
 			e := &t.entries[i]
 			if e.valid && e.vpn == vpn {
@@ -184,7 +183,9 @@ func (t *TLB) Access(now int64, addr uint64) (latency int) {
 	victim.fillTime = now
 	victim.lastRead = now // the filling access reads the translation
 	victim.lru = now
-	t.byVPN[vpn] = victimIdx
+	if !t.small {
+		t.byVPN[vpn] = victimIdx
+	}
 	t.memoVPN, t.memoIdx, t.memoValid = vpn, victimIdx, true
 	if t.cfg.HammingCAM {
 		t.updateHD1(now, victimIdx, vpn, oldVPN, hadOld)
@@ -208,7 +209,9 @@ func (t *TLB) closeEntry(e *tlbEntry, idx int32, now int64) {
 		t.closeHD1(e, now)
 	}
 	e.valid = false
-	delete(t.byVPN, e.vpn)
+	if !t.small {
+		delete(t.byVPN, e.vpn)
+	}
 }
 
 // watchClose resolves the armed fate watches on entry slot idx whose
@@ -381,9 +384,6 @@ func (t *TLB) AVF(cycles int64) float64 {
 	}
 	return (plain*payload + hd1*tagBits) / entry
 }
-
-// Bits returns the total SER-relevant bit count.
-func (t *TLB) Bits() uint64 { return uint64(t.cfg.Entries) * uint64(t.cfg.EntryBits) }
 
 // MissRate returns misses/accesses.
 func (t *TLB) MissRate() float64 {

@@ -40,8 +40,8 @@ func TestNormalizeRepairsOverfullBody(t *testing.T) {
 	k := Knobs{LoopSize: 10, NumLoads: 40, NumStores: 40, NumIndepArith: 20,
 		MissDependent: 30, DepDistance: 3}
 	k = k.Normalize(cfg)
-	if err := k.Validate(cfg); err != nil {
-		t.Fatalf("repaired knobs still invalid: %v", err)
+	if n := k.Normalize(cfg); n != k {
+		t.Fatalf("repaired knobs still not normalised: %+v, want %+v", k, n)
 	}
 	if k.ChainArith() < k.foldsNeeded() {
 		t.Errorf("chain arithmetic %d cannot cover %d folds", k.ChainArith(), k.foldsNeeded())
@@ -274,15 +274,18 @@ func TestKnobsString(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsUnnormalised: Normalize moves an infeasible knob
+// set and leaves its own output unchanged.
 func TestValidateDetectsUnnormalised(t *testing.T) {
 	cfg := uarch.Baseline()
 	k := baseKnobs()
 	k.LoopSize = 1000
-	if err := k.Validate(cfg); err == nil {
-		t.Error("unnormalised knobs accepted")
+	n := k.Normalize(cfg)
+	if n == k {
+		t.Error("unnormalised knobs left unchanged")
 	}
-	if err := k.Normalize(cfg).Validate(cfg); err != nil {
-		t.Errorf("normalised knobs rejected: %v", err)
+	if again := n.Normalize(cfg); again != n {
+		t.Errorf("normalised knobs moved again: %+v -> %+v", n, again)
 	}
 }
 

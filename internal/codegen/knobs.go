@@ -204,16 +204,6 @@ func (k Knobs) ChainArith() int {
 		k.NumIndepArith - k.MissDependent
 }
 
-// Validate reports whether the knobs are feasible for cfg without
-// repair. Normalize(cfg) always yields a valid set.
-func (k Knobs) Validate(cfg uarch.Config) error {
-	n := k.Normalize(cfg)
-	if n != k {
-		return fmt.Errorf("codegen: knobs not normalised for %s: have %+v, want %+v", cfg.Name, k, n)
-	}
-	return nil
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

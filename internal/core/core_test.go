@@ -130,8 +130,8 @@ func TestSearchTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Knobs.Validate(cfg); err != nil {
-		t.Errorf("best knobs not normalised: %v", err)
+	if n := res.Knobs.Normalize(cfg); n != res.Knobs {
+		t.Errorf("best knobs not normalised: %+v, want %+v", res.Knobs, n)
 	}
 	if err := codegen.CheckACEClosure(res.Program); err != nil {
 		t.Errorf("best program: %v", err)

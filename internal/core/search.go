@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"avfstress/internal/avf"
@@ -25,6 +24,7 @@ import (
 	"avfstress/internal/ga"
 	"avfstress/internal/pipe"
 	"avfstress/internal/prog"
+	"avfstress/internal/sched"
 	"avfstress/internal/simcache"
 	"avfstress/internal/uarch"
 )
@@ -190,57 +190,38 @@ func Search(ctx context.Context, spec SearchSpec) (*SearchResult, error) {
 		return nil, err
 	}
 	ev.WithCache(spec.Cache)
-	// memo holds one entry per distinct candidate, created by the first
-	// evaluation to ask for it; identical candidates evaluated
-	// concurrently wait on that entry instead of simulating and counting
-	// again, so Evaluations is exact at any GA parallelism.
-	type memoEntry struct {
-		done chan struct{}
-		f    float64
-		err  error
-	}
+	// memo computes each distinct candidate once; identical candidates
+	// evaluated concurrently wait on that computation instead of
+	// simulating and counting again, so Evaluations is exact at any GA
+	// parallelism.
 	var (
-		mu    sync.Mutex
-		memo  = map[codegen.Knobs]*memoEntry{}
+		memo  sched.Flight[codegen.Knobs, float64]
 		evals atomic.Int64
 		fails atomic.Int64
 	)
 	fitness := func(g ga.Genome) (float64, error) {
 		k := KnobsFromGenome(g).Normalize(spec.Config)
-		mu.Lock()
-		if e, ok := memo[k]; ok {
-			mu.Unlock()
-			<-e.done
-			return e.f, e.err
-		}
-		e := &memoEntry{done: make(chan struct{})}
-		memo[k] = e
-		mu.Unlock()
-		defer close(e.done)
-		f, err := ev.EvaluateKnobs(ctx, spec.Rates, spec.Weights, k, spec.Eval)
-		if err != nil {
-			// Cancellation is not a property of the candidate: propagate
-			// it instead of culling, and never memoise the zero score a
-			// cancelled evaluation would otherwise leave behind.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				mu.Lock()
-				delete(memo, k)
-				mu.Unlock()
-				e.err = err
-				return 0, err
+		return memo.Do(k, func() (float64, error) {
+			f, err := ev.EvaluateKnobs(ctx, spec.Rates, spec.Weights, k, spec.Eval)
+			if err != nil {
+				// Cancellation is not a property of the candidate:
+				// propagate it instead of culling (the flight never
+				// memoises an error, so nothing stale is left behind).
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					return 0, err
+				}
+				// Cull infeasible candidates instead of aborting the search.
+				fails.Add(1)
+				f = 0
 			}
-			// Cull infeasible candidates instead of aborting the search.
-			fails.Add(1)
-			f = 0
-		}
-		// Count distinct candidates (process-local memo misses) whether
-		// the simulation ran or was served by the shared cache: the
-		// number is then a pure function of the GA trajectory, so search
-		// reports stay byte-identical across cold and warm caches and
-		// worker counts.
-		evals.Add(1)
-		e.f = f
-		return f, nil
+			// Count distinct candidates (process-local memo misses)
+			// whether the simulation ran or was served by the shared
+			// cache: the number is then a pure function of the GA
+			// trajectory, so search reports stay byte-identical across
+			// cold and warm caches and worker counts.
+			evals.Add(1)
+			return f, nil
+		})
 	}
 
 	gres, err := ga.Run(ctx, gacfg, fitness)

@@ -3,12 +3,8 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"avfstress/internal/codegen"
 	"avfstress/internal/simcache"
@@ -179,77 +175,6 @@ func TestSharedStoreDeduplicatesAcrossContexts(t *testing.T) {
 	if st.MemHits == 0 {
 		t.Error("second context reports no memory hits")
 	}
-}
-
-// TestFlightPanicReleasesKey: a flight computation that panics
-// memoises nothing and wedges nothing — a waiter parked on it gets an
-// error (not a zero value), the panic reaches the computing caller, and
-// the next call on the key computes afresh.
-func TestFlightPanicReleasesKey(t *testing.T) {
-	var f flight[int]
-	started, gate := make(chan struct{}), make(chan struct{})
-	recovered := make(chan any, 1)
-	go func() {
-		defer func() { recovered <- recover() }()
-		f.do("k", func() (int, error) {
-			close(started)
-			<-gate
-			panic("compute blew up")
-		})
-	}()
-	<-started
-	waiter := make(chan error, 1)
-	go func() {
-		v, err := f.do("k", func() (int, error) { return 7, nil })
-		if err == nil {
-			err = fmt.Errorf("waiter got value %d", v)
-		}
-		waiter <- err
-	}()
-	// Let the waiter park on the in-flight call before releasing it:
-	// flight keeps no counters, so look for a goroutine blocked in do
-	// itself (the computing one is blocked inside its compute).
-	for !parkedInFlight() {
-		runtime.Gosched()
-	}
-	close(gate)
-	if r := <-recovered; r == nil {
-		t.Fatal("the panic did not reach the computing caller")
-	}
-	select {
-	case err := <-waiter:
-		if !errors.Is(err, errFlightPanicked) {
-			t.Errorf("waiter error = %v, want the panic error", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiter on a panicked computation never returned")
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if v, err := f.do("k", func() (int, error) { return 42, nil }); err != nil || v != 42 {
-			t.Errorf("call after the panic = %d, %v", v, err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("call after a panicked computation never returned: the key is wedged")
-	}
-}
-
-// parkedInFlight reports whether some goroutine is blocked on a channel
-// receive directly in flight.do — a waiter on an in-flight call.
-func parkedInFlight() bool {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		lines := strings.SplitN(g, "\n", 3)
-		if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") && strings.Contains(lines[1], ".(*flight[") {
-			return true
-		}
-	}
-	return false
 }
 
 // generatorPin is the digest TestGeneratorOutputPinned expects. Change

@@ -8,9 +8,7 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/codegen"
@@ -41,10 +39,6 @@ type Options struct {
 	// WorkloadInstr/WorkloadWarmup budget each workload simulation;
 	// zero derives them from the scaled configuration.
 	WorkloadInstr, WorkloadWarmup int64
-	// PruneStatic toggles static liveness pruning of fault-injection
-	// campaigns (see inject.Options.PruneStatic): ≥0 = enabled (0 is
-	// the default), <0 = disabled.
-	PruneStatic int
 	// Parallelism bounds each CPU fan-out independently: a workload
 	// suite's concurrent simulations, a GA search's concurrent
 	// evaluations and an injection study's concurrent campaigns (each a
@@ -80,60 +74,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// flight memoises keyed computations with singleflight semantics:
-// concurrent callers of one key share a single computation, successful
-// values are memoised forever, and errors (including cancellations) are
-// handed to every waiter but never memoised — a later call retries. A
-// computation that panics memoises nothing either: its waiters get an
-// error and the panic continues in the computing caller.
-type flight[T any] struct {
-	mu       sync.Mutex
-	done     map[string]T
-	inflight map[string]*flightCall[T]
-}
-
-type flightCall[T any] struct {
-	ch  chan struct{}
-	val T
-	err error
-}
-
-func (f *flight[T]) do(key string, compute func() (T, error)) (T, error) {
-	f.mu.Lock()
-	if f.done == nil {
-		f.done = map[string]T{}
-		f.inflight = map[string]*flightCall[T]{}
-	}
-	if v, ok := f.done[key]; ok {
-		f.mu.Unlock()
-		return v, nil
-	}
-	if c, ok := f.inflight[key]; ok {
-		f.mu.Unlock()
-		<-c.ch
-		return c.val, c.err
-	}
-	c := &flightCall[T]{ch: make(chan struct{}), err: errFlightPanicked}
-	f.inflight[key] = c
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		delete(f.inflight, key)
-		if c.err == nil {
-			f.done[key] = c.val
-		}
-		f.mu.Unlock()
-		close(c.ch)
-	}()
-
-	c.val, c.err = compute()
-	return c.val, c.err
-}
-
-// errFlightPanicked is what waiters on a panicked computation receive
-// (a call starts with it; only a returning computation replaces it).
-var errFlightPanicked = errors.New("experiments: the shared computation panicked")
-
 // Context caches shared work across experiments at two levels: the
 // wl/sm/pv/fi flights memoise whole workload suites, stressmark
 // searches, the power virus and injection studies (keyed by
@@ -150,10 +90,10 @@ type Context struct {
 
 	cache *simcache.Store
 
-	wl flight[[]*avf.Result]
-	sm flight[*core.SearchResult]
-	pv flight[*avf.Result]
-	fi flight[*InjectionStudy]
+	wl sched.Flight[string, []*avf.Result]
+	sm sched.Flight[string, *core.SearchResult]
+	pv sched.Flight[string, *avf.Result]
+	fi sched.Flight[string, *InjectionStudy]
 }
 
 // NewContext prepares a context for the given options.
@@ -212,7 +152,7 @@ func (c *Context) workloadBudget() pipe.RunConfig {
 // *sched.PanicError.
 func (c *Context) Workloads(ctx context.Context, cfg uarch.Config) ([]*avf.Result, error) {
 	cfgFP := cfg.Fingerprint()
-	return c.wl.do(cfgFP, func() ([]*avf.Result, error) {
+	return c.wl.Do(cfgFP, func() ([]*avf.Result, error) {
 		profiles := workloads.Profiles()
 		results := make([]*avf.Result, len(profiles))
 		pool, err := pipe.NewPool(cfg)
@@ -296,7 +236,7 @@ func ReferenceKnobs(key string) (codegen.Knobs, error) {
 // within one generation and nothing partial is memoised.
 func (c *Context) Stressmark(ctx context.Context, key string, cfg uarch.Config, rates uarch.FaultRates) (*core.SearchResult, error) {
 	smKey := key + "\x00" + cfg.Fingerprint() + "\x00" + rates.Fingerprint()
-	return c.sm.do(smKey, func() (*core.SearchResult, error) {
+	return c.sm.Do(smKey, func() (*core.SearchResult, error) {
 		var (
 			res *core.SearchResult
 			err error
@@ -391,7 +331,7 @@ func (c *Context) StressmarkProgram(ctx context.Context, key string, cfg uarch.C
 // on the baseline configuration.
 func (c *Context) PowerVirus(ctx context.Context) (*avf.Result, error) {
 	cfg := c.Baseline
-	return c.pv.do("pv\x00"+cfg.Fingerprint(), func() (*avf.Result, error) {
+	return c.pv.Do("pv\x00"+cfg.Fingerprint(), func() (*avf.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

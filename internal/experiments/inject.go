@@ -119,7 +119,7 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 		trials = defaultInjectTrials
 	}
 	key := fmt.Sprintf("fi\x00%s\x00%s\x00%d", cfg.Fingerprint(), rates.Fingerprint(), trials)
-	return c.fi.do(key, func() (*InjectionStudy, error) {
+	return c.fi.Do(key, func() (*InjectionStudy, error) {
 		rc := c.injectBudget()
 		study := &InjectionStudy{Config: cfg, RatesName: orDefault(ratesName, "uniform"), Trials: trials,
 			Campaigns: make([]*inject.Result, len(injectionPanel))}
@@ -144,8 +144,7 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 			res, err := inject.Run(ctx, inject.Options{
 				Config: cfg, Program: p, Run: rc, Rates: rates,
 				Trials: trials, Seed: c.Opts.Seed, Cache: c.cache,
-				PruneStatic: c.Opts.PruneStatic,
-				RootCause:   true,
+				RootCause: true,
 			})
 			if err != nil {
 				return fmt.Errorf("experiments: injection campaign %s: %w", name, err)

@@ -159,9 +159,6 @@ func NewSpecContext(sp scenario.Spec, base Options) (*Context, []string, error) 
 	if sp.Parallelism > 0 {
 		opts.Parallelism = sp.Parallelism
 	}
-	if sp.PruneStatic != 0 {
-		opts.PruneStatic = sp.PruneStatic
-	}
 	if sp.Mode != "" {
 		opts.UseReferenceKnobs = sp.Mode == "reference"
 	}

@@ -51,8 +51,8 @@ const goldenKeyPart = "golden:bin1"
 // Golden-info codec, the head of the golden entry: a magic, the
 // little-endian WindowStart, Cycles and Digest, a uint32 count of
 // register-file dead intervals, then per interval a fixed-width record —
-// Slot (int16), Start, End. The intervals are always encoded, whatever
-// PruneStatic says, so warm and cold campaigns prune identically.
+// Slot (int16), Start, End. The intervals are always encoded, so warm
+// and cold campaigns prune identically.
 const (
 	goldenMagic  = "injgld1\x00"
 	goldenHeader = len(goldenMagic) + 8 + 8 + 8 + 4

@@ -66,18 +66,6 @@ type Options struct {
 	// Cache, when set, memoises the golden run and the campaign's
 	// outcome table; nil replays the campaign.
 	Cache *simcache.Store
-	// PruneStatic controls static liveness pruning of the injection
-	// space (DESIGN.md §12): 0 (the default) and any positive value
-	// enable it, a negative value disables it (the benchmark baseline).
-	// When enabled, campaign setup intersects every sampled target with
-	// the statically proven dead set — capped queue entries, never-popped
-	// physical registers and recorded dead-definition occupancies —
-	// classifies those targets as masked analytically with zero
-	// replays, and re-allocates the freed trial budget across the live
-	// subspace, so the same budget buys a tighter confidence interval. Pruning changes which targets
-	// replay, never any replay's outcome; with it disabled the campaign
-	// is byte-identical to the legacy sampler.
-	PruneStatic int
 	// RootCause, when set, attributes every corrupting trial to the
 	// program instruction whose value the flipped bit held
 	// (internal/rootcause, DESIGN.md §14) and attaches the
@@ -124,10 +112,8 @@ type StructureResult struct {
 	// Pruned counts targets the static liveness filter classified
 	// masked analytically (zero replays). PruneFrac is the dead
 	// fraction of the stratum's bit-cycle space the estimator corrects
-	// for (exactly zero when pruning is disabled), and StaticBound the
-	// tightened static ACE upper bound: the paper's all-bits bound 1.0
-	// minus the statically proven dead fraction (reported even when
-	// pruning is disabled — it is a static fact of the workload).
+	// for, and StaticBound the tightened static ACE upper bound: the
+	// paper's all-bits bound 1.0 minus that dead fraction.
 	Pruned      int
 	PruneFrac   float64
 	StaticBound float64
@@ -137,16 +123,11 @@ type StructureResult struct {
 	// subspace — detection changes the outcome class, not the
 	// underlying vulnerability — with its similarly scaled Wilson 95%
 	// confidence interval and the golden run's ACE-based AVF beside
-	// it. Phase1* split out the outcome counts of the first sampling
-	// phase, whose draws are stream-identical to an unpruned
-	// campaign's; the pruned-campaign benchmark reconciles them
-	// against the baseline's counts.
+	// it.
 	AVF       float64
 	SampleAVF float64
 	CI        Interval
 	ACE       float64
-
-	Phase1SDC, Phase1Detected, Phase1Masked int
 }
 
 // Result is the outcome of one campaign.
@@ -180,12 +161,10 @@ type Result struct {
 
 	SDC, Detected, Masked int
 
-	// Pruned totals the statically pruned targets across strata,
-	// StaticBound is the bit-weighted tightened static ACE upper bound
-	// and PruneEnabled records whether the filter was active.
-	Pruned       int
-	StaticBound  float64
-	PruneEnabled bool
+	// Pruned totals the statically pruned targets across strata and
+	// StaticBound is the bit-weighted tightened static ACE upper bound.
+	Pruned      int
+	StaticBound float64
 
 	// RootCause holds the instruction-level attribution of the
 	// campaign's corrupted trials when Options.RootCause was set; nil
@@ -260,7 +239,14 @@ func allocate(total, min int, weights []float64) []int {
 
 // Run executes the campaign: one golden simulation, up-front sampling
 // of every trial target, then one replay from cycle zero carrying every
-// unique target. The context is checked before each simulation.
+// unique target. Sampling intersects every target with the statically
+// proven dead set (DESIGN.md §12) — capped queue entries, never-popped
+// physical registers and recorded dead-definition occupancies —
+// classifies those targets as masked analytically with zero replays,
+// and re-allocates the freed trial budget across the live subspace, so
+// the same budget buys a tighter confidence interval. Pruning changes
+// which targets replay, never any replay's outcome. The context is
+// checked before each simulation.
 func Run(ctx context.Context, o Options) (*Result, error) {
 	o = o.withDefaults()
 	if err := ctx.Err(); err != nil {
@@ -277,7 +263,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	// Sampling is up-front and single-threaded and the pruner's inputs
 	// are static or cached with the golden result, so pruned campaigns
 	// stay byte-deterministic across runs and caches.
-	pr := newPruner(o.PruneStatic >= 0, o.Config, c.live, info)
+	pr := newPruner(o.Config, c.live, info)
 	s, err := sample(o, info, pr)
 	if err != nil {
 		return nil, err
@@ -313,8 +299,8 @@ func newCampaign(o Options) (*campaign, error) {
 	return &campaign{
 		o:    o,
 		pool: pool,
-		// Unconditional, whatever PruneStatic says: its dead definitions
-		// drive the golden run's (cached) interval recording.
+		// Its dead definitions drive the golden run's (cached) interval
+		// recording as well as the pruner.
 		live:   liveness.Analyze(o.Program, o.Config.Core),
 		cfgFP:  o.Config.Fingerprint(),
 		progFP: "prog:" + o.Program.Fingerprint(),
@@ -366,23 +352,20 @@ func (c *campaign) checkGolden(want pipe.GoldenInfo) error {
 }
 
 // sampled is a campaign's trial plan, per stratum: replayed targets in
-// draw order (the first phase1[i] as an unpruned campaign draws them),
-// the pruned count, and the outcome slots the replay fills.
+// draw order, the pruned count, and the outcome slots the replay fills.
 type sampled struct {
 	bits     []uint64
 	pruned   []int
-	phase1   []int
 	faults   [][]pipe.Fault
 	outcomes [][]pipe.FaultTrial
 }
 
 // sample draws every stratum's targets: the baseline allocation first,
-// then (with pruning) the freed budget re-allocated over the live
-// subspace.
+// then the budget freed by pruning re-allocated over the live subspace.
 func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	const n = uarch.NumStructures
 	s := &sampled{
-		bits: make([]uint64, n), pruned: make([]int, n), phase1: make([]int, n),
+		bits: make([]uint64, n), pruned: make([]int, n),
 		faults: make([][]pipe.Fault, n), outcomes: make([][]pipe.FaultTrial, n),
 	}
 	var totalBits float64
@@ -409,9 +392,7 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	// Phase 1: draw every stratum's baseline allocation from its
 	// deterministic stream. Statically pruned draws are classified
 	// analytically and replay nothing; the rest fill the stratum's
-	// replay list in draw order. With pruning disabled this phase is
-	// the legacy sampler verbatim — same streams, same targets, same
-	// order.
+	// replay list in draw order.
 	rngs := make([]rng, n)
 	freed := 0
 	for st := range n {
@@ -426,7 +407,6 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 			}
 			s.faults[st] = append(s.faults[st], f)
 		}
-		s.phase1[st] = len(s.faults[st])
 	}
 
 	// Phase 2: re-allocate the freed budget across strata in proportion
@@ -435,7 +415,7 @@ func sample(o Options, info pipe.GoldenInfo, pr *pruner) (*sampled, error) {
 	// topped-up trials concentrate where uncertainty remains. The
 	// attempt bound only guards a pathological all-dead stratum; budget
 	// not placeable within it is dropped, deterministically.
-	if !pr.enabled || freed == 0 {
+	if freed == 0 {
 		return s, nil
 	}
 	w2 := make([]float64, n)
@@ -550,7 +530,6 @@ func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, pr *pr
 		GoldenDigest: info.Digest,
 		WindowStart:  info.WindowStart,
 		WindowCycles: info.Cycles,
-		PruneEnabled: pr.enabled,
 	}
 	var (
 		rcTrials  []rootcause.Trial
@@ -561,21 +540,18 @@ func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, pr *pr
 		sr := StructureResult{
 			Structure: st, Bits: s.bits[st],
 			Trials: replayed + s.pruned[st], Pruned: s.pruned[st],
-			PruneFrac: pr.frac(st), StaticBound: pr.bound(st),
+			PruneFrac: pr.staticFrac[st], StaticBound: pr.bound(st),
 			ACE: golden.AVF[st],
 		}
 		protected := o.Rates[st] == 0
 		for t, trial := range s.outcomes[st] {
-			n, p1 := &sr.Masked, &sr.Phase1Masked
 			switch {
 			case trial.Corrupted && protected:
-				n, p1 = &sr.Detected, &sr.Phase1Detected
+				sr.Detected++
 			case trial.Corrupted:
-				n, p1 = &sr.SDC, &sr.Phase1SDC
-			}
-			*n++
-			if t < s.phase1[st] {
-				*p1++
+				sr.SDC++
+			default:
+				sr.Masked++
 			}
 			if trial.Corrupted && o.RootCause {
 				rcTrials = append(rcTrials, rootcause.Trial{
@@ -588,9 +564,7 @@ func aggregateResult(o Options, golden *avf.Result, info pipe.GoldenInfo, pr *pr
 		}
 		// The estimator samples the live subspace only, so the raw
 		// corrupted fraction and its Wilson interval scale by the live
-		// fraction. With pruning disabled the fraction is exactly zero
-		// and the multiplications by 1.0 are IEEE-exact identities —
-		// the legacy numbers, bit for bit.
+		// fraction.
 		vuln := sr.SDC + sr.Detected
 		liveFrac := 1 - sr.PruneFrac
 		if replayed > 0 {
@@ -642,8 +616,6 @@ func (r *Result) aggregate(weight func(StructureResult) float64) (est float64, c
 		// Pruned slots carry no sampling variance (they are analytic
 		// constants), so each stratum contributes the binomial variance
 		// of its replayed trials scaled by the squared live fraction.
-		// With pruning disabled both factors are exactly 1.0 and this
-		// is the legacy expression bit for bit.
 		if n := sr.Trials - sr.Pruned; n > 0 {
 			liveFrac := 1 - sr.PruneFrac
 			v += w * w * liveFrac * liveFrac * sr.SampleAVF * (1 - sr.SampleAVF) / float64(n)
@@ -694,9 +666,6 @@ func (r *Result) DeratedLine() string {
 // pruned target counts (total, then per structure with a nonzero
 // count) and the bit-weighted tightened static ACE upper bound.
 func (r *Result) PruneLine() string {
-	if !r.PruneEnabled {
-		return "prune: disabled"
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "prune: targets=%d/%d bound=%.4f", r.Pruned, r.Trials, r.StaticBound)
 	for _, sr := range r.Structures {

@@ -184,7 +184,7 @@ func TestCampaignPassMatchesSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sample(o, info, newPruner(true, o.Config, c.live, info))
+	s, err := sample(o, info, newPruner(o.Config, c.live, info))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func prunerFixture(t *testing.T, cfg uarch.Config, p *prog.Program, rc pipe.RunC
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pool, info, newPruner(true, cfg, live, info)
+	return pool, info, newPruner(cfg, live, info)
 }
 
 // enumeratePruned walks the pruner's dead set directly — every capped
@@ -242,37 +242,14 @@ func TestCampaignPrunesRFTargets(t *testing.T) {
 	}
 }
 
-// TestCampaignPrunedByteDeterministic: a pruned campaign renders
-// byte-identically across equivalent positive knob values (every
-// PruneStatic ≥ 0 is the same filter).
-func TestCampaignPrunedByteDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign in -short mode")
-	}
-	o := testOptions(t, 200)
-	o.PruneStatic = 0
-	base, err := Run(bg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Pruned == 0 {
-		t.Fatal("pruned campaign pruned no targets (nothing exercised)")
-	}
-	o.PruneStatic = 5
-	got, err := Run(bg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != base.String() {
-		t.Errorf("pruned campaign differs across knob values:\n%s\nvs\n%s", got, base)
-	}
-}
-
 // TestPrunedPhase1MatchesBaseline: pruning changes which targets
-// replay, never a replay's outcome. A pruned campaign's first sampling
-// phase draws the unpruned campaign's targets, so each stratum's
-// baseline SDC, detected and masked counts must equal the pruned
-// campaign's phase-1 counts, with the pruned targets counted masked.
+// replay, never a replay's outcome. The first sampling phase draws each
+// stratum's baseline allocation from its stream, the draws a sampler
+// without the static filter would replay. Re-deriving those draws
+// (stratumRNG plus allocate) and replaying them all in one pass, every
+// draw the pruner drops must replay masked, in the pass and solo, and
+// every kept draw must be the campaign's next replayed target, with the
+// campaign's outcome record.
 func TestPrunedPhase1MatchesBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -280,27 +257,76 @@ func TestPrunedPhase1MatchesBaseline(t *testing.T) {
 	for _, rates := range []uarch.FaultRates{uarch.UniformRates(1), uarch.EDRRates()} {
 		o := testOptions(t, 300)
 		o.Rates = rates
-		o.PruneStatic = -1
-		base, err := Run(bg, o)
+		o = o.withDefaults()
+		c, err := newCampaign(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.PruneStatic = 0
-		pruned, err := Run(bg, o)
+		_, info, warm, err := c.goldenRun()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pruned.Pruned == 0 {
-			t.Fatal("pruned campaign pruned no targets (nothing exercised)")
+		pr := newPruner(o.Config, c.live, info)
+		s, err := sample(o, info, pr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, bs := range base.Structures {
-			ps := pruned.Structures[i]
-			if bs.SDC != ps.Phase1SDC || bs.Detected != ps.Phase1Detected ||
-				bs.Masked != ps.Phase1Masked+ps.Pruned {
-				t.Errorf("%s: baseline outcomes %d/%d/%d != pruned phase-1 %d/%d/%d+%d",
-					bs.Structure, bs.SDC, bs.Detected, bs.Masked,
-					ps.Phase1SDC, ps.Phase1Detected, ps.Phase1Masked, ps.Pruned)
+		if err := c.replay(bg, info, warm, s); err != nil {
+			t.Fatal(err)
+		}
+
+		weights := make([]float64, uarch.NumStructures)
+		var totalBits float64
+		for _, b := range s.bits {
+			totalBits += float64(b)
+		}
+		for st, b := range s.bits {
+			weights[st] = float64(b) / totalBits
+		}
+		alloc := allocate(o.Trials, minPerStructure, weights)
+		base := &sampled{faults: make([][]pipe.Fault, uarch.NumStructures), outcomes: make([][]pipe.FaultTrial, uarch.NumStructures)}
+		for st := range uarch.NumStructures {
+			r := stratumRNG(o.Seed, st)
+			for range alloc[st] {
+				base.faults[st] = append(base.faults[st], pipe.Fault{
+					Structure: st,
+					Bit:       r.next() % s.bits[st],
+					Cycle:     info.WindowStart + int64(r.next()%uint64(info.Cycles)),
+				})
 			}
 		}
+		if err := c.replay(bg, info, warm, base); err != nil {
+			t.Fatal(err)
+		}
+
+		var dropped []pipe.Fault
+		for st, fs := range base.faults {
+			kept, pruned := 0, 0
+			for i, f := range fs {
+				got := base.outcomes[st][i]
+				if pr.pruned(f) {
+					if got.Corrupted {
+						t.Errorf("pruned draw %+v corrupted the baseline pass", f)
+					}
+					dropped = append(dropped, f)
+					pruned++
+					continue
+				}
+				switch {
+				case kept >= len(s.faults[st]) || s.faults[st][kept] != f:
+					t.Fatalf("%s: kept draw %d %+v is not the campaign's replayed target %d", f.Structure, i, f, kept)
+				case s.outcomes[st][kept] != got:
+					t.Errorf("%s %+v: baseline trial %+v, pruned campaign trial %+v", f.Structure, f, got, s.outcomes[st][kept])
+				}
+				kept++
+			}
+			if pruned != s.pruned[st] {
+				t.Errorf("stratum %d: %d draws pruned, campaign counts %d", st, pruned, s.pruned[st])
+			}
+		}
+		if len(dropped) == 0 {
+			t.Fatal("pruned campaign pruned no targets (nothing exercised)")
+		}
+		replayAllMasked(t, c.pool, o.Program, o.Run, dropped)
 	}
 }

@@ -35,12 +35,6 @@ import (
 type ivl struct{ start, end int64 }
 
 type pruner struct {
-	// enabled gates the target filter only; the static fractions and
-	// bounds are computed (and reported) regardless, so a disabled
-	// campaign still quotes the tightened bound while sampling the
-	// full space.
-	enabled bool
-
 	entryBits [uarch.NumStructures]uint64
 	entryCap  [uarch.NumStructures]int64 // first provably empty entry; -1 = none
 	rfStatic  []bool                     // per physical slot: never written
@@ -53,8 +47,8 @@ type pruner struct {
 	totalBC    [uarch.NumStructures]uint64
 }
 
-func newPruner(enabled bool, cfg uarch.Config, sum *liveness.Summary, info pipe.GoldenInfo) *pruner {
-	pr := &pruner{enabled: enabled}
+func newPruner(cfg uarch.Config, sum *liveness.Summary, info pipe.GoldenInfo) *pruner {
+	pr := &pruner{}
 	core := cfg.Core
 	cycles := uint64(info.Cycles)
 	for s := uarch.Structure(0); s < uarch.NumStructures; s++ {
@@ -131,17 +125,6 @@ func newPruner(enabled bool, cfg uarch.Config, sum *liveness.Summary, info pipe.
 	return pr
 }
 
-// frac returns the dead fraction the estimator must correct for: the
-// static fraction when pruning is enabled, exactly zero otherwise (a
-// disabled campaign samples the full space, so its estimator is the
-// legacy one bit-for-bit).
-func (pr *pruner) frac(s uarch.Structure) float64 {
-	if !pr.enabled {
-		return 0
-	}
-	return pr.staticFrac[s]
-}
-
 // bound returns the tightened static ACE upper bound for a structure:
 // the all-bits-ACE bound 1.0 minus the statically proven dead
 // fraction. Sound by construction: dead cells contribute zero to the
@@ -154,9 +137,6 @@ func (pr *pruner) bound(s uarch.Structure) float64 {
 
 // pruned reports whether a fault target is statically proven masked.
 func (pr *pruner) pruned(f pipe.Fault) bool {
-	if !pr.enabled {
-		return false
-	}
 	if f.Structure == uarch.RF {
 		slot := f.Bit / pr.entryBits[uarch.RF]
 		if pr.rfStatic[slot] {

@@ -129,19 +129,16 @@ type RunConfig struct {
 	MaxInstructions int64
 	// WarmupInstructions are committed before measurement starts.
 	WarmupInstructions int64
-	// MaxCycles caps simulated cycles (0 = derived automatically).
-	MaxCycles int64
-	// DeadlockCycles aborts if no instruction commits for this many
-	// cycles (0 = 1,000,000).
-	DeadlockCycles int64
 }
 
 // Fingerprint returns a canonical description of the run budget for
-// internal/simcache keys. Every field can change the simulated window
-// (and MaxCycles/DeadlockCycles can cut a run short), so all of them
-// participate.
+// internal/simcache keys. Both fields can change the simulated window,
+// so both participate. The text keeps the two zero cycle-limit fields
+// the struct once carried, so keys written before their removal stay
+// valid.
 func (rc RunConfig) Fingerprint() string {
-	return fmt.Sprintf("pipe.RunConfig%+v", rc)
+	return fmt.Sprintf("pipe.RunConfig{MaxInstructions:%d WarmupInstructions:%d MaxCycles:0 DeadlockCycles:0}",
+		rc.MaxInstructions, rc.WarmupInstructions)
 }
 
 // Pipeline simulates one program on one configuration. Create with New
@@ -356,36 +353,26 @@ func (pl *Pipeline) Run(rc RunConfig) (*avf.Result, error) {
 	return pl.finalize(), nil
 }
 
+// deadlockCycles aborts a run in which no instruction commits for this
+// many cycles.
+const deadlockCycles = 1_000_000
+
 // runBudget holds the normalised cycle-loop limits derived from a
 // RunConfig. Deriving them is deterministic, so a replay resumed from a
 // checkpoint recomputes the identical budget from the same RunConfig.
 type runBudget struct {
 	maxInstrs int64
 	maxCycles int64
-	deadlock  int64
 }
 
 // budget normalises rc into hard loop limits.
 func (pl *Pipeline) budget(rc RunConfig) (runBudget, error) {
-	b := runBudget{
-		maxInstrs: rc.MaxInstructions,
-		maxCycles: rc.MaxCycles,
-		deadlock:  rc.DeadlockCycles,
-	}
-	if b.deadlock <= 0 {
-		b.deadlock = 1_000_000
-	}
-	if b.maxInstrs <= 0 {
-		b.maxInstrs = math.MaxInt64
-	}
-	if b.maxCycles <= 0 {
-		if rc.MaxInstructions > 0 {
-			// Generous bound: every instruction fully serialised through
-			// main memory would still finish within this.
-			b.maxCycles = rc.MaxInstructions*int64(pl.cfg.Mem.MemLatency+pl.cfg.Mem.DTLB.WalkLatency+32) + 10_000
-		} else {
-			b.maxCycles = math.MaxInt64 / 2
-		}
+	b := runBudget{maxInstrs: math.MaxInt64, maxCycles: math.MaxInt64 / 2}
+	if rc.MaxInstructions > 0 {
+		b.maxInstrs = rc.MaxInstructions
+		// Generous bound: every instruction fully serialised through
+		// main memory would still finish within this.
+		b.maxCycles = rc.MaxInstructions*int64(pl.cfg.Mem.MemLatency+pl.cfg.Mem.DTLB.WalkLatency+32) + 10_000
 	}
 	if rc.WarmupInstructions >= b.maxInstrs {
 		return b, fmt.Errorf("pipe: warmup %d >= budget %d", rc.WarmupInstructions, b.maxInstrs)
@@ -454,9 +441,9 @@ func (pl *Pipeline) runCycles(b runBudget) error {
 		if n > 0 {
 			pl.lastCommit = pl.now
 		}
-		if pl.now-pl.lastCommit > b.deadlock {
+		if pl.now-pl.lastCommit > deadlockCycles {
 			return fmt.Errorf("pipe: deadlock: no commit for %d cycles at cycle %d (rob=%d iq=%d lq=%d sq=%d)",
-				b.deadlock, pl.now, pl.robCount(), pl.iqUsed, pl.lqUsed, pl.sqUsed)
+				deadlockCycles, pl.now, pl.robCount(), pl.iqUsed, pl.lqUsed, pl.sqUsed)
 		}
 		step := int64(1)
 		if n+c+i+d == 0 {

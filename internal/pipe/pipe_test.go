@@ -322,7 +322,12 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := Simulate(testCfg(), p, RunConfig{MaxInstructions: 100, WarmupInstructions: 100}); err == nil {
 		t.Error("warmup ≥ budget accepted")
 	}
-	if _, err := Simulate(testCfg(), p, RunConfig{MaxInstructions: 10_000, MaxCycles: 50}); err == nil {
+	pl, err := New(testCfg(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.startMeasurement()
+	if err := pl.runCycles(runBudget{maxInstrs: 10_000, maxCycles: 50}); err == nil {
 		t.Error("cycle budget exhaustion not reported")
 	} else if !strings.Contains(err.Error(), "cycle budget") {
 		t.Errorf("wrong error: %v", err)
@@ -451,5 +456,16 @@ func TestCommitWidthBoundsIPC(t *testing.T) {
 	res := mustRun(t, testCfg(), loopOf(body, nil), RunConfig{MaxInstructions: 40_000})
 	if res.IPC > 4.0+1e-9 {
 		t.Errorf("IPC %.3f exceeds the commit width", res.IPC)
+	}
+}
+
+// TestRunConfigFingerprintPinned: every simcache key embeds the run
+// budget's fingerprint, so its text is pinned — a changed byte would
+// turn every existing disk cache cold.
+func TestRunConfigFingerprintPinned(t *testing.T) {
+	got := RunConfig{MaxInstructions: 160_000, WarmupInstructions: 60_000}.Fingerprint()
+	const want = "pipe.RunConfig{MaxInstructions:160000 WarmupInstructions:60000 MaxCycles:0 DeadlockCycles:0}"
+	if got != want {
+		t.Errorf("fingerprint %q, want %q", got, want)
 	}
 }

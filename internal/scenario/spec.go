@@ -67,13 +67,6 @@ type Spec struct {
 	// fork-replay checkpoint capture, which never changes a report. It
 	// stays so submissions and journals that carry it still decode.
 	CheckpointInterval int64 `json:"checkpoint_interval,omitempty"`
-	// PruneStatic toggles static liveness pruning of each campaign's
-	// injection space: 0 or >0 = enabled (the default), <0 = disabled.
-	// Pruned targets classify as masked analytically and their trial
-	// budget moves to the live subspace, so the knob changes which
-	// targets replay and how the budget is spent — reports carry a
-	// separate pruned outcome column that keeps totals reconciling.
-	PruneStatic int `json:"prune_static,omitempty"`
 	// Parallelism bounds each CPU fan-out independently — a workload
 	// suite's simulations, a GA search's evaluations and an injection
 	// study's campaigns (0 = all cores).

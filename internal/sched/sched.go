@@ -1,9 +1,11 @@
-// Package sched is the repository's one fan-out mechanism: Each, a
-// bounded parallel-for over independent items. A scenario portfolio's
-// renders, a GA generation's fitness evaluations, a workload suite's
-// simulations and an injection study's campaigns all run through it. Work
-// shared between items is deduplicated above this package, by the
-// experiments Context's memoised flights — sched keeps no keys.
+// Package sched holds the repository's two in-process concurrency
+// primitives. Each is the one fan-out mechanism, a bounded parallel-for
+// over independent items: a scenario portfolio's renders, a GA
+// generation's fitness evaluations, a workload suite's simulations and
+// an injection study's campaigns all run through it. Flight is the one
+// in-process singleflight: the experiments Context's memoised studies
+// and a stressmark search's per-candidate fitness memo deduplicate work
+// shared between items through it.
 //
 // Cancellation is first-class: the context passed to Each is handed to
 // every item, the first item error (or the caller's cancellation) stops

@@ -216,6 +216,39 @@ func TestJournalLegacyLeaseLinesReplayCleanly(t *testing.T) {
 	}
 }
 
+// TestJournalPruneStaticSpecReplays: earlier daemons journalled specs
+// carrying prune_static, the since-deleted switch for the campaign
+// sampler without static pruning. Such a line still decodes and its
+// unfinished job resubmits; it runs pruned, like every campaign, so its
+// report equals that of the same spec submitted without the field.
+func TestJournalPruneStaticSpecReplays(t *testing.T) {
+	const scenarios = `"scenarios":["faultinject:baseline:uniform:50"],`
+	data := `{"op":"submit","id":"job-1","spec":{` + scenarios + `"prune_static":-1,` + fastSpecTail +
+		`},"time":"2026-10-19T12:00:00Z"}`
+	dir := t.TempDir()
+	line := fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(data), journalCRC), data)
+	if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, hs := durableServer(t, dir, nil)
+	if srv.Recovered() != 1 {
+		t.Fatalf("recovered %d jobs, want 1", srv.Recovered())
+	}
+	var reports []string
+	for _, id := range []string{"job-1", submit(t, hs, `{`+scenarios+fastSpecTail+`}`).ID} {
+		if st := waitTerminal(t, hs, id); st.Status != StatusDone {
+			t.Fatalf("%s ended %s: %s", id, st.Status, st.Error)
+		}
+		reports = append(reports, fetchReport(t, hs, id))
+	}
+	if !strings.Contains(reports[0], "prune: targets=") {
+		t.Errorf("journalled prune_static job did not run pruned:\n%s", reports[0])
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("journalled prune_static job's report differs from a fresh submission:\n%s\nvs\n%s", reports[0], reports[1])
+	}
+}
+
 // FuzzDecodeJournalLine: arbitrary lines must never panic the decoder,
 // and every record it accepts must re-encode to a line that decodes to
 // the same record. The seed corpus (testdata/fuzz) holds submit, end

@@ -97,13 +97,7 @@ func TestCrashRecoveryByteIdenticalReport(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Shutdown abandons the job without a terminal journal record —
-	// from the journal's point of view, indistinguishable from SIGKILL.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	abandon(t, srv)
 	hs.Close()
 
 	// Restart on the same journal + cache: the job comes back under its

@@ -70,11 +70,6 @@ type Options struct {
 	// MaxJobs bounds concurrently *running* jobs; excess submissions
 	// queue in order (0 = GOMAXPROCS).
 	MaxJobs int
-	// MaxHistory bounds retained jobs: when a submission would exceed
-	// it, the oldest *terminal* jobs (and their reports) are evicted —
-	// a long-running daemon's memory stays bounded, at the cost of old
-	// job ids turning 404 (0 = 512).
-	MaxHistory int
 	// MaxQueue bounds *admitted* (non-terminal) jobs; submissions beyond
 	// it are refused with 429 until work drains (0 = 1024).
 	MaxQueue int
@@ -89,6 +84,12 @@ type Options struct {
 	JobTimeout time.Duration
 	// Logf, when set, receives server-side log lines.
 	Logf func(format string, args ...interface{})
+
+	// maxHistory bounds retained jobs: when a submission would exceed
+	// it, the oldest *terminal* jobs (and their reports) are evicted —
+	// a long-running daemon's memory stays bounded, at the cost of old
+	// job ids turning 404 (0 = 512). Unexported: only tests shrink it.
+	maxHistory int
 }
 
 // Server implements http.Handler. Construct with New.
@@ -211,8 +212,8 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxJobs <= 0 {
 		opts.MaxJobs = runtime.GOMAXPROCS(0)
 	}
-	if opts.MaxHistory <= 0 {
-		opts.MaxHistory = 512
+	if opts.maxHistory <= 0 {
+		opts.maxHistory = 512
 	}
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 1024
@@ -447,35 +448,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Shutdown stops the server immediately: every non-terminal job is
-// cancelled and waited for (bounded by ctx), without journalling
-// terminal states — like a crash, a restarted daemon resubmits them.
-// Use Drain for a graceful stop that lets running jobs finish.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	var pending []*job
-	for _, j := range s.jobs {
-		pending = append(pending, j)
-	}
-	s.mu.Unlock()
-	defer s.journal.close()
-	for _, j := range pending {
-		j.mu.Lock()
-		j.interrupted = true
-		j.mu.Unlock()
-		j.cancel()
-	}
-	for _, j := range pending {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
@@ -583,11 +555,11 @@ func (s *Server) pendingLocked() int {
 	return n
 }
 
-// evictLocked drops the oldest terminal jobs until at most MaxHistory
+// evictLocked drops the oldest terminal jobs until at most maxHistory
 // remain, keeping the daemon's memory bounded. Non-terminal jobs are
 // never evicted. Caller holds s.mu.
 func (s *Server) evictLocked() {
-	excess := len(s.order) - s.opts.MaxHistory
+	excess := len(s.order) - s.opts.maxHistory
 	if excess <= 0 {
 		return
 	}
@@ -669,7 +641,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 }
 
 // finishJob records the terminal state and journals it — unless the
-// daemon itself is stopping the job (drain deadline, shutdown), in
+// daemon itself is stopping the job (drain deadline), in
 // which case the journal keeps only the submission so a restarted
 // daemon resubmits the job.
 func (s *Server) finishJob(j *job, report string, err error, stats simcache.Stats) {

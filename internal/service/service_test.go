@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -138,6 +139,7 @@ func TestBadRequests(t *testing.T) {
 		{`{"scenarios":["fig5"],"ga_pop":1000000001}`, http.StatusBadRequest},
 		{`{"mode":"guess"}`, http.StatusBadRequest},
 		{`{"unknown_field":1}`, http.StatusBadRequest},
+		{`{"scenarios":["faultinject"],"prune_static":-1}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 		{`{"scenarios":["table1"]} trailing`, http.StatusBadRequest},
 		{`{"scenarios":["table1"]}{"x":1}`, http.StatusBadRequest},
@@ -334,25 +336,35 @@ func TestListJobs(t *testing.T) {
 	}
 }
 
-// TestShutdownDrains: Shutdown cancels running jobs and returns.
+// abandon stops srv at once: a Drain whose deadline has already
+// passed cancels every unfinished job without a terminal journal
+// record — from the journal's point of view, indistinguishable from
+// SIGKILL — and returns once the jobs have stopped.
+func abandon(tb testing.TB, srv *Server) {
+	tb.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Drain(ctx); err != nil && !errors.Is(err, context.Canceled) {
+		tb.Fatal(err)
+	}
+}
+
+// TestShutdownDrains: an immediate stop cancels running jobs and
+// returns.
 func TestShutdownDrains(t *testing.T) {
 	srv, hs := testServer(t)
 	st := submit(t, hs, `{"scenarios":["fig3"],`+fastSpecTail+`}`)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	abandon(t, srv)
 	got := getStatus(t, hs, st.ID)
 	if !got.Status.Terminal() {
 		t.Errorf("job still %s after shutdown", got.Status)
 	}
 }
 
-// TestHistoryEviction: MaxHistory bounds retained jobs; the oldest
+// TestHistoryEviction: maxHistory bounds retained jobs; the oldest
 // terminal jobs are evicted, running jobs never are.
 func TestHistoryEviction(t *testing.T) {
-	srv, err := New(Options{MaxJobs: 1, MaxHistory: 2})
+	srv, err := New(Options{MaxJobs: 1, maxHistory: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +409,7 @@ func TestHistoryEvictionSkipsRunningJobs(t *testing.T) {
 	}
 	defer func() { testRunJob = nil }()
 
-	srv, err := New(Options{MaxJobs: 2, MaxHistory: 2})
+	srv, err := New(Options{MaxJobs: 2, maxHistory: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

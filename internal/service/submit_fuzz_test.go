@@ -24,16 +24,14 @@ import (
 // and non-JSON.
 func FuzzSubmitBody(f *testing.F) {
 	testRunJob = func(context.Context, *job) (string, error) { return "fuzz report", nil }
-	srv, err := New(Options{MaxJobs: 1, MaxQueue: 8, MaxHistory: 16})
+	srv, err := New(Options{MaxJobs: 1, MaxQueue: 8, maxHistory: 16})
 	if err != nil {
 		f.Fatal(err)
 	}
 	// Every admitted job must have ended before the seam is removed, or
 	// a late one would run real experiments.
 	f.Cleanup(func() {
-		if err := srv.Shutdown(context.Background()); err != nil {
-			f.Error(err)
-		}
+		abandon(f, srv)
 		testRunJob = nil
 	})
 	f.Fuzz(func(t *testing.T, body []byte) {
