@@ -38,7 +38,7 @@ rootcause-diff:
 
 # fuzz-smoke runs each decoder and parser fuzz target for a short time
 # beyond its committed seed corpus: the injection slice-table,
-# golden-info and golden-entry codecs, the CRC frame every disk entry
+# golden-info, golden-entry and campaign-result codecs, the CRC frame every disk entry
 # goes through, the job-journal line decoder, scenario-spec resolution,
 # job-submission bodies through the HTTP handler, and the binary
 # program-fingerprint encoding that keys simulations (equal exactly
@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeSlice$$' -fuzztime 10s
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGoldenInfo$$' -fuzztime 10s
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeGolden$$' -fuzztime 10s
+	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzDecodeCampaign$$' -fuzztime 10s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzDecodeFramed$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeJournalLine$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzResolveSpec$$' -fuzztime 10s
@@ -103,7 +104,9 @@ profile:
 # root-cause attribution, must each render byte-identically memory-only
 # (no -cache-dir), with a cold disk tier, and warm-from-disk — and each
 # warm run must actually be served from disk (>0 disk hits and no
-# simulation in the stats line).
+# simulation in the stats line). A warm campaign is one lookup of its
+# memoised result, so the warm avfinject run reads no golden or
+# outcome-table blob either (blob=0/0).
 CACHE_SMOKE_DIR ?= $(CURDIR)/.cache-smoke
 cache-smoke:
 	rm -rf $(CACHE_SMOKE_DIR)
@@ -121,7 +124,7 @@ cache-smoke:
 	$(CACHE_SMOKE_DIR)/avfinject -trials 2000 -root-cause -cache-dir $(CACHE_SMOKE_DIR)/injcache > $(CACHE_SMOKE_DIR)/inj-warm.out 2> $(CACHE_SMOKE_DIR)/inj-warm.err
 	cmp $(CACHE_SMOKE_DIR)/inj-off.out $(CACHE_SMOKE_DIR)/inj-cold.out
 	cmp $(CACHE_SMOKE_DIR)/inj-cold.out $(CACHE_SMOKE_DIR)/inj-warm.out
-	grep -E '^# cache: mem=[0-9]+ disk=[1-9][0-9]* sim=0 ' $(CACHE_SMOKE_DIR)/inj-warm.err
+	grep -E '^# cache: mem=[0-9]+ disk=[1-9][0-9]* sim=0 .* blob=0/0$$' $(CACHE_SMOKE_DIR)/inj-warm.err
 	@echo cache-smoke OK: outputs byte-identical, warm runs served from disk
 	rm -rf $(CACHE_SMOKE_DIR)
 

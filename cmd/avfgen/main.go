@@ -13,44 +13,57 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"avfstress/internal/codegen"
 	"avfstress/internal/experiments"
-	"avfstress/internal/uarch"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind its process: it parses args, prints the
+// listing to stdout and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("avfgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		config = flag.String("config", "baseline", "target configuration: baseline or configA")
-		scale  = flag.Int("scale", 1, "cache scale-down factor")
-		ref    = flag.String("ref", "", "use reference knobs: baseline, rhc, edr or configA")
+		config = fs.String("config", "baseline", "target configuration: baseline or configA")
+		scale  = fs.Int("scale", 1, "cache scale-down factor")
+		ref    = fs.String("ref", "", "use reference knobs: baseline, rhc, edr or configA")
 
-		loop    = flag.Int("loop", 81, "loop size (instructions)")
-		loads   = flag.Int("loads", 29, "number of loads (incl. chase)")
-		stores  = flag.Int("stores", 28, "number of stores")
-		indep   = flag.Int("indep", 5, "independent arithmetic instructions")
-		missdep = flag.Int("missdep", 7, "instructions dependent on the L2 miss")
-		chain   = flag.Float64("chain", 2.14, "average dependence chain length")
-		depdist = flag.Int("depdist", 6, "dependency distance")
-		longlat = flag.Float64("longlat", 0.8, "fraction of long-latency arithmetic")
-		regreg  = flag.Float64("regreg", 0.93, "fraction of reg-reg arithmetic")
-		seed    = flag.Int64("seed", 42, "placement seed")
-		l2hit   = flag.Bool("l2hit", false, "use the L2-hit generator variant")
+		loop    = fs.Int("loop", 81, "loop size (instructions)")
+		loads   = fs.Int("loads", 29, "number of loads (incl. chase)")
+		stores  = fs.Int("stores", 28, "number of stores")
+		indep   = fs.Int("indep", 5, "independent arithmetic instructions")
+		missdep = fs.Int("missdep", 7, "instructions dependent on the L2 miss")
+		chain   = fs.Float64("chain", 2.14, "average dependence chain length")
+		depdist = fs.Int("depdist", 6, "dependency distance")
+		longlat = fs.Float64("longlat", 0.8, "fraction of long-latency arithmetic")
+		regreg  = fs.Float64("regreg", 0.93, "fraction of reg-reg arithmetic")
+		seed    = fs.Int64("seed", 42, "placement seed")
+		l2hit   = fs.Bool("l2hit", false, "use the L2-hit generator variant")
 	)
-	flag.Parse()
-
-	cfg := uarch.Baseline()
-	if *config == "configA" {
-		cfg = uarch.ConfigA()
-	} else if *config != "baseline" {
-		fmt.Fprintf(os.Stderr, "avfgen: unknown config %q\n", *config)
-		os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	cfg = uarch.Scaled(cfg, *scale)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "avfgen:", err)
+		return 1
+	}
 
+	cfg, err := experiments.ResolveConfig(*config, *scale)
+	if err != nil {
+		return fail(err)
+	}
 	k := codegen.Knobs{
 		LoopSize: *loop, NumLoads: *loads, NumStores: *stores,
 		NumIndepArith: *indep, MissDependent: *missdep,
@@ -59,28 +72,24 @@ func main() {
 		Seed: *seed, L2Hit: *l2hit,
 	}
 	if *ref != "" {
-		var err error
-		k, err = experiments.ReferenceKnobs(*ref)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "avfgen:", err)
-			os.Exit(1)
+		if k, err = experiments.ReferenceKnobs(*ref); err != nil {
+			return fail(err)
 		}
 	}
 	p, eff, err := codegen.Generate(cfg, k, 1<<20)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "avfgen:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Printf("; effective knobs (after normalisation for %s):\n", cfg.Name)
+	fmt.Fprintf(stdout, "; effective knobs (after normalisation for %s):\n", cfg.Name)
 	for _, line := range splitLines(eff.String()) {
-		fmt.Printf(";   %s\n", line)
+		fmt.Fprintf(stdout, ";   %s\n", line)
 	}
-	fmt.Println(p.Listing())
+	fmt.Fprintln(stdout, p.Listing())
 	if err := codegen.CheckACEClosure(p); err != nil {
-		fmt.Fprintln(os.Stderr, "avfgen: ACE closure check failed:", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("ACE closure check failed: %w", err))
 	}
-	fmt.Println("; ACE closure check: every value reaches program output ✓")
+	fmt.Fprintln(stdout, "; ACE closure check: every value reaches program output ✓")
+	return 0
 }
 
 func splitLines(s string) []string {

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"avfstress/internal/avf"
@@ -20,92 +22,103 @@ import (
 	"avfstress/internal/persist"
 	"avfstress/internal/pipe"
 	"avfstress/internal/prog"
-	"avfstress/internal/uarch"
 	"avfstress/internal/workloads"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind its process: it parses args, prints the
+// report to stdout and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("avfsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "", "workload proxy name (see -list)")
-		stress   = flag.String("stressmark", "", "reference stressmark: baseline, rhc, edr or configA")
-		knobFile = flag.String("knobs", "", "JSON stressmark file written by avfstress -save")
-		config   = flag.String("config", "baseline", "configuration: baseline or configA")
-		scale    = flag.Int("scale", 32, "cache scale-down factor")
-		rates    = flag.String("rates", "uniform", "fault rates: uniform, rhc or edr")
-		instrs   = flag.Int64("instrs", 200_000, "committed-instruction budget")
-		warmup   = flag.Int64("warmup", 80_000, "warmup instructions")
-		seed     = flag.Int64("seed", 1, "workload synthesis seed")
-		list     = flag.Bool("list", false, "list workload proxies and exit")
+		workload = fs.String("workload", "", "workload proxy name (see -list)")
+		stress   = fs.String("stressmark", "", "reference stressmark: baseline, rhc, edr or configA")
+		knobFile = fs.String("knobs", "", "JSON stressmark file written by avfstress -save")
+		config   = fs.String("config", "baseline", "configuration: baseline or configA")
+		scale    = fs.Int("scale", 32, "cache scale-down factor")
+		rates    = fs.String("rates", "uniform", "fault rates: uniform, rhc or edr")
+		instrs   = fs.Int64("instrs", 200_000, "committed-instruction budget")
+		warmup   = fs.Int64("warmup", 80_000, "warmup instructions")
+		seed     = fs.Int64("seed", 1, "workload synthesis seed")
+		list     = fs.Bool("list", false, "list workload proxies and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "avfsim:", err)
+		return 1
+	}
 
 	if *list {
 		for _, pf := range workloads.Profiles() {
-			fmt.Printf("%-16s (%s)\n", pf.Name, pf.Suite)
+			fmt.Fprintf(stdout, "%-16s (%s)\n", pf.Name, pf.Suite)
 		}
-		return
+		return 0
 	}
-	cfg := uarch.Baseline()
-	if *config == "configA" {
-		cfg = uarch.ConfigA()
+	cfg, err := experiments.ResolveConfig(*config, *scale)
+	if err != nil {
+		return fail(err)
 	}
-	cfg = uarch.Scaled(cfg, *scale)
-
-	var fr uarch.FaultRates
-	switch *rates {
-	case "uniform":
-		fr = uarch.UniformRates(1)
-	case "rhc":
-		fr = uarch.RHCRates()
-	case "edr":
-		fr = uarch.EDRRates()
-	default:
-		fmt.Fprintf(os.Stderr, "avfsim: unknown rates %q\n", *rates)
-		os.Exit(1)
+	fr, err := experiments.ResolveRates(*rates)
+	if err != nil {
+		return fail(err)
 	}
 
 	var p *prog.Program
 	switch {
 	case *knobFile != "":
 		saved, err := persist.LoadStressmark(*knobFile)
-		fatal(err)
-		p, _, err = codegen.Generate(cfg, saved.Knobs, 1<<40)
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
+		if p, _, err = codegen.Generate(cfg, saved.Knobs, 1<<40); err != nil {
+			return fail(err)
+		}
 	case *workload != "":
 		pf, err := workloads.ByName(*workload)
-		fatal(err)
-		p, err = pf.Build(cfg, *seed)
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
+		if p, err = pf.Build(cfg, *seed); err != nil {
+			return fail(err)
+		}
 	case *stress != "":
 		k, err := experiments.ReferenceKnobs(*stress)
-		fatal(err)
-		p, _, err = codegen.Generate(cfg, k, 1<<40)
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
+		if p, _, err = codegen.Generate(cfg, k, 1<<40); err != nil {
+			return fail(err)
+		}
 	default:
-		fmt.Fprintln(os.Stderr, "avfsim: need -workload, -stressmark or -knobs (or -list)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "avfsim: need -workload, -stressmark or -knobs (or -list)")
+		return 2
 	}
 
 	res, err := pipe.Simulate(cfg, p, pipe.RunConfig{
 		MaxInstructions: *instrs, WarmupInstructions: *warmup,
 	})
-	fatal(err)
+	if err != nil {
+		return fail(err)
+	}
 
-	fmt.Print(res)
-	fmt.Printf("\nIPC %.3f  mispredict %.3f  DL1 miss %.3f  L2 miss %.3f  DTLB miss %.4f\n",
+	fmt.Fprint(stdout, res)
+	fmt.Fprintf(stdout, "\nIPC %.3f  mispredict %.3f  DL1 miss %.3f  L2 miss %.3f  DTLB miss %.4f\n",
 		res.IPC, res.MispredictRate, res.DL1MissRate, res.L2MissRate, res.DTLBMissRate)
-	fmt.Printf("occupancy: ROB %.2f IQ %.2f LQ %.2f SQ %.2f  wrong-path %.3f  ACE instrs %.3f\n",
+	fmt.Fprintf(stdout, "occupancy: ROB %.2f IQ %.2f LQ %.2f SQ %.2f  wrong-path %.3f  ACE instrs %.3f\n",
 		res.OccupancyROB, res.OccupancyIQ, res.OccupancyLQ, res.OccupancySQ,
 		res.WrongPathFrac, res.ACEInstrFrac)
-	fmt.Printf("\nSER (units/bit, %s rates):\n", *rates)
+	fmt.Fprintf(stdout, "\nSER (units/bit, %s rates):\n", *rates)
 	for _, cl := range avf.AllClasses() {
-		fmt.Printf("  %-10s %.3f\n", cl, res.SER(cfg, fr, cl))
+		fmt.Fprintf(stdout, "  %-10s %.3f\n", cl, res.SER(cfg, fr, cl))
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "avfsim:", err)
-		os.Exit(1)
-	}
+	return 0
 }

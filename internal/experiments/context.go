@@ -9,6 +9,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/codegen"
@@ -90,6 +91,9 @@ type Context struct {
 
 	cache *simcache.Store
 
+	fpMu sync.Mutex
+	fps  map[uarch.Config]string // configuration fingerprints, rendered once
+
 	wl sched.Flight[string, []*avf.Result]
 	sm sched.Flight[string, *core.SearchResult]
 	pv sched.Flight[string, *avf.Result]
@@ -108,7 +112,22 @@ func NewContext(opts Options) *Context {
 		Baseline: uarch.Scaled(uarch.Baseline(), opts.Scale),
 		ConfigA:  uarch.Scaled(uarch.ConfigA(), opts.Scale),
 		cache:    cache,
+		fps:      map[uarch.Config]string{},
 	}
+}
+
+// fingerprint returns cfg.Fingerprint(), rendered once per context and
+// configuration: every memo key of the suite starts with it, and the
+// rendering runs through fmt.
+func (c *Context) fingerprint(cfg uarch.Config) string {
+	c.fpMu.Lock()
+	defer c.fpMu.Unlock()
+	fp, ok := c.fps[cfg]
+	if !ok {
+		fp = cfg.Fingerprint()
+		c.fps[cfg] = fp
+	}
+	return fp
 }
 
 // Cache returns the context's simulation store.
@@ -151,7 +170,7 @@ func (c *Context) workloadBudget() pipe.RunConfig {
 // between simulations, and a panicking one fails the suite with a
 // *sched.PanicError.
 func (c *Context) Workloads(ctx context.Context, cfg uarch.Config) ([]*avf.Result, error) {
-	cfgFP := cfg.Fingerprint()
+	cfgFP := c.fingerprint(cfg)
 	return c.wl.Do(cfgFP, func() ([]*avf.Result, error) {
 		profiles := workloads.Profiles()
 		results := make([]*avf.Result, len(profiles))
@@ -235,7 +254,7 @@ func ReferenceKnobs(key string) (codegen.Knobs, error) {
 // Concurrent callers share one search; cancelling ctx stops the GA
 // within one generation and nothing partial is memoised.
 func (c *Context) Stressmark(ctx context.Context, key string, cfg uarch.Config, rates uarch.FaultRates) (*core.SearchResult, error) {
-	smKey := key + "\x00" + cfg.Fingerprint() + "\x00" + rates.Fingerprint()
+	smKey := key + "\x00" + c.fingerprint(cfg) + "\x00" + rates.Fingerprint()
 	return c.sm.Do(smKey, func() (*core.SearchResult, error) {
 		var (
 			res *core.SearchResult
@@ -303,7 +322,7 @@ func (c *Context) evaluateReference(ctx context.Context, key string, cfg uarch.C
 	}
 	rc := core.DefaultEvalBudget(cfg)
 	rc.MaxInstructions *= 2
-	cacheKey := c.cache.Key(cfg.Fingerprint(), "knobs:"+k.Fingerprint(), rc.Fingerprint())
+	cacheKey := c.cache.Key(c.fingerprint(cfg), "knobs:"+k.Fingerprint(), rc.Fingerprint())
 	res, err := simcache.Do(c.cache, cacheKey, simcache.Results, func() (*avf.Result, error) {
 		return pipe.Simulate(cfg, p, rc)
 	})
@@ -331,7 +350,7 @@ func (c *Context) StressmarkProgram(ctx context.Context, key string, cfg uarch.C
 // on the baseline configuration.
 func (c *Context) PowerVirus(ctx context.Context) (*avf.Result, error) {
 	cfg := c.Baseline
-	return c.pv.Do("pv\x00"+cfg.Fingerprint(), func() (*avf.Result, error) {
+	return c.pv.Do("pv\x00"+c.fingerprint(cfg), func() (*avf.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -340,7 +359,7 @@ func (c *Context) PowerVirus(ctx context.Context) (*avf.Result, error) {
 			return nil, err
 		}
 		rc := c.workloadBudget()
-		key := c.cache.Key(cfg.Fingerprint(), "prog:"+pv.Fingerprint(), rc.Fingerprint())
+		key := c.cache.Key(c.fingerprint(cfg), "prog:"+pv.Fingerprint(), rc.Fingerprint())
 		return simcache.Do(c.cache, key, simcache.Results, func() (*avf.Result, error) {
 			return pipe.Simulate(cfg, pv, rc)
 		})

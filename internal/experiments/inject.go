@@ -118,7 +118,7 @@ func (c *Context) FaultInjection(ctx context.Context, configName, ratesName stri
 	if trials <= 0 {
 		trials = defaultInjectTrials
 	}
-	key := fmt.Sprintf("fi\x00%s\x00%s\x00%d", cfg.Fingerprint(), rates.Fingerprint(), trials)
+	key := fmt.Sprintf("fi\x00%s\x00%s\x00%d", c.fingerprint(cfg), rates.Fingerprint(), trials)
 	return c.fi.Do(key, func() (*InjectionStudy, error) {
 		rc := c.injectBudget()
 		study := &InjectionStudy{Config: cfg, RatesName: orDefault(ratesName, "uniform"), Trials: trials,

@@ -18,8 +18,10 @@
 // every unique target of a campaign as an independent watch: a
 // campaign is one golden run plus one pass, whose outcome table is
 // memoised in internal/simcache keyed by (golden fingerprint, the
-// campaign's fault set), so warm re-runs replay nothing (DESIGN.md
-// §10).
+// campaign's fault set). The aggregated Result is memoised too, keyed
+// by the golden fingerprint plus the campaign's rates, trials, seed and
+// root-cause flag, so a warm campaign is one lookup: no replay, no
+// liveness analysis, no sampling, no aggregation (DESIGN.md §10).
 package inject
 
 import (
@@ -63,8 +65,8 @@ type Options struct {
 	Trials int
 	// Seed drives target sampling (default 1).
 	Seed int64
-	// Cache, when set, memoises the golden run and the campaign's
-	// outcome table; nil replays the campaign.
+	// Cache, when set, memoises the campaign's result, its golden run
+	// and its outcome table; nil runs the campaign.
 	Cache *simcache.Store
 	// RootCause, when set, attributes every corrupting trial to the
 	// program instruction whose value the flipped bit held
@@ -247,6 +249,12 @@ func allocate(total, min int, weights []float64) []int {
 // the same budget buys a tighter confidence interval. Pruning changes
 // which targets replay, never any replay's outcome. The context is
 // checked before each simulation.
+//
+// The result is a pure function of the golden run's inputs and the
+// campaign's rates, trials, seed and attribution flag, so the whole
+// campaign is one cache entry (campaignKeyPart): a warm campaign is one
+// lookup, and a cold one reads or fills the golden and outcome-table
+// entries underneath.
 func Run(ctx context.Context, o Options) (*Result, error) {
 	o = o.withDefaults()
 	if err := ctx.Err(); err != nil {
@@ -256,26 +264,28 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	golden, info, warm, err := c.goldenRun()
-	if err != nil {
-		return nil, err
-	}
-	// Sampling is up-front and single-threaded and the pruner's inputs
-	// are static or cached with the golden result, so pruned campaigns
-	// stay byte-deterministic across runs and caches.
-	pr := newPruner(o.Config, c.live, info)
-	s, err := sample(o, info, pr)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.replay(ctx, info, warm, s); err != nil {
-		return nil, err
-	}
-	return aggregateResult(o, golden, info, pr, s), nil
+	return simcache.Do(o.Cache, c.key(c.campaignPart()), resultCodec, func() (*Result, error) {
+		golden, info, warm, err := c.goldenRun()
+		if err != nil {
+			return nil, err
+		}
+		// Sampling is up-front and single-threaded and the pruner's
+		// inputs are static or cached with the golden result, so pruned
+		// campaigns stay byte-deterministic across runs and caches.
+		pr := newPruner(o.Config, c.live, info)
+		s, err := sample(o, info, pr)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.replay(ctx, info, warm, s); err != nil {
+			return nil, err
+		}
+		return aggregateResult(o, golden, info, pr, s), nil
+	})
 }
 
-// campaign carries one Run's options, simulator pool and content
-// addresses through its steps.
+// campaign carries one Run's options, simulator pool, liveness summary
+// and content addresses through its steps.
 type campaign struct {
 	o                   Options
 	pool                *pipe.Pool
@@ -284,42 +294,41 @@ type campaign struct {
 }
 
 // newCampaign validates defaulted options and prepares a campaign's
-// simulator pool, liveness summary and cache-key fingerprints.
+// simulator pool and cache-key fingerprints, each fingerprint rendered
+// once per Run and shared by all of the campaign's keys. It does only
+// what looking the campaign up needs; goldenRun does the rest.
 func newCampaign(o Options) (*campaign, error) {
-	if err := o.Config.Validate(); err != nil {
+	pool, err := pipe.NewPool(o.Config)
+	if err != nil {
 		return nil, err
 	}
 	if o.Program == nil {
 		return nil, fmt.Errorf("inject: no program")
 	}
-	pool, err := pipe.NewPool(o.Config)
-	if err != nil {
-		return nil, err
-	}
 	return &campaign{
-		o:    o,
-		pool: pool,
-		// Its dead definitions drive the golden run's (cached) interval
-		// recording as well as the pruner.
-		live:   liveness.Analyze(o.Program, o.Config.Core),
+		o:      o,
+		pool:   pool,
 		cfgFP:  o.Config.Fingerprint(),
 		progFP: "prog:" + o.Program.Fingerprint(),
 		rcFP:   o.Run.Fingerprint(),
 	}, nil
 }
 
-// key addresses one of the campaign's cache entries: its golden run
-// and its outcome table.
+// key addresses one of the campaign's cache entries: its result, its
+// golden run and its outcome table.
 func (c *campaign) key(part string) simcache.Key {
 	return c.o.Cache.Key(c.cfgFP, c.progFP, c.rcFP, part)
 }
 
-// goldenRun returns the fault-free reference run and its replay facts,
-// and whether they came from the cache rather than from a run of its
-// own. Result and facts are one cache entry, so a warm campaign skips
-// the golden re-run entirely.
+// goldenRun analyses the program's liveness, whose dead definitions
+// drive the golden run's (cached) interval recording as well as the
+// pruner, then returns the fault-free reference run and its replay
+// facts, and whether they came from the cache rather than from a run of
+// its own. Result and facts are one cache entry, so a campaign whose
+// outcome table is warm skips the golden re-run entirely.
 func (c *campaign) goldenRun() (*avf.Result, pipe.GoldenInfo, bool, error) {
 	o := c.o
+	c.live = liveness.Analyze(o.Program, o.Config.Core)
 	warm := true
 	g, err := simcache.Do(o.Cache, c.key(goldenKeyPart), goldenCodec, func() (golden, error) {
 		warm = false

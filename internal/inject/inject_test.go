@@ -360,9 +360,9 @@ func TestWilson(t *testing.T) {
 }
 
 // TestCampaignDiskFootprintOnePass: a cold campaign with a disk tier
-// runs two simulations, the golden run and one replay, and writes two
-// blobs, the golden entry and the outcome table — O(1) in its trial
-// count.
+// computes three entries — the golden run, one replay and the campaign
+// result aggregated from them — and writes two blobs, the golden entry
+// and the outcome table: O(1) in its trial count.
 func TestCampaignDiskFootprintOnePass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -388,7 +388,7 @@ func TestCampaignDiskFootprintOnePass(t *testing.T) {
 	if bins != 2 {
 		t.Errorf("%d blob files on disk, want 2 (golden entry + outcome table)", bins)
 	}
-	if sims := o.Cache.Stats().Simulated; sims != 2 {
-		t.Errorf("cold campaign ran %d simulations, want 2 (golden run + one replay)", sims)
+	if sims := o.Cache.Stats().Simulated; sims != 3 {
+		t.Errorf("cold campaign computed %d entries, want 3 (golden run + one replay + campaign result)", sims)
 	}
 }

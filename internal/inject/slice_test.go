@@ -172,10 +172,10 @@ func TestTrialBlobBitFlipQuarantinesEveryOffset(t *testing.T) {
 }
 
 // TestCampaignHealsLegacyTrialBlobs: a cache directory holding
-// v-previous entries — every blob rewritten as a framed v1 one-byte
-// outcome — must not poison a campaign: undecodable trial blobs are
-// discarded and replayed, and the report comes out byte-identical to
-// the clean run's.
+// v-previous entries — every entry, blobs and the campaign result alike,
+// rewritten as a framed v1 one-byte outcome — must not poison a
+// campaign: each undecodable entry is quarantined and recomputed, and
+// the report comes out byte-identical to the clean run's.
 func TestCampaignHealsLegacyTrialBlobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -188,26 +188,26 @@ func TestCampaignHealsLegacyTrialBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Downgrade every on-disk blob (trial outcomes and golden info
-	// alike) to a legacy one-byte entry with a valid frame.
+	// Downgrade every on-disk entry (campaign result, trial outcomes and
+	// golden info alike) to a legacy one-byte entry with a valid frame.
 	versionDir := filepath.Join(dir, simcache.EngineVersion)
 	ents, err := os.ReadDir(versionDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	downgraded := 0
+	downgraded := map[string]int{}
 	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".bin" {
+		if e.IsDir() {
 			continue
 		}
 		if err := os.WriteFile(filepath.Join(versionDir, e.Name()),
 			persist.EncodeFramed([]byte{1}), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		downgraded++
+		downgraded[filepath.Ext(e.Name())]++
 	}
-	if downgraded == 0 {
-		t.Fatal("campaign left no blobs to downgrade")
+	if downgraded[".bin"] != 2 || downgraded[".json"] != 1 {
+		t.Fatalf("campaign left %v entries, want 2 .bin and 1 .json", downgraded)
 	}
 
 	o.Cache = simcache.New(simcache.Options{Dir: dir})
@@ -215,10 +215,10 @@ func TestCampaignHealsLegacyTrialBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := o.Cache.Stats(); st.Quarantined == 0 {
-		t.Errorf("legacy blobs were served as hits, none quarantined: %+v", st)
+	if st := o.Cache.Stats(); st.Quarantined != 3 || st.Simulated != 3 {
+		t.Errorf("stats %+v, want all 3 legacy entries quarantined and recomputed", st)
 	}
 	if healed.String() != clean.String() {
-		t.Errorf("report differs after healing legacy blobs:\nclean:\n%s\nhealed:\n%s", clean, healed)
+		t.Errorf("report differs after healing legacy entries:\nclean:\n%s\nhealed:\n%s", clean, healed)
 	}
 }
